@@ -1,13 +1,11 @@
 """Conditional randomization tests for treatment-effect heterogeneity
 under network interference."""
 
-from .assignment import CompleteRandomization, StratifiedComplete, draw, supports
-from .conditioning import (AcceptedDraw, AllCells, AllExposures,
-                           ConditioningConfig, PerCell, PerExposure,
-                           SuperFocalSet, epsilon_feasibility, focal_indicator,
+from .assignment import CompleteRandomization, StratifiedComplete
+from .conditioning import (ConditioningConfig, Draws, SuperFocalSet, cell_mask,
+                           epsilon_feasibility, focal_indicator,
                            relative_frequency, sample_conditioning_set,
-                           select_observed_focal, superfocal_for_cell,
-                           superfocal_union)
+                           select_observed_focal, superfocal_for_cell)
 from .data import Dataset, ingest, read_nodes_csv
 from .exposure import (CustomMapping, ExposureVector, FractionThreshold,
                        WeightedThreshold, compute_exposures,
@@ -15,7 +13,7 @@ from .exposure import (CustomMapping, ExposureVector, FractionThreshold,
 from .graph import (DegreeDiagnostics, Graph, build_graph, degree_diagnostics,
                     overlap_check, read_edge_csv)
 from .inference import (CIConfig, TestReport, adjust_multiple,
-                        empirical_pvalue, estimate_tau_plugin,
+                        empirical_pvalue, estimate_tau_plugin, family_cells,
                         make_balanced_split, neyman_interval, run_ci_test,
                         run_oracle_test, run_permutation_variant,
                         run_plugin_test, run_ss_test)
@@ -28,5 +26,26 @@ from .stats import (TestStatisticValue, conditional_variance, ts_combined,
                     variance_ratio)
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CompleteRandomization", "StratifiedComplete",
+    "ConditioningConfig", "Draws", "SuperFocalSet", "cell_mask",
+    "epsilon_feasibility", "focal_indicator", "relative_frequency",
+    "sample_conditioning_set", "select_observed_focal", "superfocal_for_cell",
+    "Dataset", "ingest", "read_nodes_csv",
+    "CustomMapping", "ExposureVector", "FractionThreshold", "WeightedThreshold",
+    "compute_exposures", "exposure_cell_counts",
+    "DegreeDiagnostics", "Graph", "build_graph", "degree_diagnostics",
+    "overlap_check", "read_edge_csv",
+    "CIConfig", "TestReport", "adjust_multiple", "empirical_pvalue",
+    "estimate_tau_plugin", "family_cells", "make_balanced_split",
+    "neyman_interval", "run_ci_test", "run_oracle_test",
+    "run_permutation_variant", "run_plugin_test", "run_ss_test",
+    "NullSpec", "NuisanceParams", "impute_outcome",
+    "observed_outcome_identity_check",
+    "generate_potential_outcomes", "generate_regular_graph", "run_scenario",
+    "run_table",
+    "TestStatisticValue", "conditional_variance", "ts_combined",
+    "ts_combined_xpi", "ts_per_cell", "ts_per_exposure", "variance_ratio",
+    "errors",
+]
 __version__ = "0.1.0"

@@ -88,10 +88,3 @@ class StratifiedComplete:
     def __repr__(self) -> str:
         return f"StratifiedComplete(n_units={self.n_units}, strata={len(self.levels)})"
 
-
-def draw(mechanism, rng: np.random.Generator) -> np.ndarray:
-    return mechanism.draw(rng)
-
-
-def supports(mechanism, t: np.ndarray) -> bool:
-    return mechanism.supports(t)

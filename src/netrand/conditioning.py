@@ -8,7 +8,7 @@ expected focal count across draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,41 +18,24 @@ from .errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
 Cell = tuple  # (pi,) or (pi, x_level)
 
 
-@dataclass(frozen=True)
-class PerExposure:
-    value: object
-
-    def cells(self, values, x_levels=None) -> list[Cell]:
-        return [(self.value,)]
-
-
-@dataclass(frozen=True)
-class AllExposures:
-    def cells(self, values, x_levels=None) -> list[Cell]:
-        return [(v,) for v in values]
-
-
-@dataclass(frozen=True)
-class PerCell:
-    value: object
-    level: object
-
-    def cells(self, values, x_levels=None) -> list[Cell]:
-        return [(self.value, self.level)]
-
-
-@dataclass(frozen=True)
-class AllCells:
-    def cells(self, values, x_levels=None) -> list[Cell]:
-        if not x_levels:
-            raise ValueError("covariate levels required for per-cell targets")
-        return [(v, l) for v in values for l in x_levels]
+def cell_mask(pi: np.ndarray, cell: Cell, x: np.ndarray | None = None) -> np.ndarray:
+    """Units whose exposure equals the cell's value and, for an
+    (exposure, covariate) cell, whose covariate equals its level."""
+    mask = np.asarray(pi) == cell[0]
+    if len(cell) == 2:
+        if x is None:
+            raise ValueError(f"cell {cell} names a covariate level but x is missing")
+        mask = mask & (np.asarray(x) == cell[1])
+    return mask
 
 
 @dataclass(frozen=True)
 class ConditioningConfig:
+    """epsilon bounds the relative frequencies of every (arm, cell) pair
+    of the cells conditioned on, each (pi,) or (pi, x_level)."""
+
     epsilon: float
-    target: object
+    cells: tuple
     max_attempts_per_accept: int = 10_000
 
     def __post_init__(self):
@@ -64,11 +47,11 @@ class ConditioningConfig:
 
 @dataclass
 class SuperFocalSet:
-    """Units whose observed exposure (and covariate, for per-cell targets)
-    matches the cell. cell is None for a union over several cells."""
+    """Units whose observed exposure (and covariate, for an
+    (exposure, covariate) cell) matches the cell."""
 
     indicator: np.ndarray
-    cell: Cell | None
+    cell: Cell
 
     @property
     def n(self) -> int:
@@ -77,35 +60,20 @@ class SuperFocalSet:
 
 def superfocal_for_cell(exposures_obs: np.ndarray, cell: Cell,
                         x: np.ndarray | None = None) -> SuperFocalSet:
-    pi = np.asarray(exposures_obs)
-    mask = pi == cell[0]
-    if len(cell) == 2:
-        if x is None:
-            raise ValueError(f"cell {cell} names a covariate level but x is missing")
-        mask = mask & (np.asarray(x) == cell[1])
+    mask = cell_mask(exposures_obs, cell, x)
     if not mask.any():
         raise EmptySuperFocal(f"no units with observed cell {cell}")
     return SuperFocalSet(indicator=mask, cell=cell)
-
-
-def superfocal_union(exposures_obs: np.ndarray, cells: list[Cell],
-                     x: np.ndarray | None = None) -> SuperFocalSet:
-    mask = np.zeros(len(np.asarray(exposures_obs)), dtype=bool)
-    for c in cells:
-        mask |= superfocal_for_cell(exposures_obs, c, x).indicator
-    return SuperFocalSet(indicator=mask, cell=None)
 
 
 def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
                        superfocal: SuperFocalSet, arm: int) -> float:
     """Share of the cell's super-focal units that the candidate vector
     leaves in the given arm with exposure unchanged."""
-    if superfocal.cell is None:
-        raise ValueError("relative frequency is defined per cell, not for unions")
     denom = superfocal.n
     if denom == 0:
         raise EmptySuperFocal("super-focal set is empty")
-    keep = (np.asarray(exposures_new) == superfocal.cell[0]) & superfocal.indicator
+    keep = focal_indicator(exposures_new, superfocal)
     num = int((keep & (np.asarray(t_new) == arm)).sum())
     return num / denom
 
@@ -114,17 +82,18 @@ def focal_indicator(exposures_new: np.ndarray,
                     superfocal: SuperFocalSet) -> np.ndarray:
     """Units of the cell's super-focal set whose exposure is unchanged
     under the candidate vector. Always a subset of the super-focal set."""
-    if superfocal.cell is None:
-        raise ValueError("focal indicator is defined per cell, not for unions")
     return (np.asarray(exposures_new) == superfocal.cell[0]) & superfocal.indicator
 
 
 @dataclass
-class AcceptedDraw:
-    t_new: np.ndarray
-    exposures_new: np.ndarray
-    focal: np.ndarray  # union over the target's cells
-    r_values: dict = field(default_factory=dict)
+class Draws:
+    """Accepted draws as (b, N) matrices: the treatment vectors, their
+    exposures, and the focal units (the union over the cells conditioned
+    on, so a cell's own focal units are ``focal & superfocal.indicator``)."""
+
+    t: np.ndarray
+    exposures: np.ndarray
+    focal: np.ndarray
 
 
 @dataclass
@@ -146,9 +115,10 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
                             rng: np.random.Generator):
     """Draw b i.i.d. vectors from the conditioning set by rejection.
 
-    A candidate from the mechanism is accepted when, for every cell the
-    target names and both arms, the relative frequency of retained
-    super-focal units strictly exceeds epsilon. Raises
+    A candidate from the mechanism is accepted when, for every cell in
+    config.cells and both arms, the relative frequency of retained
+    super-focal units strictly exceeds epsilon. Returns the accepted
+    draws as one Draws record plus diagnostics. Raises
     AcceptanceBudgetExhausted (naming the worst inequality) when
     b * max_attempts_per_accept candidates fail to produce b accepts.
     """
@@ -156,74 +126,66 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
         raise ValueError(f"b must be >= 1, got {b}")
     pi_obs = np.asarray(exposures_obs.values if hasattr(exposures_obs, "values")
                         else exposures_obs)
-    x = dataset.x
-    x_levels = dataset.x_levels if x is not None else None
-    cells = config.target.cells(mapping.values, x_levels)
-    sfs = [superfocal_for_cell(pi_obs, c, x) for c in cells]
-    masks = [sf.indicator for sf in sfs]
-    counts = [sf.n for sf in sfs]
+    cells = list(config.cells)
+    masks = [superfocal_for_cell(pi_obs, c, dataset.x).indicator for c in cells]
+    counts = [int(mask.sum()) for mask in masks]
 
     budget = b * config.max_attempts_per_accept
-    draws: list[AcceptedDraw] = []
+    blocks = []  # (t, exposures, focal) rows accepted from each batch
+    n_accepted = 0
     attempts = 0
     acc_est = 0.5
     fail_counts = {(arm, c): 0 for c in cells for arm in (0, 1)}
 
-    while len(draws) < b:
+    while n_accepted < b:
         if attempts >= budget:
             worst = max(fail_counts, key=fail_counts.get)
             raise AcceptanceBudgetExhausted(
-                f"accepted {len(draws)}/{b} after {attempts} candidates; "
+                f"accepted {n_accepted}/{b} after {attempts} candidates; "
                 f"worst inequality: arm={worst[0]}, cell={worst[1]} "
                 f"failed {fail_counts[worst]} times (epsilon={config.epsilon})")
-        need = b - len(draws)
+        need = b - n_accepted
         m = int(min(max(64, np.ceil(need / max(acc_est, 0.01) * 1.25)),
                     8192, budget - attempts))
         t_batch = mechanism.draw_batch(m, rng)
         pi_batch = mapping.compute_batch(t_batch, dataset.graph)
         ok = np.ones(m, dtype=bool)
-        r_cols = {}
-        focal_union = np.zeros((m, dataset.n), dtype=bool)
+        focal = np.zeros((m, dataset.n), dtype=bool)
         for c, mask, cnt in zip(cells, masks, counts):
             in_cell = (pi_batch == c[0]) & mask
-            focal_union |= in_cell
+            focal |= in_cell
             for arm in (0, 1):
                 r = (in_cell & (t_batch == arm)).sum(axis=1) / cnt
-                r_cols[(arm, c)] = r
                 bad = ~(r > config.epsilon)
                 fail_counts[(arm, c)] += int(bad.sum())
                 ok &= ~bad
-        for row in np.flatnonzero(ok):
-            if len(draws) == b:
-                break
-            draws.append(AcceptedDraw(
-                t_new=t_batch[row].copy(),
-                exposures_new=pi_batch[row].copy(),
-                focal=focal_union[row].copy(),
-                r_values={k: float(v[row]) for k, v in r_cols.items()}))
+        rows = np.flatnonzero(ok)[:need]
+        blocks.append((t_batch[rows], pi_batch[rows], focal[rows]))
+        n_accepted += len(rows)
         attempts += m
-        accepted_so_far = len(draws) if len(draws) < b else b
-        acc_est = max(accepted_so_far / attempts, 1e-3)
+        acc_est = max(n_accepted / attempts, 1e-3)
 
+    draws = Draws(*(np.concatenate(col) for col in zip(*blocks)))
     diag = ConditioningDiagnostics(n_candidates=attempts, n_accepted=b,
                                    cells=cells, failure_counts=fail_counts)
     return draws, diag
 
 
-def select_observed_focal(superfocal: SuperFocalSet, accepted_draws,
+def select_observed_focal(superfocal: SuperFocalSet, focal: np.ndarray,
                           t_obs: np.ndarray, rng: np.random.Generator,
                           min_per_arm: int = 1,
                           max_retries: int = 100) -> np.ndarray:
     """Uniform subset of the super-focal units sized to the mean focal
-    count over the accepted draws (round half to even).
+    count over the accepted draws' (b, N) focal matrix (round half to
+    even).
 
     Resamples until each treatment arm holds at least min_per_arm selected
     units; raises ArmEmptyAfterRetries when that is impossible or the
     retry budget runs out.
     """
     t_obs = np.asarray(t_obs)
-    counts = [int((d.focal & superfocal.indicator).sum()) for d in accepted_draws]
-    if not counts:
+    counts = (np.asarray(focal, dtype=bool) & superfocal.indicator).sum(axis=1)
+    if counts.size == 0:
         raise ValueError("no accepted draws to size the selection from")
     size = round(float(np.mean(counts)))
     idx = np.flatnonzero(superfocal.indicator)
@@ -256,23 +218,17 @@ def epsilon_feasibility(dataset, exposures_obs, use_covariate: bool = False) -> 
     pi = np.asarray(exposures_obs.values if hasattr(exposures_obs, "values")
                     else exposures_obs)
     mapping_values = exposures_obs.mapping.values if hasattr(exposures_obs, "mapping") else sorted(set(pi.tolist()))
-    t = dataset.t
-    n = dataset.n
+    if use_covariate:
+        if dataset.x is None:
+            raise ValueError("use_covariate=True but dataset has no covariate")
+        cells = [(v, l) for v in mapping_values for l in dataset.x_levels]
+    else:
+        cells = [(v,) for v in mapping_values]
     best = 1.0
-    for v in mapping_values:
-        base = pi == v
-        if use_covariate:
-            if dataset.x is None:
-                raise ValueError("use_covariate=True but dataset has no covariate")
-            for lvl in dataset.x_levels:
-                m = base & (dataset.x == lvl)
-                if not m.any():
-                    continue
-                for arm in (0, 1):
-                    best = min(best, int((m & (t == arm)).sum()) / n)
-        else:
-            if not base.any():
-                continue
-            for arm in (0, 1):
-                best = min(best, int((base & (t == arm)).sum()) / n)
+    for cell in cells:
+        m = cell_mask(pi, cell, dataset.x)
+        if not m.any():
+            continue
+        for arm in (0, 1):
+            best = min(best, int((m & (dataset.t == arm)).sum()) / dataset.n)
     return best

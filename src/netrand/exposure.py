@@ -11,6 +11,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from .conditioning import cell_mask
 from .errors import MappingFailure
 from .graph import Graph
 
@@ -186,7 +187,7 @@ def exposure_cell_counts(exposures: ExposureVector, t: np.ndarray,
     by_exp = {}
     by_arm = {}
     for v in exposures.mapping.values:
-        m = pi == v
+        m = cell_mask(pi, (v,))
         by_exp[v] = int(m.sum())
         for arm in (0, 1):
             by_arm[(arm, v)] = int((m & (t == arm)).sum())
@@ -198,7 +199,7 @@ def exposure_cell_counts(exposures: ExposureVector, t: np.ndarray,
         by_arm_cov = {}
         for v in exposures.mapping.values:
             for lvl in sorted(np.unique(x).tolist()):
-                m = (pi == v) & (x == lvl)
+                m = cell_mask(pi, (v, lvl), x)
                 by_cov[(v, lvl)] = int(m.sum())
                 for arm in (0, 1):
                     by_arm_cov[(arm, v, lvl)] = int((m & (t == arm)).sum())

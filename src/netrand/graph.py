@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .conditioning import cell_mask
 from .errors import EmptyCell, IndexOutOfRange, ParseError, SelfLoop
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,9 +189,7 @@ def overlap_check(dataset: "Dataset", exposures: "ExposureVector",
                 strata.append((v, lvl))
     cells = []
     for cell in strata:
-        mask = pi == cell[0]
-        if len(cell) == 2:
-            mask = mask & (x == cell[1])
+        mask = cell_mask(pi, cell, x)
         denom = int(mask.sum())
         if denom == 0:
             raise EmptyCell(f"stratum {cell} has zero units")

@@ -4,10 +4,11 @@ Four ways to handle the unknown effect values a null needs: oracle
 (caller supplies them), plug-in (full-sample difference in means,
 anti-conservative and flagged as such), confidence-interval (grid over a
 moment-based region, p-value inflated by the region's miscoverage), and
-sample splitting (estimate on one half, test on the other). All share the
-same conditioning machinery and statistic; p-values are the plain
-fraction of accepted draws whose statistic reaches the observed one,
-with no +1 smoothing.
+sample splitting (estimate on one half, test on the other). All four run
+one engine over a grid of effect values, a single point for all but the
+confidence-interval technique; p-values are the plain fraction of
+accepted draws whose statistic reaches the observed one, with no +1
+smoothing.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .conditioning import (AllCells, AllExposures, Cell, ConditioningConfig,
-                           PerCell, PerExposure, SuperFocalSet,
+from .conditioning import (Cell, ConditioningConfig, SuperFocalSet, cell_mask,
                            sample_conditioning_set, select_observed_focal,
                            superfocal_for_cell)
 from .data import Dataset
@@ -30,8 +30,7 @@ from .exposure import compute_exposures
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec)
-from .stats import (masked_arm_variances, ratio_stat_rows, ts_per_exposure,
-                    variance_ratio)
+from .stats import masked_arm_variances, ratio_stat_rows, ts_per_exposure
 
 MIN_OBSERVED_FOCAL = 4  # two per arm is the least that gives two variances
 
@@ -55,63 +54,19 @@ def family_cells(family: str, values: Sequence, x_levels: Sequence | None) -> li
     raise MissingParameter(f"family {family!r} has no testable cell structure")
 
 
-def _target_for_cell(cell: Cell):
-    return PerExposure(cell[0]) if len(cell) == 1 else PerCell(cell[0], cell[1])
-
-
 def _cell_weights(cells: list[Cell], pi_obs: np.ndarray, x: np.ndarray | None,
                   n: int) -> np.ndarray:
-    w = []
-    for c in cells:
-        m = pi_obs == c[0]
-        if len(c) == 2:
-            m = m & (x == c[1])
-        w.append(int(m.sum()) / n)
-    return np.asarray(w, dtype=np.float64)
+    return np.asarray([int(cell_mask(pi_obs, c, x).sum()) / n for c in cells],
+                      dtype=np.float64)
 
 
-class _CellRun:
-    """One cell's accepted draws plus the masks needed for its statistics."""
-
-    def __init__(self, cell: Cell, dataset: Dataset, pi_obs: np.ndarray,
-                 draws, diag, inf_mask: np.ndarray | None = None):
-        self.cell = cell
-        self.diag = diag
-        self.y = dataset.y
-        self.t_obs = dataset.t.astype(np.float64)
-        self.sf_full = superfocal_for_cell(pi_obs, cell, dataset.x)
-        ind = self.sf_full.indicator
-        if inf_mask is not None:
-            ind = ind & inf_mask
-        self.sf_sel = SuperFocalSet(indicator=ind, cell=cell)
-        self.t_mat = np.stack([d.t_new for d in draws]).astype(np.float64)
-        pi_mat = np.stack([d.exposures_new for d in draws])
-        self.focal_mat = (pi_mat == cell[0]) & self.sf_sel.indicator
-        self.focal_counts = self.focal_mat.sum(axis=1)
-        self.fobs_mask: np.ndarray | None = None
-
-    @property
-    def mean_focal(self) -> float:
-        return float(np.mean(self.focal_counts))
-
-    def select_fobs(self, draws, rng) -> None:
-        size = round(self.mean_focal)
-        if size < MIN_OBSERVED_FOCAL:
-            raise TooFewUnits(
-                f"cell {self.cell}: observed focal selection of size {size} "
-                f"cannot support two per-arm variances (need >= {MIN_OBSERVED_FOCAL})")
-        self.fobs_mask = select_observed_focal(
-            self.sf_sel, draws, self.t_obs, rng, min_per_arm=2)
-
-    def observed_stat(self) -> float:
-        return ts_per_exposure(self.y, self.t_obs, self.fobs_mask, self.cell).value
-
-    def draw_stats(self, tau: float) -> np.ndarray:
-        z = self.y[None, :] + tau * (self.t_mat - self.t_obs[None, :])
-        arm1 = self.focal_mat & (self.t_mat == 1)
-        arm0 = self.focal_mat & (self.t_mat == 0)
-        v1, v0, _, _ = masked_arm_variances(z, (arm1, arm0))
-        return ratio_stat_rows(v1, v0)
+def _ratio_stats(z: np.ndarray, t: np.ndarray, focal: np.ndarray) -> np.ndarray:
+    """Variance-ratio statistic of each row of a (B, N) outcome matrix over
+    its focal units, split into arms by the matching treatment rows. The
+    observed statistic goes through here as a one-row batch, so a draw
+    that reproduces the observed configuration ties with it exactly."""
+    v1, v0, _, _ = masked_arm_variances(z, (focal & (t == 1), focal & (t == 0)))
+    return ratio_stat_rows(v1, v0)
 
 
 @dataclass
@@ -264,95 +219,23 @@ def estimate_tau_plugin(dataset: Dataset, exposures, family: str,
     sel = np.ones(dataset.n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     y, t = dataset.y, dataset.t
 
-    def dim(cell_mask, label) -> float:
-        m1 = cell_mask & (t == 1) & sel
-        m0 = cell_mask & (t == 0) & sel
+    def dim(in_cell, label) -> float:
+        m1 = in_cell & (t == 1) & sel
+        m0 = in_cell & (t == 0) & sel
         if not m1.any() or not m0.any():
             raise EmptyArm(f"no {'treated' if not m1.any() else 'control'} units for {label}")
         return float(y[m1].mean() - y[m0].mean())
 
     if family == CONSTANT_ALL:
         values = {(): dim(np.ones(dataset.n, dtype=bool), "pooled sample")}
-    elif family == BY_EXPOSURE:
-        values = {(v,): dim(pi == v, f"exposure {v}")
-                  for v in exposures.mapping.values}
-    elif family == BY_EXPOSURE_COVARIATE:
-        if dataset.x is None:
-            raise DataError("per-cell families require a covariate column")
-        values = {(v, l): dim((pi == v) & (dataset.x == l), f"cell ({v}, {l})")
-                  for v in exposures.mapping.values for l in dataset.x_levels}
     else:
-        raise MissingParameter(f"family {family!r} has no estimable cells")
+        cells = family_cells(family, exposures.mapping.values, dataset.x_levels or None)
+        values = {c: dim(cell_mask(pi, c, dataset.x), f"cell {c}") for c in cells}
     return NuisanceParams(values=values, provenance=provenance)
 
 
 def _tau_lookup(null: NullSpec, cell: Cell) -> float:
     return null.tau_for(cell[0], cell[1] if len(cell) == 2 else None)
-
-
-def _build_runs(dataset, mapping, mechanism, cells, epsilon, b, rng,
-                max_attempts, inf_mask=None, keep_draws=False):
-    """Per-cell sampling for the multiple-statistics mode."""
-    pi_obs = compute_exposures(mapping, dataset.t, dataset.graph)
-    runs = []
-    kept = {}
-    for cell in cells:
-        cfg = ConditioningConfig(epsilon=epsilon, target=_target_for_cell(cell),
-                                 max_attempts_per_accept=max_attempts)
-        draws, diag = sample_conditioning_set(mechanism, dataset, pi_obs,
-                                              mapping, cfg, b, rng)
-        run = _CellRun(cell, dataset, pi_obs.values, draws, diag, inf_mask)
-        run.select_fobs(draws, rng)
-        runs.append(run)
-        if keep_draws:
-            kept[cell] = np.stack([d.t_new for d in draws])
-    return pi_obs, runs, kept
-
-
-def _build_combined_run(dataset, mapping, mechanism, cells, family, epsilon,
-                        b, rng, max_attempts, inf_mask=None, keep_draws=False):
-    """One joint sampling whose draws satisfy every cell's inequalities."""
-    pi_obs = compute_exposures(mapping, dataset.t, dataset.graph)
-    target = AllCells() if family == BY_EXPOSURE_COVARIATE else AllExposures()
-    cfg = ConditioningConfig(epsilon=epsilon, target=target,
-                             max_attempts_per_accept=max_attempts)
-    draws, diag = sample_conditioning_set(mechanism, dataset, pi_obs, mapping,
-                                          cfg, b, rng)
-    runs = []
-    for cell in cells:
-        run = _CellRun(cell, dataset, pi_obs.values, draws, diag, inf_mask)
-        run.select_fobs(draws, rng)
-        runs.append(run)
-    kept = {"combined": np.stack([d.t_new for d in draws])} if keep_draws else {}
-    return pi_obs, runs, kept
-
-
-def _cell_results(runs, taus, b, alpha, keep_draws):
-    results = []
-    pvals = {}
-    draw_stats = {}
-    for run in runs:
-        tau = taus[run.cell]
-        obs = run.observed_stat()
-        stats = run.draw_stats(tau)
-        p = empirical_pvalue(obs, stats)
-        pvals[run.cell] = p
-        results.append(CellResult(
-            cell=run.cell, pvalue=p, observed_stat=obs, tau=tau,
-            n_superfocal=run.sf_sel.n, fobs_size=int(run.fobs_mask.sum()),
-            mean_focal=run.mean_focal, acceptance_rate=run.diag.acceptance_rate))
-        if keep_draws:
-            draw_stats[run.cell] = stats
-    return results, pvals, draw_stats
-
-
-def _combined_pvalue(runs, taus, weights):
-    obs = 0.0
-    stat_rows = np.zeros(runs[0].t_mat.shape[0], dtype=np.float64)
-    for run, w in zip(runs, weights):
-        obs += w * run.observed_stat()
-        stat_rows = stat_rows + w * run.draw_stats(taus[run.cell])
-    return empirical_pvalue(obs, stat_rows), float(obs), stat_rows
 
 
 def _attach_decisions(report: TestReport, pvals: dict, alpha: float) -> None:
@@ -363,50 +246,122 @@ def _attach_decisions(report: TestReport, pvals: dict, alpha: float) -> None:
             report.any_unadjusted_rejection = adj.any_rejection
 
 
-def _run_fixed_tau_test(technique, dataset, mapping, mechanism, null, *,
-                        epsilon, b, rng, stat, alpha, max_attempts,
-                        keep_draws, inf_mask=None, extra_diag=None):
-    family = null.family
-    cells = family_cells(family, mapping.values, dataset.x_levels or None)
-    taus = {c: _tau_lookup(null, c) for c in cells}
+def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
+               gamma, *, epsilon, b, rng, stat, alpha, max_attempts,
+               keep_draws, inf_mask=None):
+    """The conditional randomization test over a grid of effect values.
+
+    axes maps each unknown effect value to the values to scan, and
+    cell_axis maps each cell to its axis. A cell's p-value is the largest
+    over its own axis plus gamma; the combined p-value is the largest over
+    the product of the axes plus gamma. The fixed-effect techniques are
+    the one-point grid with gamma = 0. Multiple mode samples each cell's
+    conditioning set on its own; combined mode samples one set satisfying
+    every cell's inequalities. Returns the report and the grid
+    evaluations behind its p-values.
+    """
+    if stat not in ("multiple", "combined"):
+        raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
+    cells = list(cell_axis)
+    pi_obs = compute_exposures(mapping, dataset.t, dataset.graph).values
+    groups = [(c,) for c in cells] if stat == "multiple" else [tuple(cells)]
+    runs = []
+    kept = {}
+    observed_focal = {}
+    for group in groups:
+        cfg = ConditioningConfig(epsilon=epsilon, cells=group,
+                                 max_attempts_per_accept=max_attempts)
+        draws, diag = sample_conditioning_set(mechanism, dataset, pi_obs,
+                                              mapping, cfg, b, rng)
+        kept[group[0] if stat == "multiple" else "combined"] = draws.t
+        for cell in group:
+            sf = superfocal_for_cell(pi_obs, cell, dataset.x)
+            if inf_mask is not None:
+                sf = SuperFocalSet(indicator=sf.indicator & inf_mask, cell=cell)
+            focal = draws.focal & sf.indicator
+            mean_focal = float(np.mean(focal.sum(axis=1)))
+            if round(mean_focal) < MIN_OBSERVED_FOCAL:
+                raise TooFewUnits(
+                    f"cell {cell}: observed focal selection of size {round(mean_focal)} "
+                    f"cannot support two per-arm variances (need >= {MIN_OBSERVED_FOCAL})")
+            observed_focal[cell] = select_observed_focal(sf, focal, dataset.t, rng,
+                                                         min_per_arm=2)
+            runs.append((cell, sf.n, draws.t, focal, mean_focal, diag))
+
     report = TestReport(technique=technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon)
+    y = dataset.y
+    t_obs = dataset.t.astype(np.float64)
+    observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
+    for cell, n_sf, t_new, focal, mean_focal, diag in runs:
+        fobs = observed_focal[cell]
+        obs = float(_ratio_stats(y[None, :], t_obs[None, :], fobs[None, :])[0])
+        t_mat = t_new.astype(np.float64)
+        shift = t_mat - t_obs[None, :]
+        grid = axes[cell_axis[cell]]
+        stats[cell] = [_ratio_stats(y[None, :] + tau * shift, t_mat, focal)
+                       for tau in grid]
+        ps = [empirical_pvalue(obs, s) for s in stats[cell]]
+        best = int(np.argmax(ps))
+        observed[cell], best_stats[cell] = obs, stats[cell][best]
+        pvals[cell] = min(1.0, ps[best] + gamma)
+        grid_evals[_cell_key(cell)] = [(float(tau), p) for tau, p in zip(grid, ps)]
+        report.cells.append(CellResult(
+            cell=cell, pvalue=pvals[cell], observed_stat=obs,
+            tau=grid[0] if len(grid) == 1 else None, n_superfocal=n_sf,
+            fobs_size=int(fobs.sum()), mean_focal=mean_focal,
+            acceptance_rate=diag.acceptance_rate))
+
     if stat == "multiple":
-        _, runs, kept = _build_runs(dataset, mapping, mechanism, cells,
-                                    epsilon, b, rng, max_attempts, inf_mask,
-                                    keep_draws)
-        results, pvals, dstats = _cell_results(runs, taus, b, alpha, keep_draws)
-        report.cells = results
         _attach_decisions(report, pvals, alpha)
-    elif stat == "combined":
-        pi_obs, runs, kept = _build_combined_run(
-            dataset, mapping, mechanism, cells, family, epsilon, b, rng,
-            max_attempts, inf_mask, keep_draws)
-        weights = _cell_weights(cells, pi_obs.values, dataset.x, dataset.n)
-        results, pvals, dstats = _cell_results(runs, taus, b, alpha, keep_draws)
-        report.cells = results
-        p, obs, rows = _combined_pvalue(runs, taus, weights)
-        report.combined = CombinedResult(
-            pvalue=p, observed_stat=obs, reject=p < alpha,
-            weights={c: float(w) for c, w in zip(cells, weights)})
-        if keep_draws:
-            dstats["combined"] = rows
     else:
-        raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
-    report.diagnostics["nuisance"] = {
-        "provenance": null.nuisance.provenance,
-        "values": {_cell_key(k): v for k, v in null.nuisance.values.items()},
-    }
+        weights = _cell_weights(cells, pi_obs, dataset.x, dataset.n)
+        obs = 0.0
+        for c, w in zip(cells, weights):
+            obs += w * observed[c]
+
+        def rows_at(point: dict) -> np.ndarray:
+            rows = np.zeros(b, dtype=np.float64)
+            for c, w in zip(cells, weights):
+                rows = rows + w * stats[c][point[cell_axis[c]]]
+            return rows
+
+        points = [dict(zip(axes, idx)) for idx in
+                  itertools.product(*(range(len(g)) for g in axes.values()))]
+        ps = [empirical_pvalue(obs, rows_at(point)) for point in points]
+        best = int(np.argmax(ps))
+        p = min(1.0, ps[best] + gamma)
+        grid_evals = {"combined": [
+            (tuple(float(axes[k][i]) for k, i in point.items()), q)
+            for point, q in zip(points, ps)]}
+        if keep_draws:
+            best_stats["combined"] = rows_at(points[best])
+        report.combined = CombinedResult(
+            pvalue=p, observed_stat=float(obs), reject=p < alpha,
+            weights={c: float(w) for c, w in zip(cells, weights)})
     if keep_draws:
         report.diagnostics["draw_stats"] = {_cell_key(k): v.tolist()
-                                            for k, v in dstats.items()}
+                                            for k, v in best_stats.items()}
         report.diagnostics["draw_treatments"] = {_cell_key(k): v.tolist()
                                                  for k, v in kept.items()}
         report.diagnostics["observed_focal"] = {
-            _cell_key(run.cell): np.nonzero(run.fobs_mask)[0].tolist()
-            for run in runs}
-    if extra_diag:
-        report.diagnostics.update(extra_diag)
+            _cell_key(c): np.nonzero(m)[0].tolist() for c, m in observed_focal.items()}
+    return report, grid_evals
+
+
+def _run_fixed_tau_test(technique, dataset, mapping, mechanism, null, *,
+                        epsilon, b, rng, stat, alpha, max_attempts,
+                        keep_draws, inf_mask=None, extra_diag=None):
+    cells = family_cells(null.family, mapping.values, dataset.x_levels or None)
+    report, _ = _grid_test(
+        technique, dataset, mapping, mechanism, null.family,
+        {c: [_tau_lookup(null, c)] for c in cells}, {c: c for c in cells}, 0.0,
+        epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
+        max_attempts=max_attempts, keep_draws=keep_draws, inf_mask=inf_mask)
+    nuisance = {"provenance": null.nuisance.provenance,
+                "values": {_cell_key(k): v for k, v in null.nuisance.values.items()}}
+    report.diagnostics = {"nuisance": nuisance, **report.diagnostics,
+                          **(extra_diag or {})}
     return report
 
 
@@ -479,9 +434,7 @@ def make_balanced_split(dataset: Dataset, exposures, family: str,
 def _check_split(dataset, pi_obs, cells, split):
     t = dataset.t
     for cell in cells:
-        m = pi_obs == cell[0]
-        if len(cell) == 2:
-            m = m & (dataset.x == cell[1])
+        m = cell_mask(pi_obs, cell, dataset.x)
         for arm in (0, 1):
             if not (m & (t == arm) & split.est_mask).any():
                 raise SplitInfeasible(
@@ -552,20 +505,6 @@ def neyman_interval(y, t, level: float, mask=None) -> tuple[float, float, float]
     return tau_hat - z * se, tau_hat + z * se, tau_hat
 
 
-def _ci_axes(family: str, cells: list[Cell], pi_obs, x):
-    """Each axis is one unknown effect value with the unit subset whose
-    difference in means estimates it (pooled for the constant family)."""
-    if family == CONSTANT_ALL:
-        return {(): None}  # None mask = all units
-    axes = {}
-    for c in cells:
-        m = pi_obs == c[0]
-        if len(c) == 2:
-            m = m & (x == c[1])
-        axes[c] = m
-    return axes
-
-
 def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
                 epsilon: float, b: int, rng: np.random.Generator,
                 ci: CIConfig = CIConfig(), stat: str = "multiple",
@@ -574,74 +513,30 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
     """Grid the effect values over a joint confidence region, run the test
     at every grid point against the same accepted draws and the same
     observed focal selection, and report max(grid p-values) + gamma.
+
+    Each axis is one unknown effect value, with a Neyman interval from the
+    units whose difference in means estimates it (all units for the
+    constant family). Multiple mode scans each cell's own axis at
+    grid_size points; combined mode scans the product of the axes, with
+    points per axis cut so the product stays within total_grid_budget.
     """
     cells = family_cells(family, mapping.values, dataset.x_levels or None)
-    pi_vec = compute_exposures(mapping, dataset.t, dataset.graph)
-    axes = _ci_axes(family, cells, pi_vec.values, dataset.x)
-    n_axes = len(axes)
-    level = 1.0 - ci.gamma / n_axes  # Bonferroni joint coverage >= 1 - gamma
+    pi_obs = compute_exposures(mapping, dataset.t, dataset.graph).values
+    cell_axis = {c: () if family == CONSTANT_ALL else c for c in cells}
+    keys = list(dict.fromkeys(cell_axis.values()))
+    level = 1.0 - ci.gamma / len(keys)  # Bonferroni joint coverage >= 1 - gamma
     m_axis = ci.grid_size
-    truncated = False
-    if m_axis ** n_axes > ci.total_grid_budget:
-        m_axis = max(2, int(ci.total_grid_budget ** (1.0 / n_axes)))
-        truncated = True
-    grids = {}
-    intervals = {}
-    for key, mask in axes.items():
-        lo, hi, tau_hat = neyman_interval(dataset.y, dataset.t, level, mask)
-        grids[key] = np.linspace(lo, hi, m_axis)
-        intervals[key] = (lo, hi, tau_hat)
-
-    def axis_of(cell: Cell):
-        return () if family == CONSTANT_ALL else cell
-
-    report = TestReport(technique="ci", family=family, stat_mode=stat,
-                        alpha=alpha, b=b, epsilon=epsilon)
-    grid_evals = {}
-    if stat == "multiple":
-        _, runs, _ = _build_runs(dataset, mapping, mechanism, cells, epsilon,
-                                 b, rng, max_attempts_per_accept)
-        pvals = {}
-        for run in runs:
-            obs = run.observed_stat()
-            evals = [(float(tau), empirical_pvalue(obs, run.draw_stats(tau)))
-                     for tau in grids[axis_of(run.cell)]]
-            p = min(1.0, max(e[1] for e in evals) + ci.gamma)
-            pvals[run.cell] = p
-            grid_evals[_cell_key(run.cell)] = evals
-            report.cells.append(CellResult(
-                cell=run.cell, pvalue=p, observed_stat=obs, tau=None,
-                n_superfocal=run.sf_sel.n, fobs_size=int(run.fobs_mask.sum()),
-                mean_focal=run.mean_focal,
-                acceptance_rate=run.diag.acceptance_rate))
-        _attach_decisions(report, pvals, alpha)
-    elif stat == "combined":
-        pi_obs, runs, _ = _build_combined_run(
-            dataset, mapping, mechanism, cells, family, epsilon, b, rng,
-            max_attempts_per_accept)
-        weights = _cell_weights(cells, pi_obs.values, dataset.x, dataset.n)
-        obs = 0.0
-        per_cell_stats = []
-        for run, w in zip(runs, weights):
-            obs += w * run.observed_stat()
-            per_cell_stats.append([run.draw_stats(tau)
-                                   for tau in grids[axis_of(run.cell)]])
-        axis_keys = list(grids)
-        evals = []
-        for combo in itertools.product(range(m_axis), repeat=n_axes):
-            point = dict(zip(axis_keys, combo))
-            rows = np.zeros(b, dtype=np.float64)
-            for run, w, stats_by_point in zip(runs, weights, per_cell_stats):
-                rows = rows + w * stats_by_point[point[axis_of(run.cell)]]
-            taus = tuple(float(grids[k][i]) for k, i in point.items())
-            evals.append((taus, empirical_pvalue(obs, rows)))
-        p = min(1.0, max(e[1] for e in evals) + ci.gamma)
-        grid_evals["combined"] = evals
-        report.combined = CombinedResult(
-            pvalue=p, observed_stat=float(obs), reject=p < alpha,
-            weights={c: float(w) for c, w in zip(cells, weights)})
-    else:
-        raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
+    truncated = stat == "combined" and m_axis ** len(keys) > ci.total_grid_budget
+    if truncated:
+        m_axis = max(2, int(ci.total_grid_budget ** (1.0 / len(keys))))
+    intervals = {k: neyman_interval(dataset.y, dataset.t, level,
+                                    cell_mask(pi_obs, k, dataset.x) if k else None)  # () pools all units
+                 for k in keys}
+    axes = {k: np.linspace(lo, hi, m_axis) for k, (lo, hi, _) in intervals.items()}
+    report, grid_evals = _grid_test(
+        "ci", dataset, mapping, mechanism, family, axes, cell_axis, ci.gamma,
+        epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
+        max_attempts=max_attempts_per_accept, keep_draws=keep_draws)
     report.diagnostics["ci"] = {
         "gamma": ci.gamma,
         "grid_points_per_axis": m_axis,
@@ -684,10 +579,7 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
     adjusted = {}
     observed = {}
     for cell in cells:
-        m = (pi == cell[0]) & split.inf_mask
-        if len(cell) == 2:
-            m = m & (dataset.x == cell[1])
-        idx = np.flatnonzero(m)
+        idx = np.flatnonzero(cell_mask(pi, cell, dataset.x) & split.inf_mask)
         if len(idx) < 2:
             raise TooFewUnits(f"cell {cell}: only {len(idx)} inference-side "
                               "super-focal units")

@@ -129,7 +129,6 @@ def ratio_stat_rows(var1: np.ndarray, var0: np.ndarray) -> np.ndarray:
     rest = ~(both_zero | one_zero)
     out[both_zero] = 1.0
     out[one_zero] = np.inf
-    with np.errstate(divide="ignore"):
-        r = v1[rest] / v0[rest]
-    out[rest] = np.maximum(r, 1.0 / r)
+    a, b = v1[rest], v0[rest]
+    out[rest] = np.maximum(a / b, b / a)  # as variance_ratio, so ties match it
     return out

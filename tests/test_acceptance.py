@@ -27,9 +27,8 @@ from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       oracle_exposure, oracle_focal, oracle_r)
 from netrand.assignment import CompleteRandomization
 from netrand.cli import main as cli_main
-from netrand.conditioning import (ConditioningConfig, PerExposure,
-                                  relative_frequency, sample_conditioning_set,
-                                  superfocal_for_cell)
+from netrand.conditioning import (ConditioningConfig, relative_frequency,
+                                  sample_conditioning_set, superfocal_for_cell)
 from netrand.data import Dataset
 from netrand.exposure import compute_exposures
 from netrand.inference import (make_balanced_split, run_ci_test,
@@ -347,11 +346,11 @@ class TestEnumerationEquivalence:
         pi_obs = tuple(int(v) for v in exposures.values)
         exact = oracle_conditioning_set(4, 2, nbrs, pi_obs, 0.3, [(1,)])
         assert set(exact) == {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)}
-        cfg = ConditioningConfig(epsilon=0.3, target=PerExposure(1))
+        cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         draws, _ = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, exposures, TEN_MAPPING, cfg,
             300, np.random.default_rng(5))
-        support = {tuple(int(v) for v in d.t_new) for d in draws}
+        support = {tuple(int(v) for v in row) for row in draws.t}
         assert support == set(exact)
 
     def test_ten_unit_sampler_matches_enumeration(self):
@@ -363,17 +362,17 @@ class TestEnumerationEquivalence:
             exact = oracle_conditioning_set(10, 5, nbrs, TEN_PI_OBS, 0.1,
                                             [cell])
             assert len(exact) == size
-            cfg = ConditioningConfig(epsilon=0.1, target=PerExposure(cell[0]))
+            cfg = ConditioningConfig(epsilon=0.1, cells=(cell,))
             draws, _ = sample_conditioning_set(
                 mech, ds, exposures, TEN_MAPPING, cfg, 4000,
                 np.random.default_rng(11))
-            sampled = [tuple(int(v) for v in d.t_new) for d in draws]
+            sampled = [tuple(int(v) for v in row) for row in draws.t]
             assert set(sampled) == set(exact)
             # per-draw focal sets equal the hand computation
-            for d, t_new in zip(draws, sampled):
+            for focal, t_new in zip(draws.focal, sampled):
                 pi_new = oracle_exposure(t_new, nbrs)
                 want = oracle_focal(t_new, pi_new, TEN_PI_OBS, cell[0])
-                assert tuple(np.flatnonzero(d.focal)) == want
+                assert tuple(np.flatnonzero(focal)) == want
 
 
 class TestFuzzedInvariants:
@@ -401,13 +400,13 @@ class TestFuzzedInvariants:
     def test_focal_subset_of_superfocal(self):
         ds = make_ten()
         exposures = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
-        cfg = ConditioningConfig(epsilon=0.1, target=PerExposure(0))
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
         draws, _ = sample_conditioning_set(
             CompleteRandomization(10, 5), ds, exposures, TEN_MAPPING, cfg,
             50, np.random.default_rng(3))
         sf = superfocal_for_cell(np.array(TEN_PI_OBS), (0,), None)
-        for d in draws:
-            assert not np.any(d.focal & ~sf.indicator)
+        for focal in draws.focal:
+            assert not np.any(focal & ~sf.indicator)
 
     def test_identity_acceptance_and_seed_determinism(self):
         props.test_identity_vector_accepted_exactly_below_its_own_frequencies()

@@ -10,15 +10,13 @@ from fixtures import (TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS, TEN_T_ALT,
                       TOY12_T_OBS, make_line4, make_ten, make_toy12,
                       neighbor_lists, oracle_conditioning_set, oracle_focal,
                       oracle_r, LINE4_EDGES, TOY12_EDGES)
-from netrand.conditioning import (AcceptedDraw, AllCells, AllExposures,
-                                  ConditioningConfig, PerCell, PerExposure,
-                                  SuperFocalSet, epsilon_feasibility,
-                                  focal_indicator, relative_frequency,
-                                  sample_conditioning_set,
-                                  select_observed_focal, superfocal_for_cell,
-                                  superfocal_union)
+from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
+                                  epsilon_feasibility, focal_indicator,
+                                  relative_frequency, sample_conditioning_set,
+                                  select_observed_focal, superfocal_for_cell)
 from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
-                            EmptySuperFocal)
+                            DataError, EmptySuperFocal)
+from netrand.inference import family_cells
 from netrand.assignment import CompleteRandomization
 from netrand.exposure import compute_exposures
 
@@ -31,21 +29,20 @@ LINE4_CELL1_SET = {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)}
 
 class TestTargets:
     def test_cells_per_target(self):
-        assert PerExposure(0).cells((0, 1)) == [(0,)]
-        assert AllExposures().cells((0, 1)) == [(0,), (1,)]
-        assert PerCell(1, "m").cells((0, 1), ("f", "m")) == [(1, "m")]
-        assert AllCells().cells((0, 1), ("f", "m")) == [
+        assert family_cells("constant_all", (0, 1), None) == [(0,), (1,)]
+        assert family_cells("by_exposure", (0, 1), None) == [(0,), (1,)]
+        assert family_cells("by_exposure_covariate", (0, 1), ("f", "m")) == [
             (0, "f"), (0, "m"), (1, "f"), (1, "m")]
 
     def test_all_cells_requires_levels(self):
-        with pytest.raises(ValueError):
-            AllCells().cells((0, 1), None)
+        with pytest.raises(DataError):
+            family_cells("by_exposure_covariate", (0, 1), None)
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            ConditioningConfig(epsilon=0.5, target=AllExposures())
+            ConditioningConfig(epsilon=0.5, cells=((0,), (1,)))
         with pytest.raises(ValueError):
-            ConditioningConfig(epsilon=0.0, target=AllExposures())
+            ConditioningConfig(epsilon=0.0, cells=((0,), (1,)))
 
 
 class TestSuperFocal:
@@ -63,10 +60,6 @@ class TestSuperFocal:
     def test_empty_cell_raises(self):
         with pytest.raises(EmptySuperFocal):
             superfocal_for_cell(np.zeros(4, dtype=int), (1,))
-
-    def test_union_covers_all_cells(self):
-        u = superfocal_union(np.array(TEN_PI_OBS), [(0,), (1,)])
-        assert u.n == 10 and u.cell is None
 
 
 class TestRelativeFrequency:
@@ -97,11 +90,6 @@ class TestRelativeFrequency:
                     want = oracle_r(t.tolist(), pi.tolist(), TEN_PI_OBS, arm, v)
                     got = relative_frequency(t, pi, sf, arm)
                     assert got == pytest.approx(want)
-
-    def test_union_rejected(self):
-        u = superfocal_union(np.array(TEN_PI_OBS), [(0,), (1,)])
-        with pytest.raises(ValueError):
-            relative_frequency(np.array(TEN_T_ALT), np.array(TEN_PI_ALT), u, 1)
 
 
 class TestFocalIndicator:
@@ -140,11 +128,11 @@ class TestSampler:
         oracle = oracle_conditioning_set(
             4, 2, neighbor_lists(4, LINE4_EDGES), LINE4_PI_OBS, 0.3, [(1,)])
         assert set(oracle) == LINE4_CELL1_SET
-        cfg = ConditioningConfig(epsilon=0.3, target=PerExposure(1))
+        cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         draws, diag = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, pi, TEN_MAPPING, cfg, 300,
             np.random.default_rng(0))
-        got = Counter(tuple(int(v) for v in d.t_new) for d in draws)
+        got = Counter(tuple(int(v) for v in row) for row in draws.t)
         assert set(got) == LINE4_CELL1_SET
         # i.i.d. uniform over three vectors: each within 5 sigma of 100
         se = np.sqrt(300 * (1 / 3) * (2 / 3))
@@ -153,27 +141,28 @@ class TestSampler:
 
     def test_line4_draw_bookkeeping(self):
         ds, pi = self._line4()
-        cfg = ConditioningConfig(epsilon=0.3, target=PerExposure(1))
+        cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         draws, _ = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, pi, TEN_MAPPING, cfg, 50,
             np.random.default_rng(1))
         sf1 = superfocal_for_cell(np.array(LINE4_PI_OBS), (1,))
-        for d in draws:
-            t = tuple(int(v) for v in d.t_new)
-            pi_new = TEN_MAPPING.compute(d.t_new, ds.graph)
-            assert pi_new.tolist() == d.exposures_new.tolist()
+        for t_new, exposures_new, focal in zip(draws.t, draws.exposures, draws.focal):
+            t = tuple(int(v) for v in t_new)
+            pi_new = TEN_MAPPING.compute(t_new, ds.graph)
+            assert pi_new.tolist() == exposures_new.tolist()
             for arm in (0, 1):
                 want = oracle_r(t, pi_new.tolist(), LINE4_PI_OBS, arm, 1)
-                assert d.r_values[(arm, (1,))] == pytest.approx(want)
-                assert d.r_values[(arm, (1,))] > 0.3
+                r = relative_frequency(t_new, exposures_new, sf1, arm)
+                assert r == pytest.approx(want)
+                assert r > 0.3
             want_focal = oracle_focal(t, pi_new.tolist(), LINE4_PI_OBS, 1)
-            assert tuple(np.flatnonzero(d.focal & sf1.indicator).tolist()) == want_focal
+            assert tuple(np.flatnonzero(focal & sf1.indicator).tolist()) == want_focal
 
     def test_line4_single_unit_cell_is_infeasible(self):
         # cell 0 holds only unit 3; one unit cannot sit in both arms, so
         # the sampler must exhaust its budget and name the inequality
         ds, pi = self._line4()
-        cfg = ConditioningConfig(epsilon=0.3, target=PerExposure(0),
+        cfg = ConditioningConfig(epsilon=0.3, cells=((0,),),
                                  max_attempts_per_accept=50)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
             sample_conditioning_set(CompleteRandomization(4, 2), ds, pi,
@@ -199,12 +188,12 @@ class TestSampler:
         joint = set(oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS,
                                             TOY12_EPS, [(0,), (1,)],
                                             comparator=">"))
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, target=AllExposures())
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
         draws, _ = sample_conditioning_set(
             CompleteRandomization(12, 6), ds, pi, TOY12_MAPPING, cfg, 200,
             np.random.default_rng(3))
-        for d in draws:
-            assert tuple(int(v) for v in d.t_new) in joint
+        for row in draws.t:
+            assert tuple(int(v) for v in row) in joint
 
     def test_identity_accepted_when_epsilon_below_bound(self):
         ds = make_toy12()
@@ -226,8 +215,8 @@ class TestSelectObservedFocal:
         for c in focal_counts:
             f = np.zeros(len(sf_mask), dtype=bool)
             f[idx[:c]] = True
-            out.append(AcceptedDraw(t_new=None, exposures_new=None, focal=f))
-        return out
+            out.append(f)
+        return np.stack(out)
 
     def test_full_focal_counts_force_whole_superfocal(self):
         sf = SuperFocalSet(indicator=np.array([True] * 6 + [False] * 2), cell=(0,))

@@ -221,6 +221,25 @@ class TestOracleEngine:
                 for _ in range(2)]
         assert reps[0] == reps[1]
 
+    def test_draws_reproducing_the_observed_split_tie_with_it(self):
+        # every unit is focal, so a draw equal to the observed split or its
+        # arm mirror gives the observed statistic and must count as a tie
+        y = np.array([0.9145, -0.0201, -1.2487, -0.3139,
+                      0.0541, 0.2728, -0.9822, -1.1074])
+        t = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        ds = Dataset(y=y, t=t, graph=build_graph(8, []))
+        mapping = CustomMapping(lambda i, tv, gr: 0, (0,))
+        rep = run_oracle_test(ds, mapping, CompleteRandomization(8, 4),
+                              NullSpec.constant(0.0), epsilon=0.1, b=400,
+                              rng=np.random.default_rng(0), keep_draws=True)
+        (res,) = rep.cells
+        draws = np.asarray(rep.diagnostics["draw_treatments"]["0"])
+        stats = np.asarray(rep.diagnostics["draw_stats"]["0"])
+        same = (draws == t).all(axis=1) | (draws == 1 - t).all(axis=1)
+        assert same.sum() == 8
+        assert (stats[same] == res.observed_stat).all()
+        assert res.pvalue == 0.685
+
 
 class TestPluginEngine:
     def test_report_carries_warning_and_provenance(self):
@@ -385,6 +404,56 @@ class TestCiEngine:
         assert len(evals) == 400
         assert rep.combined.pvalue == pytest.approx(
             min(1.0, max(e[1] for e in evals) + cfg.gamma))
+
+    def _hxpi_instance(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        graph = generate_regular_graph(n, 5, rng)
+        mapping = FractionThreshold(0.5, ">")
+        mech = CompleteRandomization(n, n // 2)
+        t = mech.draw(rng)
+        y = rng.normal(size=n) + t * (1.0 + mapping.compute(t, graph))
+        return Dataset(y=y, t=t, graph=graph, x=np.arange(n) % 2), mapping, mech
+
+    def test_multiple_mode_scans_each_cells_full_axis(self):
+        ds, mapping, mech = self._hxpi_instance()
+        cfg = CIConfig(gamma=0.001, grid_size=20)
+        rep = run_ci_test(ds, mapping, mech, "by_exposure_covariate",
+                          epsilon=0.1, b=60, rng=np.random.default_rng(9),
+                          ci=cfg)
+        diag = rep.diagnostics["ci"]
+        assert diag["grid_points_per_axis"] == 20
+        assert not diag["grid_truncated"]
+        assert len(rep.cells) == 4
+        for c in rep.cells:
+            evals = diag["grid_evaluations"][f"{c.cell[0]},{c.cell[1]}"]
+            assert len(evals) == 20
+            assert c.pvalue == min(1.0, max(e[1] for e in evals) + cfg.gamma)
+
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_keep_draws_leaves_pvalues_unchanged(self, stat):
+        ds, mapping, mech = toy12_engine_args()
+        cfg = CIConfig(gamma=0.01, grid_size=6)
+        reps = [run_ci_test(ds, mapping, mech, "by_exposure", epsilon=TOY12_EPS,
+                            b=70, rng=np.random.default_rng(7), ci=cfg,
+                            stat=stat, keep_draws=keep)
+                for keep in (False, True)]
+        plain, kept = reps
+        assert ([c.pvalue for c in plain.cells] == [c.pvalue for c in kept.cells])
+        assert (plain.diagnostics["ci"] == kept.diagnostics["ci"])
+        if stat == "combined":
+            assert plain.combined.pvalue == kept.combined.pvalue
+        diag = kept.diagnostics
+        for rows in diag["draw_treatments"].values():
+            assert np.asarray(rows).shape == (70, 12)
+        for c in kept.cells:
+            obs = np.zeros(12, dtype=bool)
+            obs[diag["observed_focal"][str(c.cell[0])]] = True
+            assert obs.sum() == c.fobs_size
+            # the kept statistics are those of the grid point behind the p-value
+            stats = diag["draw_stats"][str(c.cell[0])]
+            assert min(1.0, empirical_pvalue(c.observed_stat, stats)
+                       + cfg.gamma) == c.pvalue
 
     def test_gamma_validated(self):
         with pytest.raises(ValueError):

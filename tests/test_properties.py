@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from fixtures import (TOY12_EPS, TOY12_MAPPING, make_toy12, neighbor_lists,
                       oracle_exposure, oracle_focal, oracle_r)
 from netrand.assignment import CompleteRandomization
-from netrand.conditioning import (ConditioningConfig, PerExposure,
-                                  focal_indicator, relative_frequency,
-                                  sample_conditioning_set, superfocal_for_cell)
+from netrand.conditioning import (ConditioningConfig, focal_indicator,
+                                  relative_frequency, sample_conditioning_set,
+                                  superfocal_for_cell)
 from netrand.data import Dataset
 from netrand.errors import AcceptanceBudgetExhausted
 from netrand.exposure import FractionThreshold
@@ -188,15 +188,15 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
         mech = _FixedMechanism(t_obs)
         below = r_min * k / 16.0
         assume(0.0 < below < 0.5)
-        cfg = ConditioningConfig(epsilon=below, target=PerExposure(v),
+        cfg = ConditioningConfig(epsilon=below, cells=((v,),),
                                  max_attempts_per_accept=8)
         draws, _ = sample_conditioning_set(mech, ds, pi_obs, mapping, cfg,
                                            1, np.random.default_rng(0))
-        assert (draws[0].t_new == t_obs).all()
+        assert (draws.t[0] == t_obs).all()
         if 0.0 < r_min < 0.5:
             # at epsilon equal to the minimum frequency the strict
             # inequality fails and the identity vector is rejected
-            cfg = ConditioningConfig(epsilon=r_min, target=PerExposure(v),
+            cfg = ConditioningConfig(epsilon=r_min, cells=((v,),),
                                      max_attempts_per_accept=8)
             try:
                 sample_conditioning_set(mech, ds, pi_obs, mapping, cfg, 1,
@@ -212,13 +212,13 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
 def test_sampler_is_seed_deterministic(seed):
     ds = make_toy12()
     mech = CompleteRandomization(12, 6)
-    cfg = ConditioningConfig(epsilon=TOY12_EPS, target=PerExposure(0))
+    cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,),))
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     runs = []
     for _ in range(2):
         draws, _ = sample_conditioning_set(mech, ds, pi_obs, TOY12_MAPPING,
                                            cfg, 3, np.random.default_rng(seed))
-        runs.append(np.stack([d.t_new for d in draws]))
+        runs.append(draws.t)
     assert (runs[0] == runs[1]).all()
 
 
