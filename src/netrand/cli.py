@@ -17,12 +17,11 @@ from .conditioning import epsilon_feasibility
 from .data import Dataset, ingest
 from .errors import DataError, InfeasibleConditioning, NetrandError
 from .exposure import FractionThreshold, WeightedThreshold, compute_exposures, exposure_cell_counts
-from .graph import degree_diagnostics, overlap_check
-from .inference import (CIConfig, run_ci_test, run_oracle_test,
-                        run_plugin_test, run_ss_test, _json_safe)
+from .graph import _is_int, degree_diagnostics, overlap_check
+from .inference import TECHNIQUES, CIConfig, _json_safe, run_technique
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        NullSpec)
-from .simulation import TECHNIQUES, run_table
+from .simulation import run_table
 
 _NULL_FAMILIES = {"h0": CONSTANT_ALL, "hpi": BY_EXPOSURE,
                   "hxpi": BY_EXPOSURE_COVARIATE}
@@ -133,14 +132,6 @@ def _parse_cell_key(key: str, family: str):
     return parsed
 
 
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-    except ValueError:
-        return False
-    return True
-
-
 def _null_from_args(args, family: str) -> NullSpec:
     if args.tau is not None and args.tau_map is not None:
         raise DataError("pass --tau or --tau-map, not both")
@@ -172,25 +163,13 @@ def _cmd_test(args) -> int:
     mapping = _mapping_from_args(args, dataset)
     mechanism = _mechanism_from_args(args, dataset)
     family = _NULL_FAMILIES[args.null]
-    rng = np.random.default_rng(args.seed)
-    common = dict(epsilon=args.epsilon, b=args.b, stat=args.stat,
-                  alpha=args.alpha, max_attempts_per_accept=args.max_attempts)
-    if args.technique == "oracle":
-        null = _null_from_args(args, family)
-        report = run_oracle_test(dataset, mapping, mechanism, null,
-                                 rng=rng, **common)
-    elif args.technique == "plugin":
-        report = run_plugin_test(dataset, mapping, mechanism, family,
-                                 rng=rng, **common)
-    elif args.technique == "ci":
-        report = run_ci_test(dataset, mapping, mechanism, family, rng=rng,
-                             ci=CIConfig(gamma=args.gamma, grid_size=args.grid),
-                             **common)
-    else:
-        split_ss, draw_ss = np.random.SeedSequence(args.seed).spawn(2)
-        report = run_ss_test(dataset, mapping, mechanism, family,
-                             split_rng=np.random.default_rng(split_ss),
-                             rng=np.random.default_rng(draw_ss), **common)
+    null = _null_from_args(args, family) if args.technique == "oracle" else None
+    report = run_technique(args.technique, dataset, mapping, mechanism, family,
+                           np.random.SeedSequence(args.seed), null=null,
+                           ci=CIConfig(gamma=args.gamma, grid_size=args.grid),
+                           epsilon=args.epsilon, b=args.b, stat=args.stat,
+                           alpha=args.alpha,
+                           max_attempts_per_accept=args.max_attempts)
     payload = report.to_dict()
     payload["run_config"] = {
         "command": "test", "nodes": args.nodes, "edges": args.edges,

@@ -87,12 +87,11 @@ def focal_indicator(exposures_new: np.ndarray,
 
 @dataclass
 class Draws:
-    """Accepted draws as (b, N) matrices: the treatment vectors, their
-    exposures, and the focal units (the union over the cells conditioned
-    on, so a cell's own focal units are ``focal & superfocal.indicator``)."""
+    """Accepted draws as (b, N) matrices: the treatment vectors and the
+    focal units (the union over the cells conditioned on, so a cell's own
+    focal units are ``focal & superfocal.indicator``)."""
 
     t: np.ndarray
-    exposures: np.ndarray
     focal: np.ndarray
 
 
@@ -131,7 +130,7 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
     counts = [int(mask.sum()) for mask in masks]
 
     budget = b * config.max_attempts_per_accept
-    blocks = []  # (t, exposures, focal) rows accepted from each batch
+    blocks = []  # (t, focal) rows accepted from each batch
     n_accepted = 0
     attempts = 0
     acc_est = 0.5
@@ -160,7 +159,7 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
                 fail_counts[(arm, c)] += int(bad.sum())
                 ok &= ~bad
         rows = np.flatnonzero(ok)[:need]
-        blocks.append((t_batch[rows], pi_batch[rows], focal[rows]))
+        blocks.append((t_batch[rows], focal[rows]))
         n_accepted += len(rows)
         attempts += m
         acc_est = max(n_accepted / attempts, 1e-3)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -30,9 +30,10 @@ from .exposure import compute_exposures
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec)
-from .stats import masked_arm_variances, ratio_stat_rows, ts_per_exposure
+from .stats import masked_arm_variances, ratio_stat_rows
 
 MIN_OBSERVED_FOCAL = 4  # two per arm is the least that gives two variances
+ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
 
 
 def empirical_pvalue(observed, draw_stats) -> float:
@@ -52,12 +53,6 @@ def family_cells(family: str, values: Sequence, x_levels: Sequence | None) -> li
             raise DataError("per-cell families require a covariate column")
         return [(v, l) for v in values for l in x_levels]
     raise MissingParameter(f"family {family!r} has no testable cell structure")
-
-
-def _cell_weights(cells: list[Cell], pi_obs: np.ndarray, x: np.ndarray | None,
-                  n: int) -> np.ndarray:
-    return np.asarray([int(cell_mask(pi_obs, c, x).sum()) / n for c in cells],
-                      dtype=np.float64)
 
 
 def _ratio_stats(z: np.ndarray, t: np.ndarray, focal: np.ndarray) -> np.ndarray:
@@ -111,10 +106,6 @@ class TestReport:
     decisions: dict = field(default_factory=dict)
     any_unadjusted_rejection: bool | None = None
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def per_cell_pvalues(self) -> dict:
-        return {c.cell: c.pvalue for c in self.cells}
 
     def to_dict(self) -> dict:
         return _json_safe({
@@ -246,34 +237,28 @@ def _attach_decisions(report: TestReport, pvals: dict, alpha: float) -> None:
             report.any_unadjusted_rejection = adj.any_rejection
 
 
+def _check_stat(stat: str) -> None:
+    if stat not in ("multiple", "combined"):
+        raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
+
+
 def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
                gamma, *, epsilon, b, rng, stat, alpha, max_attempts,
                keep_draws, inf_mask=None):
-    """The conditional randomization test over a grid of effect values.
-
-    axes maps each unknown effect value to the values to scan, and
-    cell_axis maps each cell to its axis. A cell's p-value is the largest
-    over its own axis plus gamma; the combined p-value is the largest over
-    the product of the axes plus gamma. The fixed-effect techniques are
-    the one-point grid with gamma = 0. Multiple mode samples each cell's
-    conditioning set on its own; combined mode samples one set satisfying
-    every cell's inequalities. Returns the report and the grid
-    evaluations behind its p-values.
-    """
-    if stat not in ("multiple", "combined"):
-        raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
+    """The conditional randomization test over a grid of effect values:
+    multiple mode samples each cell's conditioning set on its own,
+    combined mode one set satisfying every cell's inequalities. Each
+    cell's focal units are restricted to inf_mask when given."""
+    _check_stat(stat)
     cells = list(cell_axis)
     pi_obs = compute_exposures(mapping, dataset.t, dataset.graph).values
     groups = [(c,) for c in cells] if stat == "multiple" else [tuple(cells)]
     runs = []
-    kept = {}
-    observed_focal = {}
     for group in groups:
         cfg = ConditioningConfig(epsilon=epsilon, cells=group,
                                  max_attempts_per_accept=max_attempts)
         draws, diag = sample_conditioning_set(mechanism, dataset, pi_obs,
                                               mapping, cfg, b, rng)
-        kept[group[0] if stat == "multiple" else "combined"] = draws.t
         for cell in group:
             sf = superfocal_for_cell(pi_obs, cell, dataset.x)
             if inf_mask is not None:
@@ -284,17 +269,34 @@ def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
                 raise TooFewUnits(
                     f"cell {cell}: observed focal selection of size {round(mean_focal)} "
                     f"cannot support two per-arm variances (need >= {MIN_OBSERVED_FOCAL})")
-            observed_focal[cell] = select_observed_focal(sf, focal, dataset.t, rng,
-                                                         min_per_arm=2)
-            runs.append((cell, sf.n, draws.t, focal, mean_focal, diag))
+            fobs = select_observed_focal(sf, focal, dataset.t, rng, min_per_arm=2)
+            runs.append((cell, sf.n, draws.t, focal, fobs, mean_focal,
+                         diag.acceptance_rate))
+    return _score_grid(technique, dataset, family, pi_obs, runs, axes,
+                       cell_axis, gamma, b=b, epsilon=epsilon, stat=stat,
+                       alpha=alpha, keep_draws=keep_draws)
 
+
+def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
+                gamma, *, b, epsilon, stat, alpha, keep_draws):
+    """Score the draws of every test and build its report.
+
+    Each run is (cell, n_superfocal, t_new, focal, fobs, mean_focal,
+    acceptance_rate): (b, N) treatment rows, the cell's focal units under
+    each (or one broadcast row), and the observed focal units. A draw
+    imputes z = y + tau (t_new - t_obs) at each tau of its cell's axis,
+    axes[cell_axis[cell]]. A cell's p-value is the largest over its axis
+    plus gamma, the combined one the largest over the product of the axes
+    plus gamma; fixed effects are the one-point grid with gamma = 0.
+    Returns the report and the grid evaluations behind its p-values.
+    """
+    cells = list(cell_axis)
     report = TestReport(technique=technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon)
     y = dataset.y
     t_obs = dataset.t.astype(np.float64)
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
-    for cell, n_sf, t_new, focal, mean_focal, diag in runs:
-        fobs = observed_focal[cell]
+    for cell, n_sf, t_new, focal, fobs, mean_focal, acceptance in runs:
         obs = float(_ratio_stats(y[None, :], t_obs[None, :], fobs[None, :])[0])
         t_mat = t_new.astype(np.float64)
         shift = t_mat - t_obs[None, :]
@@ -310,12 +312,14 @@ def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
             cell=cell, pvalue=pvals[cell], observed_stat=obs,
             tau=grid[0] if len(grid) == 1 else None, n_superfocal=n_sf,
             fobs_size=int(fobs.sum()), mean_focal=mean_focal,
-            acceptance_rate=diag.acceptance_rate))
+            acceptance_rate=acceptance))
 
     if stat == "multiple":
         _attach_decisions(report, pvals, alpha)
     else:
-        weights = _cell_weights(cells, pi_obs, dataset.x, dataset.n)
+        # each cell weighs its share of the observed units
+        weights = [int(cell_mask(pi_obs, c, dataset.x).sum()) / dataset.n
+                   for c in cells]
         obs = 0.0
         for c, w in zip(cells, weights):
             obs += w * observed[c]
@@ -340,13 +344,21 @@ def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
             pvalue=p, observed_stat=float(obs), reject=p < alpha,
             weights={c: float(w) for c, w in zip(cells, weights)})
     if keep_draws:
+        # multiple mode has one draw set per cell, combined mode one in all
+        kept = ({run[0]: run[2] for run in runs} if stat == "multiple"
+                else {"combined": runs[0][2]})
         report.diagnostics["draw_stats"] = {_cell_key(k): v.tolist()
                                             for k, v in best_stats.items()}
         report.diagnostics["draw_treatments"] = {_cell_key(k): v.tolist()
                                                  for k, v in kept.items()}
         report.diagnostics["observed_focal"] = {
-            _cell_key(c): np.nonzero(m)[0].tolist() for c, m in observed_focal.items()}
+            _cell_key(run[0]): np.nonzero(run[4])[0].tolist() for run in runs}
     return report, grid_evals
+
+
+def _nuisance_diag(nuisance: NuisanceParams) -> dict:
+    return {"provenance": nuisance.provenance,
+            "values": {_cell_key(k): v for k, v in nuisance.values.items()}}
 
 
 def _run_fixed_tau_test(technique, dataset, mapping, mechanism, null, *,
@@ -358,10 +370,8 @@ def _run_fixed_tau_test(technique, dataset, mapping, mechanism, null, *,
         {c: [_tau_lookup(null, c)] for c in cells}, {c: c for c in cells}, 0.0,
         epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
         max_attempts=max_attempts, keep_draws=keep_draws, inf_mask=inf_mask)
-    nuisance = {"provenance": null.nuisance.provenance,
-                "values": {_cell_key(k): v for k, v in null.nuisance.values.items()}}
-    report.diagnostics = {"nuisance": nuisance, **report.diagnostics,
-                          **(extra_diag or {})}
+    report.diagnostics = {"nuisance": _nuisance_diag(null.nuisance),
+                          **report.diagnostics, **(extra_diag or {})}
     return report
 
 
@@ -393,13 +403,12 @@ def run_plugin_test(dataset: Dataset, mapping, mechanism, family: str, *,
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
     nuisance = estimate_tau_plugin(dataset, exposures, family)
     null = NullSpec(family, nuisance)
-    report = _run_fixed_tau_test(
+    return _run_fixed_tau_test(
         "plugin", dataset, mapping, mechanism, null,
         epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
         max_attempts=max_attempts_per_accept, keep_draws=keep_draws,
         extra_diag={"warning": "plug-in nuisance estimates reuse the full "
                                "sample; size control is not guaranteed"})
-    return report
 
 
 @dataclass
@@ -547,109 +556,93 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
     return report
 
 
+TECHNIQUES = ("oracle", "plugin", "ci", "ss")
+
+
+def run_technique(technique: str, dataset: Dataset, mapping, mechanism,
+                  family: str, seeds: np.random.SeedSequence, *,
+                  null: NullSpec | None = None, ci: CIConfig = CIConfig(),
+                  **common) -> TestReport:
+    """Run one of TECHNIQUES with the oracle's null or the CI settings.
+
+    Sample splitting draws its split from the first of two children of
+    seeds and its test from the second; the others use seeds directly.
+    """
+    if technique == "ss":
+        split_ss, draw_ss = seeds.spawn(2)
+        return run_ss_test(dataset, mapping, mechanism, family,
+                           split_rng=np.random.default_rng(split_ss),
+                           rng=np.random.default_rng(draw_ss), **common)
+    rng = np.random.default_rng(seeds)
+    if technique == "oracle":
+        return run_oracle_test(dataset, mapping, mechanism, null, rng=rng, **common)
+    if technique == "plugin":
+        return run_plugin_test(dataset, mapping, mechanism, family, rng=rng, **common)
+    if technique == "ci":
+        return run_ci_test(dataset, mapping, mechanism, family, rng=rng, ci=ci,
+                           **common)
+    raise ValueError(f"unknown technique {technique!r}")
+
+
 def run_permutation_variant(dataset: Dataset, mapping, family: str,
                             split: SplitResult, b: int | None,
                             rng: np.random.Generator, *,
                             stat: str = "multiple", alpha: float = 0.05,
-                            cell_stat=None, keep_draws: bool = False,
-                            enumeration_limit: int = 10_000) -> TestReport:
+                            keep_draws: bool = False) -> TestReport:
     """Permutation analogue on a fixed super-focal set.
 
-    After the split, outcomes on each inference-side super-focal cell are
-    adjusted by the estimated effect, permuted within the cell, and the
-    statistic recomputed with treatments held fixed. b=None enumerates all
-    within-cell permutations when their number is within the limit. The
-    spread of this null is narrower than the randomization null's, which
-    is the diagnostic comparing the two procedures.
+    After the split, the effect-adjusted outcomes y - tau t of each
+    inference-side super-focal cell are permuted within the cell,
+    treatments held fixed. The engine's scorer takes the permutations as
+    treatment rows over fixed focal units and scores the adjusted
+    outcomes at tau = 0, so every outcome keeps its float in whichever
+    arm it lands: a permutation that reproduces the observed arms, or
+    swaps the two, ties exactly. b=None enumerates all within-cell
+    permutations, up to ENUMERATION_LIMIT of them. The spread of this
+    null is narrower than the randomization null's, which is the
+    diagnostic comparing the two procedures.
     """
+    _check_stat(stat)
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
     cells = family_cells(family, mapping.values, dataset.x_levels or None)
     nuisance = estimate_tau_plugin(dataset, exposures, family,
-                                   mask=split.est_mask,
-                                   provenance=SPLIT_ESTIMATE)
+                                   mask=split.est_mask, provenance=SPLIT_ESTIMATE)
     null = NullSpec(family, nuisance)
-    pi = exposures.values
-    y, t = dataset.y, dataset.t
-
-    if cell_stat is None:
-        def cell_stat(yv, tv):
-            return ts_per_exposure(yv, tv, np.ones(len(yv), dtype=bool)).value
-
-    cell_units = {}
-    adjusted = {}
-    observed = {}
-    for cell in cells:
-        idx = np.flatnonzero(cell_mask(pi, cell, dataset.x) & split.inf_mask)
-        if len(idx) < 2:
-            raise TooFewUnits(f"cell {cell}: only {len(idx)} inference-side "
-                              "super-focal units")
-        tau = _tau_lookup(null, cell)
-        cell_units[cell] = idx
-        adjusted[cell] = y[idx] - tau * t[idx]
-        observed[cell] = float(cell_stat(y[idx], t[idx]))
-
-    taus = {c: _tau_lookup(null, c) for c in cells}
-
-    def stat_under(perms: dict) -> dict:
-        out = {}
-        for cell in cells:
-            idx = cell_units[cell]
-            y_star = adjusted[cell][perms[cell]] + taus[cell] * t[idx]
-            out[cell] = float(cell_stat(y_star, t[idx]))
-        return out
+    t = dataset.t
+    masks = [cell_mask(exposures.values, c, dataset.x) & split.inf_mask for c in cells]
+    units = [np.flatnonzero(m) for m in masks]
+    adjusted = dataset.y.copy()
+    for cell, m in zip(cells, masks):
+        if min(np.bincount(t[m], minlength=2)) < 2:
+            raise TooFewUnits(f"cell {cell}: the inference side needs >= 2 units per arm")
+        adjusted[m] -= _tau_lookup(null, cell) * t[m]
 
     if b is None:
-        spaces = [list(itertools.permutations(range(len(cell_units[c]))))
-                  for c in cells]
+        spaces = [list(itertools.permutations(range(len(idx)))) for idx in units]
         total = math.prod(len(s) for s in spaces)
-        if total > enumeration_limit:
+        if total > ENUMERATION_LIMIT:
             raise ValueError(f"{total} permutations exceeds the enumeration "
-                             f"limit {enumeration_limit}; pass b instead")
-        reps = [dict(zip(cells, [np.array(p) for p in combo]))
-                for combo in itertools.product(*spaces)]
+                             f"limit {ENUMERATION_LIMIT}; pass b instead")
+        reps = itertools.product(*spaces)
     else:
         if b < 1:
             raise ValueError(f"b must be >= 1, got {b}")
-        reps = [{c: rng.permutation(len(cell_units[c])) for c in cells}
-                for _ in range(b)]
-
-    per_rep = [stat_under(perms) for perms in reps]
-    n_reps = len(per_rep)
-    report = TestReport(technique="permutation", family=family, stat_mode=stat,
-                        alpha=alpha, b=n_reps, epsilon=float("nan"))
-    draw_stats = {}
-    if stat == "multiple":
-        pvals = {}
-        for cell in cells:
-            stats = np.array([r[cell] for r in per_rep])
-            p = empirical_pvalue(observed[cell], stats)
-            pvals[cell] = p
-            report.cells.append(CellResult(
-                cell=cell, pvalue=p, observed_stat=observed[cell],
-                tau=taus[cell], n_superfocal=len(cell_units[cell]),
-                fobs_size=len(cell_units[cell]),
-                mean_focal=float(len(cell_units[cell])), acceptance_rate=1.0))
-            if keep_draws:
-                draw_stats[cell] = stats
-        _attach_decisions(report, pvals, alpha)
-    elif stat == "combined":
-        weights = _cell_weights(cells, pi, dataset.x, dataset.n)
-        obs = float(sum(w * observed[c] for c, w in zip(cells, weights)))
-        rows = np.array([sum(w * r[c] for c, w in zip(cells, weights))
-                         for r in per_rep])
-        p = empirical_pvalue(obs, rows)
-        report.combined = CombinedResult(
-            pvalue=p, observed_stat=obs, reject=p < alpha,
-            weights={c: float(w) for c, w in zip(cells, weights)})
-        if keep_draws:
-            draw_stats["combined"] = rows
-    else:
-        raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
-    report.diagnostics["nuisance"] = {
-        "provenance": nuisance.provenance,
-        "values": {_cell_key(k): v for k, v in nuisance.values.items()},
-    }
-    if keep_draws:
-        report.diagnostics["draw_stats"] = {_cell_key(k): v.tolist()
-                                            for k, v in draw_stats.items()}
+        reps = ([rng.permutation(len(idx)) for idx in units] for _ in range(b))
+    rows = []
+    for perms in reps:
+        row = t.copy()
+        for idx, perm in zip(units, perms):
+            row[idx[np.asarray(perm)]] = t[idx]
+        rows.append(row)
+    t_new = np.asarray(rows)
+    runs = [(c, len(idx), t_new, m[None, :], m, float(len(idx)), 1.0)
+            for c, idx, m in zip(cells, units, masks)]
+    report, _ = _score_grid(
+        "permutation", replace(dataset, y=adjusted), family, exposures.values,
+        runs, {c: [0.0] for c in cells}, {c: c for c in cells}, 0.0,
+        b=len(t_new), epsilon=float("nan"), stat=stat, alpha=alpha,
+        keep_draws=keep_draws)
+    for res in report.cells:
+        res.tau = _tau_lookup(null, res.cell)
+    report.diagnostics = {"nuisance": _nuisance_diag(nuisance), **report.diagnostics}
     return report

@@ -29,7 +29,6 @@ FAMILIES = (CONSTANT_ALL, BY_EXPOSURE, BY_EXPOSURE_COVARIATE, GENERAL)
 # provenance tags for nuisance values
 ORACLE = "oracle"
 PLUGIN = "plugin"
-GRID_POINT = "grid_point"
 SPLIT_ESTIMATE = "split_estimate"
 
 

@@ -22,12 +22,9 @@ from .errors import (InfeasibleConditioning, InfeasibleCounts,
                      GenerationBudgetExhausted)
 from .exposure import FractionThreshold
 from .graph import Graph
-from .inference import (CIConfig, run_ci_test, run_oracle_test,
-                        run_plugin_test, run_ss_test)
+from .inference import TECHNIQUES, CIConfig, run_technique
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        NullSpec)
-
-TECHNIQUES = ("oracle", "plugin", "ci", "ss")
 
 
 def generate_regular_graph(n: int, degree: int,
@@ -232,30 +229,13 @@ def _run_one_rep(cfg: ScenarioConfig, graph: Graph, techniques, rep_ss):
     null = _oracle_null(cfg.family, cfg.psi0, cfg.psi1)
     out = {}
     for tech in techniques:
-        rng = np.random.default_rng(children[_SLOTS[tech]])
-        common = dict(epsilon=cfg.epsilon, b=cfg.b, stat=cfg.stat,
-                      alpha=cfg.alpha,
-                      max_attempts_per_accept=cfg.max_attempts_per_accept)
         try:
-            if tech == "oracle":
-                rep = run_oracle_test(dataset, mapping, mechanism, null,
-                                      rng=rng, **common)
-            elif tech == "plugin":
-                rep = run_plugin_test(dataset, mapping, mechanism, cfg.family,
-                                      rng=rng, **common)
-            elif tech == "ci":
-                rep = run_ci_test(dataset, mapping, mechanism, cfg.family,
-                                  rng=rng,
-                                  ci=CIConfig(gamma=cfg.gamma,
-                                              grid_size=cfg.grid_size),
-                                  **common)
-            elif tech == "ss":
-                split_ss, draw_ss = children[_SLOTS["ss"]].spawn(2)
-                rep = run_ss_test(dataset, mapping, mechanism, cfg.family,
-                                  split_rng=np.random.default_rng(split_ss),
-                                  rng=np.random.default_rng(draw_ss), **common)
-            else:
-                raise ValueError(f"unknown technique {tech!r}")
+            rep = run_technique(tech, dataset, mapping, mechanism, cfg.family,
+                                children[_SLOTS[tech]], null=null,
+                                ci=CIConfig(gamma=cfg.gamma, grid_size=cfg.grid_size),
+                                epsilon=cfg.epsilon, b=cfg.b, stat=cfg.stat,
+                                alpha=cfg.alpha,
+                                max_attempts_per_accept=cfg.max_attempts_per_accept)
         except InfeasibleConditioning:
             out[tech] = None
             continue

@@ -1,11 +1,12 @@
 """Test engines: p-values, multiplicity control, nuisance techniques."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fixtures import (TEN_MAPPING, TEN_Y, TOY12_EPS, TOY12_MAPPING,
-                      make_ten, make_toy12)
+                      make_ten, make_toy12, oracle_cell_stat, oracle_imputed)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import superfocal_for_cell
 from netrand.data import Dataset
@@ -462,49 +463,99 @@ class TestCiEngine:
             CIConfig(grid_size=1)
 
 
+def _perm_instance(y):
+    """All but the last six units estimate the effect; the last six, three
+    per arm, are the inference side of the one constant cell, which has
+    6! = 720 within-cell permutations."""
+    n = len(y)
+    ds = Dataset(y=np.array(y), t=np.array([1, 0] * (n // 2)),
+                 graph=build_graph(n, []))
+    est = np.arange(n) < n - 6
+    split = SplitResult(est_mask=est, inf_mask=~est, strata=[])
+    return ds, CustomMapping(lambda i, t, gr: 0, (0,)), split
+
+
+def _enumerated_pvalue(ds, split, tau):
+    """p-value over every within-cell permutation of the inference side,
+    each scored by the hand oracle on z = y + tau (t_new - t_obs)."""
+    t = ds.t.tolist()
+    idx = np.flatnonzero(split.inf_mask).tolist()
+    observed = oracle_cell_stat(ds.y.tolist(), t, idx)
+    hits = 0
+    perms = list(itertools.permutations(range(len(idx))))
+    for perm in perms:
+        t_new = list(t)
+        for j, k in enumerate(perm):
+            t_new[idx[k]] = t[idx[j]]
+        z = oracle_imputed(ds.y.tolist(), t, t_new, tau)
+        hits += oracle_cell_stat(z, t_new, idx) >= observed
+    return hits / len(perms)
+
+
+# y and tau are integers and each observed arm's sum is a multiple of
+# three, so the arm means, and with them the observed statistic and that
+# of its mirror-image split, are exact in floating point
+PERM_HALF_Y = [5.0, 3.0, 3.0, 3.0, -7.0, 2.0, -8.0, -5.0]  # tau_hat = 2
+
+
 class TestPermutationVariant:
-    def _instance(self, y):
-        g = build_graph(4, [])
-        ds = Dataset(y=np.array(y), t=np.array([1, 0, 1, 0]), graph=g)
-        mapping = CustomMapping(lambda i, t, gr: 0, (0,))
-        split = SplitResult(est_mask=np.array([True, True, False, False]),
-                            inf_mask=np.array([False, False, True, True]),
-                            strata=[])
-        stat = lambda yv, tv: abs(float(yv[tv == 1].mean() - yv[tv == 0].mean()))
-        return ds, mapping, split, stat
-
-    def test_two_unit_enumeration_half(self):
-        # estimation half gives tau_hat = 5 - 3 = 2; the two within-cell
-        # permutations of the adjusted inference outcomes give statistics
-        # {3, 1} against observed 3, so exactly half are as extreme
-        ds, mapping, split, stat = self._instance([5.0, 3.0, 4.0, 1.0])
+    def test_enumeration_half(self):
+        # the observed arm split ranks fifth of the ten unordered splits,
+        # so exactly half of the 720 permutations reach it
+        ds, mapping, split = _perm_instance(PERM_HALF_Y)
         rep = run_permutation_variant(ds, mapping, "constant_all", split,
-                                      b=None, rng=np.random.default_rng(0),
-                                      cell_stat=stat)
-        assert rep.b == 2
-        assert rep.cells[0].pvalue == pytest.approx(0.5)
-        assert rep.cells[0].tau == pytest.approx(2.0)
+                                      b=None, rng=np.random.default_rng(0))
+        assert rep.b == 720
+        assert rep.cells[0].tau == 2.0
+        assert _enumerated_pvalue(ds, split, 2.0) == 0.5
+        assert rep.cells[0].pvalue == 0.5
 
-    def test_two_unit_enumeration_full(self):
-        # observed statistic 0.1 is the smallest of the two permutations
-        ds, mapping, split, stat = self._instance([5.0, 3.0, 4.0, 3.9])
+    def test_enumeration_full(self):
+        # equal observed arm variances give the smallest possible
+        # statistic, 1, which every permutation reaches
+        ds, mapping, split = _perm_instance([5.0, 3.0, 4.0, 1.0, 5.0, 2.0, 6.0, 3.0])
         rep = run_permutation_variant(ds, mapping, "constant_all", split,
-                                      b=None, rng=np.random.default_rng(0),
-                                      cell_stat=stat)
-        assert rep.cells[0].pvalue == pytest.approx(1.0)
+                                      b=None, rng=np.random.default_rng(0))
+        assert rep.cells[0].observed_stat == 1.0
+        assert _enumerated_pvalue(ds, split, rep.cells[0].tau) == 1.0
+        assert rep.cells[0].pvalue == 1.0
+
+    @pytest.mark.parametrize("y, hits", [
+        ([0.9, 2.1, -3.2, 0.3, 1.3, 4.0, 4.0, -5.2, -1.7, 5.7, 0.5, 2.5], 576),
+        ([1.6, 3.1, -0.6, -2.4, 1.0, 0.7, 3.3, -3.9, -2.0, -2.5, -5.2, 0.4], 360),
+    ])
+    def test_permutations_reproducing_or_swapping_the_observed_arms_tie(self, y, hits):
+        # hits is the exact rational count; it includes the 36
+        # permutations that reproduce the observed arms and, in the second
+        # design, the 36 that swap them (tau_hat = 0.2, not exact in floats)
+        ds, mapping, split = _perm_instance(y)
+        rep = run_permutation_variant(ds, mapping, "constant_all", split,
+                                      b=None, rng=np.random.default_rng(0))
+        assert rep.b == 720
+        assert rep.cells[0].pvalue == hits / 720
 
     def test_sampled_permutations(self):
-        ds, mapping, split, stat = self._instance([5.0, 3.0, 4.0, 1.0])
+        ds, mapping, split = _perm_instance(PERM_HALF_Y)
         rep = run_permutation_variant(ds, mapping, "constant_all", split,
                                       b=400, rng=np.random.default_rng(1),
-                                      cell_stat=stat, keep_draws=True)
+                                      keep_draws=True)
+        enum = run_permutation_variant(ds, mapping, "constant_all", split,
+                                       b=None, rng=np.random.default_rng(0),
+                                       keep_draws=True)
         assert rep.b == 400
-        # sampling the two equally likely permutations: p near 0.75
-        # (identity draws tie at the observed value, swaps fall below,
-        # so p estimates P(identity) + 0.5 with the 0.5 mass of ties)
-        stats = rep.diagnostics["draw_stats"]["0"]
-        assert set(np.round(stats, 6).tolist()) == {1.0, 3.0}
-        assert rep.cells[0].pvalue == pytest.approx(np.mean(np.array(stats) >= 3.0))
+        stats = np.asarray(rep.diagnostics["draw_stats"]["0"])
+        # every sampled permutation is one of the enumerated ones
+        assert set(stats.tolist()) <= set(enum.diagnostics["draw_stats"]["0"])
+        assert rep.cells[0].pvalue == np.mean(stats >= rep.cells[0].observed_stat)
+
+    def test_combined_single_cell_matches_multiple(self):
+        ds, mapping, split = _perm_instance(PERM_HALF_Y)
+        reps = [run_permutation_variant(ds, mapping, "constant_all", split,
+                                        b=None, rng=np.random.default_rng(0),
+                                        stat=stat)
+                for stat in ("multiple", "combined")]
+        assert reps[1].combined.weights == {(0,): 1.0}
+        assert reps[1].combined.pvalue == reps[0].cells[0].pvalue == 0.5
 
     def test_enumeration_limit(self):
         g = build_graph(16, [])
@@ -519,12 +570,11 @@ class TestPermutationVariant:
                                     b=None, rng=np.random.default_rng(0))
 
     def test_thin_cell_rejected(self):
-        ds, mapping, split, stat = self._instance([5.0, 3.0, 4.0, 1.0])
-        split.inf_mask = np.array([False, False, True, False])
+        ds, mapping, split = _perm_instance(PERM_HALF_Y)
+        split.inf_mask[[2, 4]] = False  # leaves one treated inference unit
         with pytest.raises(TooFewUnits):
             run_permutation_variant(ds, mapping, "constant_all", split,
-                                    b=10, rng=np.random.default_rng(0),
-                                    cell_stat=stat)
+                                    b=10, rng=np.random.default_rng(0))
 
 
 class TestReportSerialization:
@@ -539,20 +589,8 @@ class TestReportSerialization:
         assert json.loads(text)["combined"]["pvalue"] == rep.combined.pvalue
 
     def test_nonfinite_values_become_strings(self):
-        ds, mapping, split, stat = self._perm()
+        ds, mapping, split = _perm_instance(PERM_HALF_Y)
         rep = run_permutation_variant(ds, mapping, "constant_all", split,
-                                      b=5, rng=np.random.default_rng(0),
-                                      cell_stat=stat)
+                                      b=5, rng=np.random.default_rng(0))
         d = rep.to_dict()
         assert d["epsilon"] == "nan"
-
-    def _perm(self):
-        g = build_graph(4, [])
-        ds = Dataset(y=np.array([5.0, 3.0, 4.0, 1.0]),
-                     t=np.array([1, 0, 1, 0]), graph=g)
-        mapping = CustomMapping(lambda i, t, gr: 0, (0,))
-        split = SplitResult(est_mask=np.array([True, True, False, False]),
-                            inf_mask=np.array([False, False, True, True]),
-                            strata=[])
-        stat = lambda yv, tv: abs(float(yv[tv == 1].mean() - yv[tv == 0].mean()))
-        return ds, mapping, split, stat
