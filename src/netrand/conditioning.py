@@ -17,6 +17,10 @@ from .errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
 
 Cell = tuple  # (pi,) or (pi, x_level)
 
+# Cap on a candidate batch's rows x units. A batch's working set is a few
+# tens of bytes per cell, so this keeps it to several hundred MB at any N.
+MAX_BATCH_CELLS = 1 << 24
+
 
 def cell_mask(pi: np.ndarray, cell: Cell, x: np.ndarray | None = None) -> np.ndarray:
     """Units whose exposure equals the cell's value and, for an
@@ -120,6 +124,13 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
     draws as one Draws record plus diagnostics. Raises
     AcceptanceBudgetExhausted (naming the worst inequality) when
     b * max_attempts_per_accept candidates fail to produce b accepts.
+
+    Until a candidate is rejected, each batch draws exactly the accepts
+    still needed, so a design that rejects nothing draws b candidates.
+    After that, a batch is sized so that at the acceptance rate so far it
+    is expected to yield the accepts still needed plus one binomial
+    standard deviation (sqrt of that need). Batches hold at most
+    MAX_BATCH_CELLS rows x units.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
@@ -130,10 +141,10 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
     counts = [int(mask.sum()) for mask in masks]
 
     budget = b * config.max_attempts_per_accept
+    max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
     blocks = []  # (t, focal) rows accepted from each batch
     n_accepted = 0
     attempts = 0
-    acc_est = 0.5
     fail_counts = {(arm, c): 0 for c in cells for arm in (0, 1)}
 
     while n_accepted < b:
@@ -144,8 +155,12 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
                 f"worst inequality: arm={worst[0]}, cell={worst[1]} "
                 f"failed {fail_counts[worst]} times (epsilon={config.epsilon})")
         need = b - n_accepted
-        m = int(min(max(64, np.ceil(need / max(acc_est, 0.01) * 1.25)),
-                    8192, budget - attempts))
+        if n_accepted == attempts:  # nothing rejected yet
+            m = need
+        else:  # expected need plus one binomial standard deviation
+            acc_est = max(n_accepted / attempts, 0.01)
+            m = int(np.ceil((need + np.sqrt(need)) / acc_est))
+        m = min(m, max_rows, budget - attempts)
         t_batch = mechanism.draw_batch(m, rng)
         pi_batch = mapping.compute_batch(t_batch, dataset.graph)
         ok = np.ones(m, dtype=bool)
@@ -162,7 +177,6 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
         blocks.append((t_batch[rows], focal[rows]))
         n_accepted += len(rows)
         attempts += m
-        acc_est = max(n_accepted / attempts, 1e-3)
 
     draws = Draws(*(np.concatenate(col) for col in zip(*blocks)))
     diag = ConditioningDiagnostics(n_candidates=attempts, n_accepted=b,

@@ -26,6 +26,21 @@ def _passes(frac: np.ndarray, threshold: float, comparator: str) -> np.ndarray:
     return frac >= threshold
 
 
+def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
+                    graph: Graph) -> np.ndarray:
+    """(B, N) exposures from the unit-major numerators of
+    ``Graph.neighbor_sums`` and per-unit denominators in the same slot
+    order; a zero denominator gives ``isolated_value``."""
+    live = denom > 0
+    exposed = np.full(num.shape, mapping.isolated_value, dtype=np.int8)
+    exposed[live] = _passes(num[live] / denom[live, None], mapping.threshold,
+                            mapping.comparator)
+    order = graph.slots[0]
+    unit_major = np.empty_like(exposed)
+    unit_major[order] = exposed
+    return np.ascontiguousarray(unit_major.T, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FractionThreshold:
     """Exposed when the fraction of treated neighbors clears a threshold.
@@ -53,18 +68,12 @@ class FractionThreshold:
         return int(_passes(np.float64(frac), self.threshold, self.comparator))
 
     def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
-        return self.compute_batch(np.asarray(t, dtype=np.float64)[None, :], graph)[0]
+        return self.compute_batch(np.asarray(t)[None, :], graph)[0]
 
     def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
-        a = graph.dense()
-        degs = graph.degrees.astype(np.float64)
-        counts = np.asarray(t_mat, dtype=np.float64) @ a
-        out = np.empty(counts.shape, dtype=np.int64)
-        live = degs > 0
-        out[:, ~live] = self.isolated_value
-        frac = counts[:, live] / degs[live]
-        out[:, live] = _passes(frac, self.threshold, self.comparator).astype(np.int64)
-        return out
+        counts = graph.neighbor_sums(t_mat)
+        degs = graph.degrees[graph.slots[0]].astype(np.float64)
+        return _threshold_rows(self, counts, degs, graph)
 
     def config(self) -> dict:
         return {"type": "fraction_threshold", "threshold": self.threshold,
@@ -101,21 +110,15 @@ class WeightedThreshold:
         return int(_passes(np.float64(num / denom), self.threshold, self.comparator))
 
     def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
-        return self.compute_batch(np.asarray(t, dtype=np.float64)[None, :], graph)[0]
+        return self.compute_batch(np.asarray(t)[None, :], graph)[0]
 
     def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
-        a = graph.dense()
         if self.weights.shape != (graph.n_units,):
             raise MappingFailure(
                 f"weights have shape {self.weights.shape}, expected ({graph.n_units},)")
-        denom = a @ self.weights
-        num = (np.asarray(t_mat, dtype=np.float64) * self.weights) @ a
-        out = np.empty(num.shape, dtype=np.int64)
-        live = denom > 0
-        out[:, ~live] = self.isolated_value
-        frac = num[:, live] / denom[live]
-        out[:, live] = _passes(frac, self.threshold, self.comparator).astype(np.int64)
-        return out
+        num = graph.neighbor_sums(t_mat, self.weights)
+        denom = graph.neighbor_sums(np.ones((1, graph.n_units), np.int8), self.weights)[:, 0]
+        return _threshold_rows(self, num, denom, graph)
 
     def config(self) -> dict:
         return {"type": "weighted_threshold", "threshold": self.threshold,

@@ -113,6 +113,38 @@ def oracle_exposure(t, nbrs, threshold=0.5, comparator=">=", isolated=0):
     return tuple(out)
 
 
+def dense_threshold_reference(mapping, t_mat, graph):
+    """The dense-adjacency batch kernel the neighbor-slot kernel replaced:
+    treated-neighbor counts (or weighted sums) as ``t @ A`` against the
+    N x N matrix, divided by degrees (or weighted degrees) in float64.
+    FractionThreshold and WeightedThreshold only."""
+    a = graph.dense()
+    t_mat = np.asarray(t_mat, dtype=np.float64)
+    weights = getattr(mapping, "weights", None)
+    if weights is None:
+        num, denom = t_mat @ a, graph.degrees.astype(np.float64)
+    else:
+        num, denom = (t_mat * weights) @ a, a @ weights
+    out = np.empty(num.shape, dtype=np.int64)
+    live = denom > 0
+    out[:, ~live] = mapping.isolated_value
+    frac = num[:, live] / denom[live]
+    passed = frac > mapping.threshold if mapping.comparator == ">" else frac >= mapping.threshold
+    out[:, live] = passed
+    return out
+
+
+def random_irregular_graph(rng, n, hub_degree=0, n_isolated=0):
+    """Random graph on n units with Poisson-ish degrees, unit 0 joined to
+    hub_degree others, and the last n_isolated units left without edges."""
+    live = n - n_isolated
+    edges = {(min(a, b), max(a, b))
+             for a, b in rng.integers(0, live, size=(2 * live, 2)) if a != b}
+    edges |= {(0, int(j)) for j in rng.choice(np.arange(1, live), hub_degree,
+                                              replace=False)}
+    return build_graph(n, sorted(edges))
+
+
 def all_assignments(n, n_treated):
     """Every vector of the complete-randomization mechanism, as tuples."""
     for comb in itertools.combinations(range(n), n_treated):

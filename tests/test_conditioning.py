@@ -10,6 +10,7 @@ from fixtures import (TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS, TEN_T_ALT,
                       TOY12_T_OBS, make_line4, make_ten, make_toy12,
                       neighbor_lists, oracle_conditioning_set, oracle_focal,
                       oracle_r, LINE4_EDGES, TOY12_EDGES)
+from netrand import conditioning
 from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
                                   epsilon_feasibility, focal_indicator,
                                   relative_frequency, sample_conditioning_set,
@@ -18,7 +19,9 @@ from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
                             DataError, EmptySuperFocal)
 from netrand.inference import family_cells
 from netrand.assignment import CompleteRandomization
-from netrand.exposure import compute_exposures
+from netrand.data import Dataset
+from netrand.exposure import FractionThreshold, compute_exposures
+from netrand.graph import build_graph
 
 # the three vectors of the 4-path instance below that keep at least one
 # unit of each arm inside exposure cell 1, worked out by hand
@@ -205,6 +208,81 @@ class TestSampler:
                 r = relative_frequency(ds.t, pi.values, sf[v], arm)
                 assert r > bound - 1e-12 or np.isclose(r, bound)
                 assert r > 0.15  # any epsilon below the bound accepts it
+
+
+class _CountingMechanism(CompleteRandomization):
+    """Complete randomization that records each batch size it draws."""
+
+    def __init__(self, n_units, n_treated):
+        super().__init__(n_units, n_treated)
+        self.batches = []
+
+    def draw_batch(self, m, rng):
+        self.batches.append(m)
+        return super().draw_batch(m, rng)
+
+
+class TestSamplerBatches:
+    def _edgeless(self, n=40):
+        # no edges: every unit is isolated with exposure 0, so cell (0,)
+        # holds everyone and every candidate keeps half of it per arm
+        ds = Dataset(y=np.zeros(n), t=np.arange(n) % 2, graph=build_graph(n, []))
+        mapping = FractionThreshold()
+        return ds, compute_exposures(mapping, ds.t, ds.graph), mapping
+
+    def test_no_rejection_draws_exactly_b(self):
+        ds, pi, mapping = self._edgeless()
+        mech = _CountingMechanism(ds.n, ds.n // 2)
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        draws, diag = sample_conditioning_set(mech, ds, pi, mapping, cfg, 37,
+                                              np.random.default_rng(0))
+        assert diag.n_candidates == 37 and diag.n_accepted == 37
+        assert mech.batches == [37]
+        assert sum(diag.failure_counts.values()) == 0
+        assert draws.t.shape == (37, ds.n)
+
+    def test_row_cap_splits_batches_without_changing_draws(self, monkeypatch):
+        ds, pi, mapping = self._edgeless()
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        whole, _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, pi,
+                                           mapping, cfg, 50, np.random.default_rng(1))
+        monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 12 * ds.n + 5)
+        mech = _CountingMechanism(ds.n, ds.n // 2)
+        capped, diag = sample_conditioning_set(mech, ds, pi, mapping, cfg, 50,
+                                               np.random.default_rng(1))
+        assert mech.batches == [12, 12, 12, 12, 2]
+        assert diag.n_candidates == 50
+        assert np.array_equal(capped.t, whole.t)
+        assert np.array_equal(capped.focal, whole.focal)
+
+    def test_rejecting_design_stays_within_budget(self):
+        ds = make_toy12()
+        pi = compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        for max_attempts, b in ((100, 40), (60, 25)):
+            cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)),
+                                     max_attempts_per_accept=max_attempts)
+            mech = _CountingMechanism(12, 6)
+            _, diag = sample_conditioning_set(mech, ds, pi, TOY12_MAPPING, cfg, b,
+                                              np.random.default_rng(b))
+            assert diag.n_candidates == sum(mech.batches)
+            assert b < diag.n_candidates <= b * max_attempts
+            assert mech.batches[0] == b
+            assert sum(diag.failure_counts.values()) > 0
+
+    def test_exhausted_budget_is_exact_and_names_the_worst_inequality(self):
+        # line4 cell (0,) is the single unit 3, which can never sit in
+        # both arms, while cell (1,) holds three units and often passes
+        ds = make_line4(t=LINE4_T_OBS)
+        pi = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        cfg = ConditioningConfig(epsilon=0.3, cells=((1,), (0,)),
+                                 max_attempts_per_accept=7)
+        mech = _CountingMechanism(4, 2)
+        with pytest.raises(AcceptanceBudgetExhausted) as exc:
+            sample_conditioning_set(mech, ds, pi, TEN_MAPPING, cfg, 6,
+                                    np.random.default_rng(0))
+        assert sum(mech.batches) == 6 * 7
+        assert "after 42 candidates" in str(exc.value)
+        assert "cell=(0,)" in str(exc.value)
 
 
 class TestSelectObservedFocal:

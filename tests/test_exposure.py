@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
-                      TEN_T_ALT, TEN_T_OBS, TEN_X, make_ten, neighbor_lists,
-                      oracle_exposure)
+                      TEN_T_ALT, TEN_T_OBS, TEN_X, dense_threshold_reference,
+                      make_ten, neighbor_lists, oracle_exposure,
+                      random_irregular_graph)
 from netrand.errors import MappingFailure
 from netrand.exposure import (CustomMapping, FractionThreshold,
                               WeightedThreshold, compute_exposures,
@@ -128,6 +129,63 @@ class TestWeightedThreshold:
         m = WeightedThreshold(np.ones(5))
         with pytest.raises(MappingFailure):
             m.compute(np.array([1, 0, 1]), g)
+
+
+def _treatment_rows(rng, n, b):
+    """Random 0/1 rows at several treated shares, plus all-treated and
+    all-control rows."""
+    shares = rng.uniform(0.0, 1.0, size=(b, 1))
+    rows = (rng.uniform(size=(b, n)) < shares).astype(np.int8)
+    return np.vstack([rows, np.ones((1, n), np.int8), np.zeros((1, n), np.int8)])
+
+
+class TestSlotKernelMatchesDense:
+    """The neighbor-slot kernel against the dense ``t @ A`` kernel it
+    replaced: outputs must be bit-identical, ties included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fraction_threshold(self, seed):
+        rng = np.random.default_rng(seed)
+        # degrees 0..~8 with a hub of degree 320: counts past 127 would
+        # wrap in an int8 accumulator
+        g = random_irregular_graph(rng, 400, hub_degree=320, n_isolated=7)
+        assert g.degrees.max() >= 320 and (g.degrees == 0).sum() >= 7
+        t_mat = _treatment_rows(rng, g.n_units, 60)
+        for threshold in (1 / 3, 0.5):
+            for comparator in (">", ">="):
+                for isolated in (0, 1):
+                    m = FractionThreshold(threshold, comparator, isolated)
+                    want = dense_threshold_reference(m, t_mat, g)
+                    got = m.compute_batch(t_mat, g)
+                    assert got.dtype == want.dtype and got.flags.c_contiguous
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(m.compute(t_mat[0], g), want[0])
+
+    def test_one_third_tie_is_decided_by_the_comparator(self):
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        t = np.array([[0, 1, 0, 0]])
+        assert FractionThreshold(1 / 3, ">=").compute_batch(t, g)[0, 0] == 1
+        assert FractionThreshold(1 / 3, ">").compute_batch(t, g)[0, 0] == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_threshold(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        g = random_irregular_graph(rng, 300, hub_degree=300 - 7, n_isolated=6)
+        # small integer weights keep every weighted sum exact in float64,
+        # so both kernels see the same fractions
+        weights = rng.integers(0, 4, size=g.n_units).astype(np.float64)
+        weights[rng.choice(g.n_units, 40, replace=False)] = 0.0
+        # units 1-3 get zero denominators without being isolated
+        for unit in (1, 2, 3):
+            weights[g.neighbors(unit)] = 0.0
+        t_mat = _treatment_rows(rng, g.n_units, 40)
+        for threshold in (1 / 3, 0.5):
+            for comparator in (">", ">="):
+                for isolated in (0, 1):
+                    m = WeightedThreshold(weights, threshold, comparator, isolated)
+                    want = dense_threshold_reference(m, t_mat, g)
+                    assert np.array_equal(m.compute_batch(t_mat, g), want)
+        assert (g.dense() @ weights == 0).sum() >= 6 + 3
 
 
 class TestCustomMapping:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_T_OBS, make_line4, make_ten,
-                      neighbor_lists)
+                      neighbor_lists, random_irregular_graph)
 from netrand.errors import EmptyCell, IndexOutOfRange, ParseError, SelfLoop
 from netrand.exposure import FractionThreshold, compute_exposures
 from netrand.graph import (build_graph, degree_diagnostics, overlap_check,
@@ -55,6 +55,34 @@ class TestBuildGraph:
         nbrs = neighbor_lists(10, TEN_EDGES)
         for i in range(10):
             assert sorted(np.nonzero(a[i])[0].tolist()) == sorted(nbrs[i])
+
+    def test_slots_cover_each_neighbor_list_in_order(self):
+        g = random_irregular_graph(np.random.default_rng(2), 60, hub_degree=30,
+                                   n_isolated=3)
+        order, nbrs = g.slots
+        assert sorted(order.tolist()) == list(range(60))
+        assert np.all(np.diff(g.degrees[order]) <= 0)
+        assert len(nbrs) == g.degrees.max()
+        for i, unit in enumerate(order):
+            got = [int(nbr[i]) for nbr in nbrs if i < len(nbr)]
+            assert got == g.neighbors(int(unit)).tolist()
+
+    def test_neighbor_sums_match_dense_products(self):
+        rng = np.random.default_rng(4)
+        g = random_irregular_graph(rng, 50, hub_degree=20, n_isolated=2)
+        t_mat = rng.integers(0, 2, size=(7, 50))
+        w = rng.integers(0, 5, size=50).astype(np.float64)
+        order = g.slots[0]
+        counts = g.neighbor_sums(t_mat)
+        assert counts.dtype == np.int32 and counts.shape == (50, 7)
+        assert np.array_equal(counts[np.argsort(order)].T, t_mat @ g.dense())
+        weighted = g.neighbor_sums(t_mat, w)
+        assert np.array_equal(weighted[np.argsort(order)].T, (t_mat * w) @ g.dense())
+
+    def test_edgeless_graph_has_no_slots(self):
+        g = build_graph(3, [])
+        assert len(g.slots[1]) == 0
+        assert g.neighbor_sums(np.ones((2, 3), np.int8)).tolist() == [[0, 0]] * 3
 
 
 class TestEdgeCsv:
@@ -111,6 +139,22 @@ class TestDegreeDiagnostics:
                             walks += 1
         d = degree_diagnostics(g)
         assert d.path3_density == pytest.approx(walks / 10)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_cube_on_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30 + 10 * seed
+        g = random_irregular_graph(rng, n, hub_degree=seed * 4, n_isolated=seed % 3 + 1)
+        a = g.dense()
+        assert np.trace(a @ a @ a) > 0  # the graph has triangles
+        a3 = a @ a @ a
+        d = degree_diagnostics(g)
+        assert d.path3_density == float((a3.sum() - np.trace(a3)) / n)
+        assert d.third_moment == float(np.mean(g.degrees.astype(np.float64) ** 3))
+
+    def test_edgeless_graph(self):
+        d = degree_diagnostics(build_graph(4, []))
+        assert d.path3_density == 0.0 and d.third_moment == 0.0
 
 
 class TestOverlapCheck:
