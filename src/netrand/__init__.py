@@ -3,9 +3,9 @@ under network interference."""
 
 from .assignment import CompleteRandomization, StratifiedComplete
 from .conditioning import (ConditioningConfig, Draws, SuperFocalSet, cell_mask,
-                           epsilon_feasibility, focal_indicator,
-                           relative_frequency, sample_conditioning_set,
-                           select_observed_focal, superfocal_for_cell)
+                           epsilon_feasibility, relative_frequency,
+                           sample_conditioning_set, select_observed_focal,
+                           superfocal_for_cell)
 from .data import Dataset, ingest, read_nodes_csv
 from .exposure import (CustomMapping, ExposureVector, FractionThreshold,
                        WeightedThreshold, compute_exposures,
@@ -17,19 +17,17 @@ from .inference import (CIConfig, TestReport, adjust_multiple,
                         make_balanced_split, neyman_interval, run_ci_test,
                         run_oracle_test, run_permutation_variant,
                         run_plugin_test, run_ss_test)
-from .nullspec import (NullSpec, NuisanceParams, impute_outcome,
-                       observed_outcome_identity_check)
+from .nullspec import NullSpec, NuisanceParams
 from .simulation import (generate_potential_outcomes, generate_regular_graph,
                          run_scenario, run_table)
-from .stats import (TestStatisticValue, conditional_variance, ts_combined,
-                    ts_combined_xpi, ts_per_cell, ts_per_exposure,
+from .stats import (TestStatisticValue, conditional_variance, ts_per_exposure,
                     variance_ratio)
 from . import errors
 
 __all__ = [
     "CompleteRandomization", "StratifiedComplete",
     "ConditioningConfig", "Draws", "SuperFocalSet", "cell_mask",
-    "epsilon_feasibility", "focal_indicator", "relative_frequency",
+    "epsilon_feasibility", "relative_frequency",
     "sample_conditioning_set", "select_observed_focal", "superfocal_for_cell",
     "Dataset", "ingest", "read_nodes_csv",
     "CustomMapping", "ExposureVector", "FractionThreshold", "WeightedThreshold",
@@ -40,12 +38,11 @@ __all__ = [
     "estimate_tau_plugin", "family_cells", "make_balanced_split",
     "neyman_interval", "run_ci_test", "run_oracle_test",
     "run_permutation_variant", "run_plugin_test", "run_ss_test",
-    "NullSpec", "NuisanceParams", "impute_outcome",
-    "observed_outcome_identity_check",
+    "NullSpec", "NuisanceParams",
     "generate_potential_outcomes", "generate_regular_graph", "run_scenario",
     "run_table",
-    "TestStatisticValue", "conditional_variance", "ts_combined",
-    "ts_combined_xpi", "ts_per_cell", "ts_per_exposure", "variance_ratio",
+    "TestStatisticValue", "conditional_variance", "ts_per_exposure",
+    "variance_ratio",
     "errors",
 ]
 __version__ = "0.1.0"

@@ -77,16 +77,9 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
     denom = superfocal.n
     if denom == 0:
         raise EmptySuperFocal("super-focal set is empty")
-    keep = focal_indicator(exposures_new, superfocal)
+    keep = (np.asarray(exposures_new) == superfocal.cell[0]) & superfocal.indicator
     num = int((keep & (np.asarray(t_new) == arm)).sum())
     return num / denom
-
-
-def focal_indicator(exposures_new: np.ndarray,
-                    superfocal: SuperFocalSet) -> np.ndarray:
-    """Units of the cell's super-focal set whose exposure is unchanged
-    under the candidate vector. Always a subset of the super-focal set."""
-    return (np.asarray(exposures_new) == superfocal.cell[0]) & superfocal.indicator
 
 
 @dataclass

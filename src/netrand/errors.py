@@ -49,10 +49,6 @@ class MissingParameter(NetrandError):
     """A null specification lacks the effect value needed for imputation."""
 
 
-class WeightMismatch(NetrandError):
-    pass
-
-
 class EmptyArm(NetrandError):
     """An estimation cell has no treated or no control units."""
 

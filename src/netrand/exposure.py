@@ -20,21 +20,15 @@ ExposureValue = Hashable
 _COMPARATORS = (">", ">=")
 
 
-def _passes(frac: np.ndarray, threshold: float, comparator: str) -> np.ndarray:
-    if comparator == ">":
-        return frac > threshold
-    return frac >= threshold
-
-
 def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
                     graph: Graph) -> np.ndarray:
     """(B, N) exposures from the unit-major numerators of
     ``Graph.neighbor_sums`` and per-unit denominators in the same slot
     order; a zero denominator gives ``isolated_value``."""
     live = denom > 0
+    passes = np.greater if mapping.comparator == ">" else np.greater_equal
     exposed = np.full(num.shape, mapping.isolated_value, dtype=np.int8)
-    exposed[live] = _passes(num[live] / denom[live, None], mapping.threshold,
-                            mapping.comparator)
+    exposed[live] = passes(num[live] / denom[live, None], mapping.threshold)
     order = graph.slots[0]
     unit_major = np.empty_like(exposed)
     unit_major[order] = exposed
@@ -59,13 +53,6 @@ class FractionThreshold:
             raise ValueError(f"comparator must be one of {_COMPARATORS}")
         if self.isolated_value not in self.values:
             raise ValueError("isolated_value must be a declared exposure value")
-
-    def exposure(self, i: int, t: np.ndarray, graph: Graph) -> int:
-        nbrs = graph.neighbors(i)
-        if len(nbrs) == 0:
-            return self.isolated_value
-        frac = float(np.asarray(t)[nbrs].sum()) / len(nbrs)
-        return int(_passes(np.float64(frac), self.threshold, self.comparator))
 
     def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
         return self.compute_batch(np.asarray(t)[None, :], graph)[0]
@@ -100,14 +87,6 @@ class WeightedThreshold:
         self.threshold = float(threshold)
         self.comparator = comparator
         self.isolated_value = int(isolated_value)
-
-    def exposure(self, i: int, t: np.ndarray, graph: Graph) -> int:
-        nbrs = graph.neighbors(i)
-        denom = float(self.weights[nbrs].sum()) if len(nbrs) else 0.0
-        if denom == 0.0:
-            return self.isolated_value
-        num = float((np.asarray(t)[nbrs] * self.weights[nbrs]).sum())
-        return int(_passes(np.float64(num / denom), self.threshold, self.comparator))
 
     def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
         return self.compute_batch(np.asarray(t)[None, :], graph)[0]

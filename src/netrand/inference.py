@@ -26,11 +26,11 @@ from .conditioning import (Cell, ConditioningConfig, SuperFocalSet, cell_mask,
 from .data import Dataset
 from .errors import (DataError, DegenerateInterval, EmptyArm, MissingParameter,
                      SplitInfeasible, TooFewUnits)
-from .exposure import compute_exposures
+from .exposure import ExposureVector, compute_exposures
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec)
-from .stats import masked_arm_variances, ratio_stat_rows
+from .stats import combined_stat, masked_arm_variances, ratio_stat_rows
 
 MIN_OBSERVED_FOCAL = 4  # two per arm is the least that gives two variances
 ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
@@ -41,8 +41,7 @@ def empirical_pvalue(observed, draw_stats) -> float:
     stats = np.asarray(draw_stats, dtype=np.float64)
     if stats.size < 1:
         raise ValueError("need at least one draw statistic")
-    obs = float(getattr(observed, "value", observed))
-    return float(np.mean(stats >= obs))
+    return float(np.mean(stats >= float(observed)))
 
 
 def family_cells(family: str, values: Sequence, x_levels: Sequence | None) -> list[Cell]:
@@ -201,12 +200,12 @@ def adjust_multiple(pvalues: Mapping, alpha: float, method: str) -> AdjustResult
                         any_rejection=bool(dec.any()))
 
 
-def estimate_tau_plugin(dataset: Dataset, exposures, family: str,
+def estimate_tau_plugin(dataset: Dataset, exposures: ExposureVector, family: str,
                         mask: np.ndarray | None = None,
                         provenance: str = PLUGIN) -> NuisanceParams:
     """Difference-in-means effect estimates: pooled for the constant
     family, otherwise per cell. Raises EmptyArm when a cell lacks an arm."""
-    pi = np.asarray(exposures.values if hasattr(exposures, "values") else exposures)
+    pi = np.asarray(exposures.values)
     sel = np.ones(dataset.n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     y, t = dataset.y, dataset.t
 
@@ -320,15 +319,10 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
         # each cell weighs its share of the observed units
         weights = [int(cell_mask(pi_obs, c, dataset.x).sum()) / dataset.n
                    for c in cells]
-        obs = 0.0
-        for c, w in zip(cells, weights):
-            obs += w * observed[c]
+        obs = combined_stat(weights, [observed[c] for c in cells])
 
         def rows_at(point: dict) -> np.ndarray:
-            rows = np.zeros(b, dtype=np.float64)
-            for c, w in zip(cells, weights):
-                rows = rows + w * stats[c][point[cell_axis[c]]]
-            return rows
+            return combined_stat(weights, [stats[c][point[cell_axis[c]]] for c in cells])
 
         points = [dict(zip(axes, idx)) for idx in
                   itertools.product(*(range(len(g)) for g in axes.values()))]
@@ -418,11 +412,11 @@ class SplitResult:
     strata: list
 
 
-def make_balanced_split(dataset: Dataset, exposures, family: str,
+def make_balanced_split(dataset: Dataset, exposures: ExposureVector, family: str,
                         rng: np.random.Generator) -> SplitResult:
     """Half-split stratified on (treatment, exposure[, covariate]) so both
     halves preserve the joint cell composition; odd cells flip a coin."""
-    pi = np.asarray(exposures.values if hasattr(exposures, "values") else exposures)
+    pi = np.asarray(exposures.values)
     keys = [tuple(k) for k in zip(dataset.t.tolist(), pi.tolist())]
     if family == BY_EXPOSURE_COVARIATE:
         if dataset.x is None:
@@ -618,12 +612,11 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
         adjusted[m] -= _tau_lookup(null, cell) * t[m]
 
     if b is None:
-        spaces = [list(itertools.permutations(range(len(idx)))) for idx in units]
-        total = math.prod(len(s) for s in spaces)
+        total = math.prod(math.factorial(len(idx)) for idx in units)
         if total > ENUMERATION_LIMIT:
             raise ValueError(f"{total} permutations exceeds the enumeration "
                              f"limit {ENUMERATION_LIMIT}; pass b instead")
-        reps = itertools.product(*spaces)
+        reps = itertools.product(*(itertools.permutations(range(len(idx))) for idx in units))
     else:
         if b < 1:
             raise ValueError(f"b must be >= 1, got {b}")

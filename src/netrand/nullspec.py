@@ -1,23 +1,17 @@
-"""Null hypotheses about treatment effects and the imputation they license.
+"""Null hypotheses about treatment effects and the effect values they fix.
 
 A null fixes the effect of own-treatment within an exposure (or
 exposure-covariate) cell, which lets outcomes be imputed across arms as
-long as a new treatment vector leaves the unit's exposure unchanged.
-Changing the exposure leads off the observed science table: the result is
-NotImputable (returned as None), a value rather than an error.
+long as a new treatment vector leaves the unit's exposure unchanged. The
+scorer (``inference._score_grid``) imputes y + tau (t_new - t_obs) and
+scores only focal units, those whose exposure a draw leaves unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .errors import MissingParameter
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .data import Dataset
-    from .exposure import ExposureVector
 
 CONSTANT_ALL = "constant_all"
 BY_EXPOSURE = "by_exposure"
@@ -52,7 +46,7 @@ class NullSpec:
     """A testable (or merely representable) hypothesis about effects.
 
     ``general`` carries a free-form descriptor; it can be stated but not
-    used for imputation, so every impute call under it returns None.
+    tested, because it fixes no effect value to impute with.
     """
 
     family: str
@@ -92,32 +86,3 @@ class NullSpec:
                 raise MissingParameter("family needs a covariate level for lookup")
             return self.nuisance.get((pi, x))
         raise MissingParameter("general hypotheses carry no effect values")
-
-
-def impute_outcome(null: NullSpec, y_obs: float, t_obs: int, pi_obs,
-                   t_new: int, pi_new, x=None) -> float | None:
-    """Outcome the unit would show under (t_new, pi_new), or None.
-
-    Imputable only when pi_new == pi_obs, in which case the null pins the
-    cross-arm difference: y_obs + tau * (t_new - t_obs).
-    """
-    if null.family == GENERAL:
-        return None
-    if pi_new != pi_obs:
-        return None
-    tau = null.tau_for(pi_obs, x)
-    return float(y_obs) + tau * (int(t_new) - int(t_obs))
-
-
-def observed_outcome_identity_check(dataset: "Dataset",
-                                    exposures: "ExposureVector",
-                                    null: NullSpec) -> bool:
-    """Imputing every unit at its own observed (t, pi) must return y_obs."""
-    pi = np.asarray(exposures.values)
-    for i in range(dataset.n):
-        xi = dataset.x[i] if dataset.x is not None else None
-        got = impute_outcome(null, dataset.y[i], int(dataset.t[i]), pi[i],
-                             int(dataset.t[i]), pi[i], xi)
-        if got is None or got != dataset.y[i]:
-            return False
-    return True

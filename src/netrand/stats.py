@@ -3,16 +3,19 @@
 The per-cell statistic is the larger of the two ratios of sample
 variances across arms, so it is at least 1 when finite. Zero-variance
 conventions: both arms degenerate -> 1.0; exactly one -> +infinity.
+
+The engine scores with the batch kernel below. ``ts_per_exposure`` and the
+scalar helpers under it are on no engine path: they are the independent
+reference that ``benchmarks/checks.py`` recomputes every kept draw with.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import TooFewUnits, WeightMismatch
+from .errors import TooFewUnits
 
 
 @dataclass(frozen=True)
@@ -55,44 +58,6 @@ def ts_per_exposure(y: np.ndarray, t: np.ndarray, focal: np.ndarray,
                               n_control_used=int((focal & (t == 0)).sum()))
 
 
-def ts_per_cell(y: np.ndarray, t: np.ndarray, x: np.ndarray,
-                focal: np.ndarray, cell: tuple) -> TestStatisticValue:
-    """Per-(exposure, covariate) variant: restrict focal units to the
-    cell's covariate level, then apply the per-exposure statistic."""
-    if len(cell) != 2:
-        raise ValueError(f"cell {cell!r} must be (exposure, covariate_level)")
-    mask = np.asarray(focal, dtype=bool) & (np.asarray(x) == cell[1])
-    return ts_per_exposure(y, t, mask, cell=cell)
-
-
-def _combine(values: Sequence[float], weights: Sequence[float], cell) -> TestStatisticValue:
-    w = np.asarray(weights, dtype=np.float64)
-    v = [float(getattr(s, "value", s)) for s in values]
-    if len(v) != len(w):
-        raise WeightMismatch(f"{len(v)} statistics but {len(w)} weights")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise WeightMismatch(f"weights must be nonnegative and sum to 1, got {w}")
-    total = 0.0
-    for wi, vi in zip(w, v):
-        if wi == 0.0:
-            continue  # zero-weight cells cannot contribute, even at +inf
-        if math.isinf(vi):
-            return TestStatisticValue(math.inf, cell, 0, 0)
-        total += wi * vi
-    return TestStatisticValue(total, cell, 0, 0)
-
-
-def ts_combined(values: Sequence, weights: Sequence[float]) -> TestStatisticValue:
-    """Weighted sum of per-exposure statistics; weights are the observed
-    exposure-cell shares and must sum to 1."""
-    return _combine(values, weights, "combined")
-
-
-def ts_combined_xpi(values: Sequence, weights: Sequence[float]) -> TestStatisticValue:
-    """Weighted sum of per-(exposure, covariate) statistics."""
-    return _combine(values, weights, "combined_xpi")
-
-
 def masked_arm_variances(z: np.ndarray, arm_masks: tuple[np.ndarray, np.ndarray]):
     """Row-wise sample variances for two arm masks over a (B, N) value matrix.
 
@@ -132,3 +97,12 @@ def ratio_stat_rows(var1: np.ndarray, var0: np.ndarray) -> np.ndarray:
     a, b = v1[rest], v0[rest]
     out[rest] = np.maximum(a / b, b / a)  # as variance_ratio, so ties match it
     return out
+
+
+def combined_stat(weights, values):
+    """Weighted sum of per-cell statistics (floats or (B,) rows), added in
+    cell order; an infinite cell with positive weight makes it infinite."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total = total + w * v
+    return total

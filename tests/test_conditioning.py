@@ -5,15 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fixtures import (TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS, TEN_T_ALT,
-                      TEN_T_OBS, TOY12_EPS, TOY12_MAPPING, TOY12_PI_OBS,
-                      TOY12_T_OBS, make_line4, make_ten, make_toy12,
-                      neighbor_lists, oracle_conditioning_set, oracle_focal,
-                      oracle_r, LINE4_EDGES, TOY12_EDGES)
+from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
+                      TEN_T_ALT, TEN_T_OBS, TOY12_EPS, TOY12_MAPPING,
+                      TOY12_PI_OBS, TOY12_T_OBS, make_line4, make_ten,
+                      make_toy12, neighbor_lists, oracle_conditioning_set,
+                      oracle_exposure, oracle_focal, oracle_r, LINE4_EDGES,
+                      TOY12_EDGES)
 from netrand import conditioning
 from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
-                                  epsilon_feasibility, focal_indicator,
-                                  relative_frequency, sample_conditioning_set,
+                                  epsilon_feasibility, relative_frequency,
+                                  sample_conditioning_set,
                                   select_observed_focal, superfocal_for_cell)
 from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
                             DataError, EmptySuperFocal)
@@ -96,27 +97,39 @@ class TestRelativeFrequency:
 
 
 class TestFocalIndicator:
+    """Focal units: the cell's super-focal units that keep their exposure
+    under a new vector."""
+
     def test_fixture_focal_under_permuted_vector(self):
         pi_obs = np.array(TEN_PI_OBS)
         pi_alt = np.array(TEN_PI_ALT)
-        f1 = focal_indicator(pi_alt, superfocal_for_cell(pi_obs, (1,)))
-        f0 = focal_indicator(pi_alt, superfocal_for_cell(pi_obs, (0,)))
-        assert np.flatnonzero(f1).tolist() == [0, 2]
-        assert np.flatnonzero(f0).tolist() == [5, 9]
+        assert oracle_focal(TEN_T_ALT, TEN_PI_ALT, TEN_PI_OBS, 1) == (0, 2)
+        assert oracle_focal(TEN_T_ALT, TEN_PI_ALT, TEN_PI_OBS, 0) == (5, 9)
+        # the frequencies count the same units: {0, 2} are both treated
+        # among the five super-focal units of cell 1, {5, 9} both control
+        # among those of cell 0
+        sf1 = superfocal_for_cell(pi_obs, (1,))
+        sf0 = superfocal_for_cell(pi_obs, (0,))
+        t_alt = np.array(TEN_T_ALT)
+        assert [relative_frequency(t_alt, pi_alt, sf1, arm) for arm in (1, 0)] == [0.4, 0.0]
+        assert [relative_frequency(t_alt, pi_alt, sf0, arm) for arm in (1, 0)] == [0.0, 0.4]
 
     def test_matches_oracle_and_stays_inside_superfocal(self):
+        # the sampler's focal rows, one cell conditioned on at a time
         ds = make_ten()
-        rng = np.random.default_rng(4)
+        nbrs = neighbor_lists(10, TEN_EDGES)
         pi_obs = np.array(TEN_PI_OBS)
-        for _ in range(20):
-            t = rng.permutation(np.array(TEN_T_OBS))
-            pi = TEN_MAPPING.compute(t, ds.graph)
-            for v in (0, 1):
-                sf = superfocal_for_cell(pi_obs, (v,))
-                f = focal_indicator(pi, sf)
+        for v in (0, 1):
+            cfg = ConditioningConfig(epsilon=0.1, cells=((v,),))
+            draws, _ = sample_conditioning_set(
+                CompleteRandomization(10, 5), ds, pi_obs, TEN_MAPPING, cfg, 20,
+                np.random.default_rng(4))
+            sf = superfocal_for_cell(pi_obs, (v,))
+            for t, f in zip(draws.t.tolist(), draws.focal):
                 assert not (f & ~sf.indicator).any()
+                pi = oracle_exposure(t, nbrs)
                 assert tuple(np.flatnonzero(f).tolist()) == oracle_focal(
-                    t.tolist(), pi.tolist(), TEN_PI_OBS, v)
+                    t, pi, TEN_PI_OBS, v)
 
 
 class TestSampler:

@@ -10,8 +10,8 @@ from fixtures import (TEN_MAPPING, TEN_Y, TOY12_EPS, TOY12_MAPPING,
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import superfocal_for_cell
 from netrand.data import Dataset
-from netrand.errors import (DegenerateInterval, EmptyArm, MissingParameter,
-                            SplitInfeasible, TooFewUnits)
+from netrand.errors import (DataError, DegenerateInterval, EmptyArm,
+                            MissingParameter, SplitInfeasible, TooFewUnits)
 from netrand.exposure import CustomMapping, FractionThreshold, compute_exposures
 from netrand.graph import build_graph
 from netrand.inference import (CIConfig, SplitResult, adjust_multiple,
@@ -20,7 +20,7 @@ from netrand.inference import (CIConfig, SplitResult, adjust_multiple,
                                run_ci_test, run_oracle_test,
                                run_permutation_variant, run_plugin_test,
                                run_ss_test)
-from netrand.nullspec import NullSpec, impute_outcome
+from netrand.nullspec import NullSpec
 from netrand.simulation import generate_regular_graph
 from statistics import NormalDist
 
@@ -134,6 +134,17 @@ class TestPluginEstimates:
         with pytest.raises(EmptyArm):
             estimate_tau_plugin(ds, exp, "constant_all")
 
+    def test_per_cell_family_needs_covariate(self):
+        # both split helpers read the exposure vector's mapping for the
+        # cells, and a per-cell family without a covariate is a data error
+        ds = make_ten()
+        exp = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        with pytest.raises(DataError, match="covariate column"):
+            estimate_tau_plugin(ds, exp, "by_exposure_covariate")
+        with pytest.raises(DataError, match="covariate column"):
+            make_balanced_split(ds, exp, "by_exposure_covariate",
+                                np.random.default_rng(0))
+
 
 class TestSplitWalkThrough:
     def test_estimate_then_impute_under_new_vector(self):
@@ -149,10 +160,9 @@ class TestSplitWalkThrough:
         est = estimate_tau_plugin(ds, exp, "constant_all", mask=est_mask)
         tau_hat = est.values[()]
         assert tau_hat == pytest.approx(y[0] - y[2])
-        null = NullSpec.constant(tau_hat)
         t_new = (0, 0, 1, 1)
-        got1 = impute_outcome(null, y[1], 1, 0, t_new[1], 0)
-        got3 = impute_outcome(null, y[3], 0, 0, t_new[3], 0)
+        imputed = oracle_imputed(y, t, t_new, tau_hat)
+        got1, got3 = imputed[1], imputed[3]
         assert got1 == pytest.approx(y[1] - tau_hat)
         assert got3 == pytest.approx(y[3] + tau_hat)
 

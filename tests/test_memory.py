@@ -38,11 +38,47 @@ CHILD = textwrap.dedent("""
 """)
 
 
-def test_n50000_oracle_test_runs_in_3gb_address_space():
+# Eleven inference units in one cell have 11! = 39 916 800 permutations,
+# far past ENUMERATION_LIMIT; listing them would take gigabytes.
+ENUMERATION_CHILD = textwrap.dedent("""
+    import resource, time
+    limit = 2 * 10**9
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    import numpy as np
+    import netrand as nr
+    from netrand.inference import SplitResult
+
+    ds = nr.Dataset(y=np.arange(22, dtype=float), t=np.array([1, 0] * 11),
+                    graph=nr.build_graph(22, []))
+    est = np.arange(22) < 11
+    split = SplitResult(est_mask=est, inf_mask=~est, strata=[])
+    start = time.perf_counter()
+    try:
+        nr.run_permutation_variant(ds, nr.CustomMapping(lambda i, t, g: 0, (0,)),
+                                   "constant_all", split, b=None,
+                                   rng=np.random.default_rng(0))
+    except (ValueError, MemoryError) as exc:
+        print(type(exc).__name__, round(time.perf_counter() - start, 3))
+""")
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=600)
+
+
+def test_n50000_oracle_test_runs_in_3gb_address_space():
+    proc = _run_child(CHILD)
     assert proc.returncode == 0, proc.stderr[-2000:]
     pvalues = [float(p) for p in proc.stdout.strip().splitlines()[-1].strip("[]").split(",")]
     assert len(pvalues) == 2 and all(0.0 <= p <= 1.0 for p in pvalues)
+
+
+def test_enumeration_limit_is_checked_before_enumerating():
+    proc = _run_child(ENUMERATION_CHILD)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    name, seconds = proc.stdout.split()
+    assert name == "ValueError"
+    assert float(seconds) < 2.0

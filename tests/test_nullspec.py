@@ -1,13 +1,12 @@
-"""Null hypotheses and outcome imputation."""
-import numpy as np
+"""Null hypotheses, and the outcome imputation they license, checked on
+the fixture oracles the engine's draws are compared with."""
 import pytest
 
-from fixtures import (TEN_PI_ALT, TEN_PI_OBS, TEN_T_ALT, TEN_T_OBS, TEN_X,
-                      TEN_Y, TEN_MAPPING, make_ten)
+from fixtures import (TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS, TEN_T_ALT, TEN_T_OBS,
+                      TEN_Y, make_ten, oracle_focal, oracle_imputed)
 from netrand.errors import MissingParameter
 from netrand.exposure import compute_exposures
-from netrand.nullspec import (NullSpec, NuisanceParams, impute_outcome,
-                              observed_outcome_identity_check)
+from netrand.nullspec import NullSpec, NuisanceParams
 
 TAU = 0.75  # dyadic so additions below are exact in float64
 
@@ -47,6 +46,18 @@ class TestNullSpec:
             null.tau_for(0)
 
 
+def science_table(null, t_new, pi_new):
+    """The outcome column the scorer imputes under t_new: each cell's focal
+    units (exposure unchanged) get y + tau (t_new - t_obs) at the cell's
+    effect value; every other unit leaves the science table (None)."""
+    table = [None] * 10
+    for v in (0, 1):
+        imputed = oracle_imputed(TEN_Y, TEN_T_OBS, t_new, null.tau_for(v))
+        for i in oracle_focal(t_new, pi_new, TEN_PI_OBS, v):
+            table[i] = imputed[i]
+    return table
+
+
 class TestImputation:
     def test_science_table_under_permuted_vector(self):
         # Only units whose exposure survives the new assignment are
@@ -54,53 +65,37 @@ class TestImputation:
         null = NullSpec.constant(TAU)
         want = [TEN_Y[0] + TAU, None, TEN_Y[2] + TAU, None, None,
                 TEN_Y[5] - TAU, None, None, None, TEN_Y[9]]
-        got = [impute_outcome(null, TEN_Y[i], TEN_T_OBS[i], TEN_PI_OBS[i],
-                              TEN_T_ALT[i], TEN_PI_ALT[i])
-               for i in range(10)]
-        assert got == want
+        assert science_table(null, TEN_T_ALT, TEN_PI_ALT) == want
 
     def test_science_table_per_exposure_null(self):
         taus = {0: 0.5, 1: 2.0}
         null = NullSpec.per_exposure(taus)
-        got = [impute_outcome(null, TEN_Y[i], TEN_T_OBS[i], TEN_PI_OBS[i],
-                              TEN_T_ALT[i], TEN_PI_ALT[i])
-               for i in range(10)]
         want = [TEN_Y[0] + 2.0, None, TEN_Y[2] + 2.0, None, None,
                 TEN_Y[5] - 0.5, None, None, None, TEN_Y[9]]
-        assert got == want
+        assert science_table(null, TEN_T_ALT, TEN_PI_ALT) == want
 
     def test_per_cell_uses_covariate_level(self):
         null = NullSpec.per_cell({(0, "m"): 1.0, (0, "f"): -1.0,
                                   (1, "m"): 2.0, (1, "f"): -2.0})
-        got_m = impute_outcome(null, 5.0, 0, 1, 1, 1, x="m")
-        got_f = impute_outcome(null, 5.0, 0, 1, 1, 1, x="f")
-        assert got_m == 7.0 and got_f == 3.0
+        got_m = oracle_imputed([5.0], [0], [1], null.tau_for(1, "m"))
+        got_f = oracle_imputed([5.0], [0], [1], null.tau_for(1, "f"))
+        assert got_m == [7.0] and got_f == [3.0]
 
     def test_exposure_change_is_not_imputable_even_under_constant(self):
-        null = NullSpec.constant(TAU)
-        assert impute_outcome(null, 1.0, 0, 0, 1, 1) is None
-
-    def test_general_never_imputes(self):
-        null = NullSpec.general("anything")
-        assert impute_outcome(null, 1.0, 1, 0, 1, 0) is None
-
-    def test_involution_round_trip(self):
-        null = NullSpec.constant(TAU)
-        y2 = impute_outcome(null, TEN_Y[0], 0, 1, 1, 1)
-        back = impute_outcome(null, y2, 1, 1, 0, 1)
-        assert back == TEN_Y[0]
+        # a unit observed at exposure 0 that moves to exposure 1 is focal
+        # in neither cell, so no effect value is ever applied to it
+        for v in (0, 1):
+            assert oracle_focal((1,), (1,), (0,), v) == ()
 
     def test_identity_check_on_fixture(self):
+        # imputing every unit at its own observed assignment returns y
         ds = make_ten(with_x=True)
-        exp = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        pi = compute_exposures(TEN_MAPPING, ds.t, ds.graph).values
         for null in (NullSpec.constant(TAU),
                      NullSpec.per_exposure({0: 1.0, 1: 2.0}),
                      NullSpec.per_cell({(v, l): float(v + 1)
                                         for v in (0, 1) for l in ("m", "f")})):
-            assert observed_outcome_identity_check(ds, exp, null)
-
-    def test_identity_check_fails_for_general(self):
-        ds = make_ten()
-        exp = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
-        assert not observed_outcome_identity_check(
-            ds, exp, NullSpec.general("no imputation"))
+            x = ds.x if null.family == "by_exposure_covariate" else [None] * 10
+            got = [oracle_imputed(TEN_Y, TEN_T_OBS, TEN_T_OBS,
+                                  null.tau_for(pi[i], x[i]))[i] for i in range(10)]
+            assert got == list(TEN_Y)

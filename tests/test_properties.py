@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from fixtures import (TOY12_EPS, TOY12_MAPPING, make_toy12, neighbor_lists,
                       oracle_exposure, oracle_focal, oracle_r)
 from netrand.assignment import CompleteRandomization
-from netrand.conditioning import (ConditioningConfig, focal_indicator,
-                                  relative_frequency, sample_conditioning_set,
-                                  superfocal_for_cell)
+from netrand.conditioning import (ConditioningConfig, relative_frequency,
+                                  sample_conditioning_set, superfocal_for_cell)
 from netrand.data import Dataset
 from netrand.errors import AcceptanceBudgetExhausted
 from netrand.exposure import FractionThreshold
 from netrand.graph import build_graph
-from netrand.inference import adjust_multiple, empirical_pvalue
-from netrand.nullspec import NullSpec, impute_outcome
-from netrand.stats import TestStatisticValue as StatValue
-from netrand.stats import ts_combined, ts_per_exposure, variance_ratio
+from netrand.inference import adjust_multiple, empirical_pvalue, run_oracle_test
+from netrand.nullspec import NullSpec
+from netrand.stats import combined_stat, ts_per_exposure, variance_ratio
 
 # dyadic rationals are exact in binary floating point, so identities that
 # are algebraically exact can be asserted with == rather than isclose
@@ -108,34 +106,37 @@ def test_pvalue_stays_in_unit_interval(draws, obs):
     assert empirical_pvalue(max(draws) + 1.0, draws) == 0.0
 
 
-@given(dyadic, small_tau, st.integers(0, 1), st.integers(0, 1),
-       st.integers(0, 1))
-def test_imputation_is_an_exact_involution_on_dyadic_values(y, tau, t_obs,
-                                                            t_new, pi):
-    null = NullSpec.constant(tau)
-    forward = impute_outcome(null, y, t_obs, pi, t_new, pi)
-    assert forward == y + tau * (t_new - t_obs)
-    assert impute_outcome(null, forward, t_new, pi, t_obs, pi) == y
+@given(st.integers(0, 10_000))
+@settings(max_examples=15, deadline=None)
+def test_exposure_change_never_imputes(seed):
+    # the scorer imputes only focal units; a focal unit always keeps the
+    # exposure it was observed at, in every cell conditioned on
+    ds = make_toy12()
+    pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
+    cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
+    draws, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds, pi_obs,
+                                       TOY12_MAPPING, cfg, 10,
+                                       np.random.default_rng(seed))
+    pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
+    assert (pi_new == pi_obs)[draws.focal].all()
 
 
-@given(dyadic, small_tau, st.integers(0, 1), st.integers(0, 1))
-def test_exposure_change_never_imputes(y, tau, t_obs, t_new):
-    null = NullSpec.constant(tau)
-    assert impute_outcome(null, y, t_obs, 0, t_new, 1) is None
-    assert impute_outcome(null, y, t_obs, 1, t_new, 0) is None
-
-
-@given(dyadic, small_tau, st.integers(0, 1), st.integers(0, 1),
-       st.integers(0, 1))
-def test_equal_per_exposure_effects_match_the_constant_null(y, tau, t_obs,
-                                                            t_new, pi):
-    flat = NullSpec.per_exposure({0: tau, 1: tau})
-    const = NullSpec.constant(tau)
-    assert (impute_outcome(flat, y, t_obs, pi, t_new, pi)
-            == impute_outcome(const, y, t_obs, pi, t_new, pi))
+@given(small_tau)
+@settings(max_examples=10, deadline=None)
+def test_equal_per_exposure_effects_match_the_constant_null(tau):
+    ds = make_toy12()
+    reports = [run_oracle_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6),
+                               null, epsilon=TOY12_EPS, b=30, keep_draws=True,
+                               rng=np.random.default_rng(0))
+               for null in (NullSpec.per_exposure({0: tau, 1: tau}),
+                            NullSpec.constant(tau))]
+    flat, const = (r.to_dict() for r in reports)
+    assert flat["cells"] == const["cells"]
+    assert flat["diagnostics"]["draw_stats"] == const["diagnostics"]["draw_stats"]
 
 
 @given(graph_with_assignment(n_assignments=2))
+@settings(deadline=None)
 def test_relative_frequency_and_focal_match_oracles(inst):
     g, t_obs, t_other = inst
     mapping = FractionThreshold(0.5, ">")
@@ -143,17 +144,26 @@ def test_relative_frequency_and_focal_match_oracles(inst):
     pi_new = mapping.compute(t_other, g)
     nbrs = neighbor_lists(g.n_units, g.edges)
     assert tuple(pi_obs) == oracle_exposure(t_obs, nbrs, comparator=">")
+    ds = Dataset(y=np.zeros(g.n_units), t=t_obs, graph=g)
     for v in (0, 1):
         if not (pi_obs == v).any():
             continue
         sf = superfocal_for_cell(pi_obs, (v,))
-        focal = focal_indicator(pi_new, sf)
-        assert not (focal & ~sf.indicator).any()
-        assert tuple(np.flatnonzero(focal)) == oracle_focal(
-            tuple(t_other), tuple(pi_new), tuple(pi_obs), v)
+        r = [relative_frequency(t_other, pi_new, sf, arm) for arm in (0, 1)]
         for arm in (0, 1):
-            assert relative_frequency(t_other, pi_new, sf, arm) == (
-                oracle_r(tuple(t_other), tuple(pi_new), tuple(pi_obs), arm, v))
+            assert r[arm] == oracle_r(tuple(t_other), tuple(pi_new),
+                                      tuple(pi_obs), arm, v)
+        if min(r) > 0.0:
+            # the sampler accepts t_other below its frequencies; its focal
+            # row is the cell's super-focal units that keep their exposure
+            cfg = ConditioningConfig(epsilon=min(r) / 2, cells=((v,),))
+            draws, _ = sample_conditioning_set(_FixedMechanism(t_other), ds, pi_obs,
+                                               mapping, cfg, 1,
+                                               np.random.default_rng(0))
+            focal = draws.focal[0]
+            assert not (focal & ~sf.indicator).any()
+            assert tuple(np.flatnonzero(focal)) == oracle_focal(
+                tuple(t_other), tuple(pi_new), tuple(pi_obs), v)
 
 
 class _FixedMechanism:
@@ -242,6 +252,5 @@ def test_combined_statistic_is_a_weighted_mean(values, raw_w):
     assume(len(values) == len(raw_w))
     w = np.array(raw_w, dtype=float)
     w /= w.sum()
-    stats = [StatValue(v, (i,), 2, 2) for i, v in enumerate(values)]
-    combined = ts_combined(stats, w).value
+    combined = combined_stat(w, values)
     assert min(values) - 1e-9 <= combined <= max(values) + 1e-9

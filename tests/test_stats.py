@@ -1,15 +1,20 @@
-"""Variance-ratio statistics: conventions, combination weights, batch path."""
+"""Variance-ratio statistics: conventions, combination weights, the batch
+kernel, and the scalar reference path it is checked against."""
 import math
 
 import numpy as np
 import pytest
 
-from fixtures import (TEN_PI_OBS, TEN_T_OBS, TEN_X, TEN_Y, make_ten,
-                      oracle_cell_stat, oracle_var)
-from netrand.errors import TooFewUnits, WeightMismatch
-from netrand.stats import (conditional_variance, masked_arm_variances,
-                           ratio_stat_rows, ts_combined, ts_combined_xpi,
-                           ts_per_cell, ts_per_exposure, variance_ratio)
+from fixtures import (TEN_PI_OBS, TEN_T_OBS, TEN_Y, TOY12_EPS, TOY12_MAPPING,
+                      make_ten, make_toy12, oracle_cell_stat, oracle_var)
+from netrand.assignment import CompleteRandomization
+from netrand.conditioning import cell_mask
+from netrand.errors import TooFewUnits
+from netrand.inference import run_oracle_test
+from netrand.nullspec import NullSpec
+from netrand.stats import (combined_stat, conditional_variance,
+                           masked_arm_variances, ratio_stat_rows,
+                           ts_per_exposure, variance_ratio)
 
 
 class TestConditionalVariance:
@@ -81,24 +86,36 @@ class TestPerExposure:
             TEN_Y, TEN_T_OBS, [0, 2, 6, 7, 8]))
 
 
+def batch_stat(y, t, focal):
+    """One draw through the engine's batch kernel: (statistic, n1, n0)."""
+    t = np.asarray(t)[None, :]
+    focal = np.asarray(focal, dtype=bool)[None, :]
+    v1, v0, n1, n0 = masked_arm_variances(np.asarray(y, dtype=np.float64)[None, :],
+                                          (focal & (t == 1), focal & (t == 0)))
+    return ratio_stat_rows(v1, v0)[0], n1[0], n0[0]
+
+
 class TestPerCell:
+    """An (exposure, covariate) cell restricts the focal units to its
+    covariate level; the batch kernel then scores them as any cell."""
+
     def test_fixture_covariate_restriction(self):
         ds = make_ten(with_x=True)
         # with all units focal, cell (0, "f") keeps the five x=f units
         # {3, 4, 6, 8, 9}: treated {3, 4, 8}, control {6, 9}
-        s = ts_per_cell(ds.y, ds.t, ds.x, np.ones(10, dtype=bool), (0, "f"))
+        value, n1, n0 = batch_stat(ds.y, ds.t, ds.x == "f")
         v1 = oracle_var([TEN_Y[3], TEN_Y[4], TEN_Y[8]])
         v0 = oracle_var([TEN_Y[6], TEN_Y[9]])
-        assert s.value == pytest.approx(max(v1 / v0, v0 / v1))
-        assert s.cell == (0, "f")
-        assert s.n_treated_used == 3 and s.n_control_used == 2
+        assert value == pytest.approx(max(v1 / v0, v0 / v1))
+        assert n1 == 3 and n0 == 2
 
     def test_three_unit_cell_cannot_fill_both_arms(self):
         ds = make_ten(with_x=True)
-        focal = np.array(TEN_PI_OBS) == 0
         # cell (0, "f") restricted to super-focal units is {3, 4, 9}
+        focal = cell_mask(np.array(TEN_PI_OBS), (0, "f"), ds.x)
+        assert np.flatnonzero(focal).tolist() == [3, 4, 9]
         with pytest.raises(TooFewUnits):
-            ts_per_cell(ds.y, ds.t, ds.x, focal, (0, "f"))
+            batch_stat(ds.y, ds.t, focal)
 
     def test_matches_restricted_per_exposure(self):
         ds = make_ten(with_x=True)
@@ -110,44 +127,53 @@ class TestPerCell:
                 want = ts_per_exposure(ds.y, t, mask).value
             except TooFewUnits:
                 with pytest.raises(TooFewUnits):
-                    ts_per_cell(ds.y, t, ds.x, focal, cell)
+                    batch_stat(ds.y, t, mask)
                 continue
-            assert ts_per_cell(ds.y, t, ds.x, focal, cell).value == pytest.approx(want)
+            assert batch_stat(ds.y, t, mask)[0] == pytest.approx(want)
 
     def test_cell_shape_checked(self):
         ds = make_ten(with_x=True)
         with pytest.raises(ValueError):
-            ts_per_cell(ds.y, ds.t, ds.x, np.ones(10, dtype=bool), (0,))
+            cell_mask(np.array(TEN_PI_OBS), (0, "f"), None)
+        assert (cell_mask(np.array(TEN_PI_OBS), (0,), ds.x)
+                == (np.array(TEN_PI_OBS) == 0)).all()
 
 
 class TestCombination:
     def test_weighted_mean(self):
-        s = ts_combined([2.0, 4.0], [0.5, 0.5])
-        assert s.value == pytest.approx(3.0)
-        s = ts_combined_xpi([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
-        assert s.value == pytest.approx(0.1 + 0.4 + 0.9 + 1.6)
+        assert combined_stat([0.5, 0.5], [2.0, 4.0]) == pytest.approx(3.0)
+        got = combined_stat([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
+        assert got == pytest.approx(0.1 + 0.4 + 0.9 + 1.6)
 
     def test_accepts_statistic_objects(self):
-        parts = [ts_per_exposure(np.array([1.0, 2.0, 5.0, 9.0]),
-                                 np.array([1, 1, 0, 0]),
-                                 np.ones(4, dtype=bool), cell=(v,))
-                 for v in (0, 1)]
-        s = ts_combined(parts, [0.5, 0.5])
-        assert s.value == pytest.approx(parts[0].value)
+        # per-cell statistic rows from the batch kernel combine row-wise
+        y, t = np.array([1.0, 2.0, 5.0, 9.0]), np.array([1, 1, 0, 0])
+        parts = [np.array([batch_stat(y, t, np.ones(4, dtype=bool))[0]] * 3)
+                 for _ in (0, 1)]
+        assert parts[0][0] == pytest.approx(
+            ts_per_exposure(y, t, np.ones(4, dtype=bool)).value)
+        got = combined_stat([0.5, 0.5], parts)
+        assert got.shape == (3,)
+        assert got == pytest.approx(parts[0])
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(WeightMismatch):
-            ts_combined([1.0, 2.0], [0.5, 0.6])
-        with pytest.raises(WeightMismatch):
-            ts_combined([1.0, 2.0], [1.5, -0.5])
-        with pytest.raises(WeightMismatch):
-            ts_combined([1.0, 2.0], [1.0])
+        # the engine weighs each cell by its share of the observed units
+        ds = make_toy12()
+        rep = run_oracle_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6),
+                              NullSpec.per_exposure({0: 0.0, 1: 0.0}),
+                              epsilon=TOY12_EPS, b=20, stat="combined",
+                              rng=np.random.default_rng(0))
+        w = rep.combined.weights
+        assert w == {(0,): 0.5, (1,): 0.5}
+        assert all(v >= 0 for v in w.values()) and sum(w.values()) == 1.0
+        assert rep.combined.observed_stat == combined_stat(
+            list(w.values()), [c.observed_stat for c in rep.cells])
 
     def test_infinite_cell_with_positive_weight_dominates(self):
-        assert ts_combined([math.inf, 1.0], [0.5, 0.5]).value == math.inf
-
-    def test_zero_weight_cell_ignored_even_at_infinity(self):
-        assert ts_combined([math.inf, 3.0], [0.0, 1.0]).value == pytest.approx(3.0)
+        assert combined_stat([0.5, 0.5], [math.inf, 1.0]) == math.inf
+        rows = combined_stat([0.5, 0.5], [np.array([math.inf, 2.0]),
+                                          np.array([1.0, 4.0])])
+        assert rows.tolist() == [math.inf, 3.0]
 
 
 class TestBatchPath:
