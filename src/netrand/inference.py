@@ -30,18 +30,20 @@ from .exposure import ExposureVector, compute_exposures
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec)
-from .stats import combined_stat, masked_arm_variances, ratio_stat_rows
+from .stats import arm_variances, combined_stat, ratio_stat_rows
 
 MIN_OBSERVED_FOCAL = 4  # two per arm is the least that gives two variances
 ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
 
 
-def empirical_pvalue(observed, draw_stats) -> float:
-    """Fraction of draw statistics >= the observed one (ties count)."""
-    stats = np.asarray(draw_stats, dtype=np.float64)
-    if stats.size < 1:
+def empirical_pvalue(observed, draw_stats):
+    """Fraction of draw statistics >= the observed one (ties count) along
+    the last axis: a float for one row of draws, a list of floats for a
+    (G, b) stack of rows."""
+    stats = np.atleast_1d(np.asarray(draw_stats, dtype=np.float64))
+    if stats.shape[-1] < 1:
         raise ValueError("need at least one draw statistic")
-    return float(np.mean(stats >= float(observed)))
+    return np.mean(stats >= float(observed), axis=-1).tolist()
 
 
 def family_cells(family: str, values: Sequence, x_levels: Sequence | None) -> list[Cell]:
@@ -54,12 +56,14 @@ def family_cells(family: str, values: Sequence, x_levels: Sequence | None) -> li
     raise MissingParameter(f"family {family!r} has no testable cell structure")
 
 
-def _ratio_stats(z: np.ndarray, t: np.ndarray, focal: np.ndarray) -> np.ndarray:
-    """Variance-ratio statistic of each row of a (B, N) outcome matrix over
-    its focal units, split into arms by the matching treatment rows. The
-    observed statistic goes through here as a one-row batch, so a draw
-    that reproduces the observed configuration ties with it exactly."""
-    v1, v0, _, _ = masked_arm_variances(z, (focal & (t == 1), focal & (t == 0)))
+def _imputed_stats(y, t_obs, t_new, focal, taus) -> np.ndarray:
+    """(G, B) variance-ratio statistics of z = y + tau (t_new - t_obs) over
+    each row's focal units, split into arms by the rows of t_new, at every
+    tau. Within an arm, t_new - t_obs is +1 (treated arm) or -1 (control
+    arm) on the units the row switched and 0 elsewhere, so arm_variances
+    takes each arm's moments once and every tau costs O(B)."""
+    v1, v0 = [arm_variances(y, focal & (t_new == arm), taus, t_obs != arm,
+                            1.0 if arm else -1.0) for arm in (1, 0)]
     return ratio_stat_rows(v1, v0)
 
 
@@ -284,25 +288,26 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
     acceptance_rate): (b, N) treatment rows, the cell's focal units under
     each (or one broadcast row), and the observed focal units. A draw
     imputes z = y + tau (t_new - t_obs) at each tau of its cell's axis,
-    axes[cell_axis[cell]]. A cell's p-value is the largest over its axis
-    plus gamma, the combined one the largest over the product of the axes
-    plus gamma; fixed effects are the one-point grid with gamma = 0.
+    axes[cell_axis[cell]], scored on the columns its cell's focal rows or
+    observed focal units hold. A cell's p-value is the largest over its
+    axis plus gamma, the combined one the largest over the product of the
+    axes plus gamma; fixed effects are the one-point grid with gamma = 0.
     Returns the report and the grid evaluations behind its p-values.
     """
     cells = list(cell_axis)
     report = TestReport(technique=technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon)
-    y = dataset.y
-    t_obs = dataset.t.astype(np.float64)
+    y, t_obs = dataset.y, dataset.t
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
     for cell, n_sf, t_new, focal, fobs, mean_focal, acceptance in runs:
-        obs = float(_ratio_stats(y[None, :], t_obs[None, :], fobs[None, :])[0])
-        t_mat = t_new.astype(np.float64)
-        shift = t_mat - t_obs[None, :]
+        cols = np.flatnonzero(focal.any(axis=0) | fobs)
+        yc, tc = y[cols], t_obs[cols]
+        # the observed statistic is a one-row batch of the same kernel, so a
+        # draw that keeps or swaps the observed arms ties with it exactly
+        obs = float(_imputed_stats(yc, tc, tc[None, :], fobs[None, cols], [0.0])[0, 0])
         grid = axes[cell_axis[cell]]
-        stats[cell] = [_ratio_stats(y[None, :] + tau * shift, t_mat, focal)
-                       for tau in grid]
-        ps = [empirical_pvalue(obs, s) for s in stats[cell]]
+        stats[cell] = _imputed_stats(yc, tc, t_new[:, cols], focal[:, cols], grid)
+        ps = empirical_pvalue(obs, stats[cell])
         best = int(np.argmax(ps))
         observed[cell], best_stats[cell] = obs, stats[cell][best]
         pvals[cell] = min(1.0, ps[best] + gamma)
@@ -320,20 +325,26 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
         weights = [int(cell_mask(pi_obs, c, dataset.x).sum()) / dataset.n
                    for c in cells]
         obs = combined_stat(weights, [observed[c] for c in cells])
+        # every point of the product grid at once: cell c's (G, b) rows lie
+        # along its own axis and broadcast over the others
+        keys = list(axes)
+        shape = [len(g) for g in axes.values()] + [b]
 
-        def rows_at(point: dict) -> np.ndarray:
-            return combined_stat(weights, [stats[c][point[cell_axis[c]]] for c in cells])
+        def along_axis(c):
+            s = [1] * len(keys) + [b]
+            s[keys.index(cell_axis[c])] = -1
+            return stats[c].reshape(s)
 
-        points = [dict(zip(axes, idx)) for idx in
-                  itertools.product(*(range(len(g)) for g in axes.values()))]
-        ps = [empirical_pvalue(obs, rows_at(point)) for point in points]
+        total = combined_stat(weights, [along_axis(c) for c in cells])
+        rows = np.broadcast_to(total, shape).reshape(-1, b)
+        ps = empirical_pvalue(obs, rows)
         best = int(np.argmax(ps))
         p = min(1.0, ps[best] + gamma)
         grid_evals = {"combined": [
-            (tuple(float(axes[k][i]) for k, i in point.items()), q)
-            for point, q in zip(points, ps)]}
+            (tuple(float(tau) for tau in point), q)
+            for point, q in zip(itertools.product(*axes.values()), ps)]}
         if keep_draws:
-            best_stats["combined"] = rows_at(points[best])
+            best_stats["combined"] = rows[best]
         report.combined = CombinedResult(
             pvalue=p, observed_stat=float(obs), reject=p < alpha,
             weights={c: float(w) for c, w in zip(cells, weights)})

@@ -3,8 +3,10 @@
 A null fixes the effect of own-treatment within an exposure (or
 exposure-covariate) cell, which lets outcomes be imputed across arms as
 long as a new treatment vector leaves the unit's exposure unchanged. The
-scorer (``inference._score_grid``) imputes y + tau (t_new - t_obs) and
-scores only focal units, those whose exposure a draw leaves unchanged.
+scorer (``inference._score_grid``) scores only focal units, those whose
+exposure a draw leaves unchanged, on the imputed y + tau (t_new - t_obs):
+within an arm that is a quadratic in tau, so it takes each arm's moments
+once per draw and evaluates every tau from them (``stats.arm_variances``).
 """
 from __future__ import annotations
 

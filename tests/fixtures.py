@@ -14,6 +14,7 @@ import numpy as np
 from netrand.data import Dataset
 from netrand.exposure import FractionThreshold
 from netrand.graph import build_graph
+from netrand.stats import masked_arm_variances, ratio_stat_rows
 
 # ---------------------------------------------------------------------------
 # Ten-unit worked instance. A tree whose majority-treated-neighbor exposures
@@ -132,6 +133,16 @@ def dense_threshold_reference(mapping, t_mat, graph):
     passed = frac > mapping.threshold if mapping.comparator == ">" else frac >= mapping.threshold
     out[:, live] = passed
     return out
+
+
+def direct_imputed_stats(y, t_obs, t_new, focal, taus):
+    """The per-tau scorer the closed form replaced: at each tau, impute
+    the (B, N) outcome matrix y + tau (t_new - t_obs) and take its arm
+    variances directly. Returns one (B,) row of statistics per tau."""
+    d = np.asarray(t_new, dtype=np.float64) - np.asarray(t_obs, dtype=np.float64)
+    masks = (focal & (t_new == 1), focal & (t_new == 0))
+    return np.array([ratio_stat_rows(*masked_arm_variances(y + tau * d, masks)[:2])
+                     for tau in taus])
 
 
 def random_irregular_graph(rng, n, hub_degree=0, n_isolated=0):

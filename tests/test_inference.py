@@ -251,6 +251,32 @@ class TestOracleEngine:
         assert (stats[same] == res.observed_stat).all()
         assert res.pvalue == 0.685
 
+    @pytest.mark.parametrize("tau", [0.3, 1.3, -0.45, 2.9, 5.5])
+    def test_swapped_arms_tie_at_nonzero_tau(self, tau):
+        # a draw that swaps every unit's arm imputes y + tau on one arm and
+        # y - tau on the other: a shift, so the variances are the observed
+        # ones exchanged and the draw must tie at every tau
+        y = np.array([0.9145, -0.0201, -1.2487, -0.3139,
+                      0.0541, 0.2728, -0.9822, -1.1074])
+        t = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        ds = Dataset(y=y, t=t, graph=build_graph(8, []))
+        mapping = CustomMapping(lambda i, tv, gr: 0, (0,))
+        rep = run_oracle_test(ds, mapping, CompleteRandomization(8, 4),
+                              NullSpec.constant(tau), epsilon=0.1, b=400,
+                              rng=np.random.default_rng(0), keep_draws=True)
+        (res,) = rep.cells
+        draws = np.asarray(rep.diagnostics["draw_treatments"]["0"])
+        stats = np.asarray(rep.diagnostics["draw_stats"]["0"])
+        kept = (draws == t).all(axis=1)
+        swapped = (draws == 1 - t).all(axis=1)
+        assert (kept.sum(), swapped.sum()) == (2, 6)
+        assert (stats[kept | swapped] == res.observed_stat).all()
+        focal = range(8)
+        obs = oracle_cell_stat(y, t, focal)
+        reaching = [same or oracle_cell_stat(oracle_imputed(y, t, d, tau), d, focal) >= obs
+                    for d, same in zip(draws, kept | swapped)]
+        assert res.pvalue == sum(reaching) / 400
+
 
 class TestPluginEngine:
     def test_report_carries_warning_and_provenance(self):

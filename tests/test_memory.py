@@ -62,6 +62,28 @@ ENUMERATION_CHILD = textwrap.dedent("""
 """)
 
 
+# ru_maxrss growth (MiB) across one permutation-variant call at N=3200
+PERMUTATION_CHILD = textwrap.dedent("""
+    import resource
+    import numpy as np
+    import netrand as nr
+
+    n = 3200
+    rng = np.random.default_rng(0)
+    graph = nr.generate_regular_graph(n, 5, rng)
+    t = np.zeros(n, dtype=np.int8)
+    t[rng.choice(n, n // 2, replace=False)] = 1
+    ds = nr.Dataset(y=rng.standard_normal(n), t=t, graph=graph)
+    mapping = nr.FractionThreshold(0.5, ">")
+    exposures = nr.compute_exposures(mapping, ds.t, ds.graph)
+    split = nr.make_balanced_split(ds, exposures, "by_exposure", rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    nr.run_permutation_variant(ds, mapping, "by_exposure", split, b=999, rng=rng)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print((after - before) / 1024)
+""")
+
+
 def _run_child(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -82,3 +104,9 @@ def test_enumeration_limit_is_checked_before_enumerating():
     name, seconds = proc.stdout.split()
     assert name == "ValueError"
     assert float(seconds) < 2.0
+
+
+def test_permutation_variant_scores_without_full_width_matrices():
+    proc = _run_child(PERMUTATION_CHILD)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout.split()[-1]) <= 40.0

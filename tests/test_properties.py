@@ -1,12 +1,14 @@
 """Property-based checks of the library's structural invariants."""
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import (TOY12_EPS, TOY12_MAPPING, make_toy12, neighbor_lists,
-                      oracle_exposure, oracle_focal, oracle_r)
+from fixtures import (TOY12_EPS, TOY12_MAPPING, direct_imputed_stats, make_toy12,
+                      neighbor_lists, oracle_exposure, oracle_focal, oracle_r)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import (ConditioningConfig, relative_frequency,
                                   sample_conditioning_set, superfocal_for_cell)
@@ -14,9 +16,11 @@ from netrand.data import Dataset
 from netrand.errors import AcceptanceBudgetExhausted
 from netrand.exposure import FractionThreshold
 from netrand.graph import build_graph
-from netrand.inference import adjust_multiple, empirical_pvalue, run_oracle_test
+from netrand.inference import (_imputed_stats, adjust_multiple, empirical_pvalue,
+                               run_oracle_test)
 from netrand.nullspec import NullSpec
-from netrand.stats import combined_stat, ts_per_exposure, variance_ratio
+from netrand.stats import (arm_variances, combined_stat, ts_per_exposure,
+                           variance_ratio)
 
 # dyadic rationals are exact in binary floating point, so identities that
 # are algebraically exact can be asserted with == rather than isclose
@@ -133,6 +137,75 @@ def test_equal_per_exposure_effects_match_the_constant_null(tau):
     flat, const = (r.to_dict() for r in reports)
     assert flat["cells"] == const["cells"]
     assert flat["diagnostics"]["draw_stats"] == const["diagnostics"]["draw_stats"]
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([(0.0, 1.0), (1e6, 1.0), (0.0, 2.0**-20)]),
+       st.lists(st.integers(-5 * 1024, 5 * 1024), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_scorer_matches_direct_imputation(seed, offset_scale, ks):
+    # the scorer's per-draw arm moments, evaluated at each tau, against
+    # imputing y + tau (t_new - t_obs) and taking its variances directly;
+    # the first two rows keep and swap every arm. y and tau sit on dyadic
+    # grids (scaled by about 1e-6 in one variant, tau with y), so the
+    # imputed outcomes are exact and the direct path is a sharp reference.
+    offset, scale = offset_scale
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 25))
+    t_obs = np.zeros(n, dtype=np.int8)
+    t_obs[rng.choice(n, n // 2, replace=False)] = 1
+    t_new = np.array([t_obs, 1 - t_obs] + [rng.permutation(t_obs) for _ in range(30)])
+    focal = rng.random(t_new.shape) < 0.8
+    focal[:2] = True
+    enough = [((focal & (t_new == arm)).sum(axis=1) >= 2) for arm in (0, 1)]
+    t_new, focal = t_new[enough[0] & enough[1]], focal[enough[0] & enough[1]]
+    y = offset + scale * np.round(rng.standard_normal(n) * 2**20) / 2**20
+    grid = [0.0] + [scale * k / 1024 for k in ks]
+    got = _imputed_stats(y, t_obs, t_new, focal, grid)
+    want = direct_imputed_stats(y, t_obs, t_new, focal, grid)
+    assert got.shape == (len(grid), len(t_new))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_scorer_is_exact_to_rounding_at_a_large_offset(seed):
+    # y = 1e6 + N(0, 1): the arm means carry rounding errors of about
+    # 1e-10, which the centered cross moment must not multiply by k
+    rng = np.random.default_rng(seed)
+    t_obs = np.zeros(16, dtype=np.int8)
+    t_obs[rng.choice(16, 8, replace=False)] = 1
+    t_new = np.array([rng.permutation(t_obs) for _ in range(10)])
+    focal = np.ones(t_new.shape, dtype=bool)
+    y = 1e6 + rng.standard_normal(16)
+    taus = [-2.0, 0.5, 3.0]
+    got = _imputed_stats(y, t_obs, t_new, focal, taus)
+    for g, tau in enumerate(taus):
+        for r, row in enumerate(t_new):
+            var = []
+            for arm in (1, 0):
+                z = [Fraction(y[i]) + Fraction(tau) * (int(row[i]) - int(t_obs[i]))
+                     for i in range(16) if row[i] == arm]
+                mean = sum(z) / len(z)
+                var.append(sum((v - mean) ** 2 for v in z) / (len(z) - 1))
+            exact = max(var[0] / var[1], var[1] / var[0])
+            assert abs(Fraction(got[g, r]) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("y6, stat", [(0.75, 1.0), (1.0, math.inf)])
+def test_closed_form_variance_is_exactly_zero_on_a_constant_arm(y6, stat):
+    # t_new moves units 4, 5 into arm 1 (d = +1) and units 2, 3 into arm 0
+    # (d = -1); at tau = 2 arm 1 imputes 0.5 on all four of its units, and
+    # arm 0 imputes 0.75 on all of its units when y6 = 0.75
+    y = np.array([0.5, 0.5, 2.75, 2.75, -1.5, -1.5, y6, 0.75])
+    t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+    t_new = np.array([[1, 1, 0, 0, 1, 1, 0, 0]])
+    focal = np.ones((1, 8), dtype=bool)
+    v1 = arm_variances(y, focal & (t_new == 1), [0.0, 2.0], t_obs != 1, 1.0)
+    assert v1[1, 0] == 0.0
+    assert v1[0, 0] > 0.0
+    got = _imputed_stats(y, t_obs, t_new, focal, [2.0])
+    assert got[0, 0] == stat
+    assert direct_imputed_stats(y, t_obs, t_new, focal, [2.0])[0, 0] == stat
 
 
 @given(graph_with_assignment(n_assignments=2))
