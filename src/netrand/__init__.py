@@ -2,10 +2,10 @@
 under network interference."""
 
 from .assignment import CompleteRandomization, StratifiedComplete
-from .conditioning import (ConditioningConfig, Draws, SuperFocalSet, cell_mask,
-                           epsilon_feasibility, relative_frequency,
-                           sample_conditioning_set, select_observed_focal,
-                           superfocal_for_cell)
+from .conditioning import (ConditioningConfig, Draws, SuperFocalSet, arm_counts,
+                           cell_mask, epsilon_feasibility, family_cells,
+                           relative_frequency, sample_conditioning_set,
+                           select_observed_focal, superfocal_for_cell)
 from .data import Dataset, ingest, read_nodes_csv
 from .exposure import (CustomMapping, ExposureVector, FractionThreshold,
                        WeightedThreshold, compute_exposures,
@@ -13,7 +13,7 @@ from .exposure import (CustomMapping, ExposureVector, FractionThreshold,
 from .graph import (DegreeDiagnostics, Graph, build_graph, degree_diagnostics,
                     overlap_check, read_edge_csv)
 from .inference import (CIConfig, TestReport, adjust_multiple,
-                        empirical_pvalue, estimate_tau_plugin, family_cells,
+                        empirical_pvalue, estimate_tau_plugin,
                         make_balanced_split, neyman_interval, run_ci_test,
                         run_oracle_test, run_permutation_variant,
                         run_plugin_test, run_ss_test)
@@ -26,7 +26,7 @@ from . import errors
 
 __all__ = [
     "CompleteRandomization", "StratifiedComplete",
-    "ConditioningConfig", "Draws", "SuperFocalSet", "cell_mask",
+    "ConditioningConfig", "Draws", "SuperFocalSet", "arm_counts", "cell_mask",
     "epsilon_feasibility", "relative_frequency",
     "sample_conditioning_set", "select_observed_focal", "superfocal_for_cell",
     "Dataset", "ingest", "read_nodes_csv",

@@ -9,11 +9,13 @@ expected focal count across draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
-                     EmptySuperFocal)
+                     DataError, EmptySuperFocal, MissingParameter)
+from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 
 Cell = tuple  # (pi,) or (pi, x_level)
 
@@ -22,15 +24,39 @@ Cell = tuple  # (pi,) or (pi, x_level)
 MAX_BATCH_CELLS = 1 << 24
 
 
+def family_cells(family: str, values: Sequence, x_levels: Sequence = ()) -> list[Cell]:
+    """A null family's cells: (pi,) per exposure value, or (pi, x_level)
+    per value and covariate level (x_levels is empty without a covariate)."""
+    if family in (CONSTANT_ALL, BY_EXPOSURE):
+        return [(v,) for v in values]
+    if family == BY_EXPOSURE_COVARIATE:
+        if not x_levels:
+            raise DataError("per-cell families require a covariate column")
+        return [(v, l) for v in values for l in x_levels]
+    raise MissingParameter(f"family {family!r} has no testable cell structure")
+
+
 def cell_mask(pi: np.ndarray, cell: Cell, x: np.ndarray | None = None) -> np.ndarray:
     """Units whose exposure equals the cell's value and, for an
-    (exposure, covariate) cell, whose covariate equals its level."""
+    (exposure, covariate) cell, whose covariate equals its level. The
+    empty cell (), the constant family's effect key, holds every unit."""
+    if not cell:
+        return np.ones(len(pi), dtype=bool)
     mask = np.asarray(pi) == cell[0]
     if len(cell) == 2:
         if x is None:
             raise ValueError(f"cell {cell} names a covariate level but x is missing")
         mask = mask & (np.asarray(x) == cell[1])
     return mask
+
+
+def arm_counts(pi: np.ndarray, cells: Sequence[Cell], t: np.ndarray,
+               x: np.ndarray | None = None, within: np.ndarray | None = None) -> np.ndarray:
+    """(len(cells), 2) counts of each cell's units in arm 0 and in arm 1,
+    only those in within when given."""
+    arms = [(np.asarray(t) == arm) & (True if within is None else within) for arm in (0, 1)]
+    return np.array([[int((cell_mask(pi, c, x) & a).sum()) for a in arms]
+                     for c in cells], dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -96,23 +122,21 @@ class Draws:
 class ConditioningDiagnostics:
     n_candidates: int
     n_accepted: int
-    cells: list
     failure_counts: dict
 
     @property
     def acceptance_rate(self) -> float:
-        if self.n_candidates == 0:
-            return 0.0
-        return self.n_accepted / self.n_candidates
+        return self.n_accepted / max(self.n_candidates, 1)
 
 
-def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
+def sample_conditioning_set(mechanism, dataset, exposures,
                             config: ConditioningConfig, b: int,
                             rng: np.random.Generator):
     """Draw b i.i.d. vectors from the conditioning set by rejection.
 
-    A candidate from the mechanism is accepted when, for every cell in
-    config.cells and both arms, the relative frequency of retained
+    exposures is the observed ExposureVector, whose mapping also gives
+    each candidate's exposures. A candidate is accepted when, for every
+    cell in config.cells and both arms, the relative frequency of retained
     super-focal units strictly exceeds epsilon. Returns the accepted
     draws as one Draws record plus diagnostics. Raises
     AcceptanceBudgetExhausted (naming the worst inequality) when
@@ -127,10 +151,9 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    pi_obs = np.asarray(exposures_obs.values if hasattr(exposures_obs, "values")
-                        else exposures_obs)
     cells = list(config.cells)
-    masks = [superfocal_for_cell(pi_obs, c, dataset.x).indicator for c in cells]
+    masks = [superfocal_for_cell(exposures.values, c, dataset.x).indicator
+             for c in cells]
     counts = [int(mask.sum()) for mask in masks]
 
     budget = b * config.max_attempts_per_accept
@@ -155,7 +178,7 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
             m = int(np.ceil((need + np.sqrt(need)) / acc_est))
         m = min(m, max_rows, budget - attempts)
         t_batch = mechanism.draw_batch(m, rng)
-        pi_batch = mapping.compute_batch(t_batch, dataset.graph)
+        pi_batch = exposures.mapping.compute_batch(t_batch, dataset.graph)
         ok = np.ones(m, dtype=bool)
         focal = np.zeros((m, dataset.n), dtype=bool)
         for c, mask, cnt in zip(cells, masks, counts):
@@ -173,7 +196,7 @@ def sample_conditioning_set(mechanism, dataset, exposures_obs, mapping,
 
     draws = Draws(*(np.concatenate(col) for col in zip(*blocks)))
     diag = ConditioningDiagnostics(n_candidates=attempts, n_accepted=b,
-                                   cells=cells, failure_counts=fail_counts)
+                                   failure_counts=fail_counts)
     return draws, diag
 
 
@@ -214,27 +237,17 @@ def select_observed_focal(superfocal: SuperFocalSet, focal: np.ndarray,
         f"no selection with >= {min_per_arm} units per arm in {max_retries} tries")
 
 
-def epsilon_feasibility(dataset, exposures_obs, use_covariate: bool = False) -> float:
+def epsilon_feasibility(dataset, exposures, use_covariate: bool = False) -> float:
     """Recommended upper bound for epsilon: the smallest joint empirical
-    cell proportion Pr(T=t, Pi=pi[, X=x]) over arms and observed cells.
+    cell proportion Pr(T=t, Pi=pi[, X=x]) over arms and the cells of the
+    mapping's declared values.
 
     Declared cells with no units at all are skipped: they cannot be
     tested at any epsilon, so they carry no information about the bound.
     """
-    pi = np.asarray(exposures_obs.values if hasattr(exposures_obs, "values")
-                    else exposures_obs)
-    mapping_values = exposures_obs.mapping.values if hasattr(exposures_obs, "mapping") else sorted(set(pi.tolist()))
-    if use_covariate:
-        if dataset.x is None:
-            raise ValueError("use_covariate=True but dataset has no covariate")
-        cells = [(v, l) for v in mapping_values for l in dataset.x_levels]
-    else:
-        cells = [(v,) for v in mapping_values]
-    best = 1.0
-    for cell in cells:
-        m = cell_mask(pi, cell, dataset.x)
-        if not m.any():
-            continue
-        for arm in (0, 1):
-            best = min(best, int((m & (dataset.t == arm)).sum()) / dataset.n)
-    return best
+    if use_covariate and dataset.x is None:
+        raise ValueError("use_covariate=True but dataset has no covariate")
+    cells = family_cells(BY_EXPOSURE_COVARIATE if use_covariate else BY_EXPOSURE,
+                         exposures.mapping.values, dataset.x_levels)
+    counts = arm_counts(exposures.values, cells, dataset.t, dataset.x)
+    return min([1.0] + (counts[counts.sum(axis=1) > 0] / dataset.n).ravel().tolist())

@@ -25,7 +25,7 @@ class Dataset:
     x: np.ndarray | None = None
     strata: np.ndarray | None = None
     weights: np.ndarray | None = None
-    _x_levels: tuple = field(init=False, repr=False, default=())
+    x_levels: tuple = field(init=False, repr=False, default=())  # sorted labels of x
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
@@ -49,15 +49,11 @@ class Dataset:
         if self.weights is not None:
             self.weights = self.weights.astype(np.float64)
         if self.x is not None:
-            self._x_levels = tuple(sorted(np.unique(self.x).tolist()))
+            self.x_levels = tuple(sorted(np.unique(self.x).tolist()))
 
     @property
     def n(self) -> int:
         return self.graph.n_units
-
-    @property
-    def x_levels(self) -> tuple:
-        return self._x_levels
 
 
 def read_nodes_csv(path) -> dict[str, np.ndarray]:

@@ -11,9 +11,10 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .conditioning import cell_mask
+from .conditioning import arm_counts, family_cells
 from .errors import MappingFailure
 from .graph import Graph
+from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE
 
 ExposureValue = Hashable
 
@@ -32,7 +33,7 @@ def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
     order = graph.slots[0]
     unit_major = np.empty_like(exposed)
     unit_major[order] = exposed
-    return np.ascontiguousarray(unit_major.T, dtype=np.int64)
+    return np.ascontiguousarray(unit_major.T)
 
 
 @dataclass(frozen=True)
@@ -163,28 +164,16 @@ class CellCounts:
 def exposure_cell_counts(exposures: ExposureVector, t: np.ndarray,
                          x: np.ndarray | None = None) -> CellCounts:
     """Cell counts N_k, N_{t,k} and, with a covariate, N_{k,l}, N_{t,k,l}."""
-    pi = np.asarray(exposures.values)
-    t = np.asarray(t)
-    n = len(pi)
-    by_exp = {}
-    by_arm = {}
-    for v in exposures.mapping.values:
-        m = cell_mask(pi, (v,))
-        by_exp[v] = int(m.sum())
-        for arm in (0, 1):
-            by_arm[(arm, v)] = int((m & (t == arm)).sum())
-    by_cov = None
-    by_arm_cov = None
-    if x is not None:
-        x = np.asarray(x)
-        by_cov = {}
-        by_arm_cov = {}
-        for v in exposures.mapping.values:
-            for lvl in sorted(np.unique(x).tolist()):
-                m = cell_mask(pi, (v, lvl), x)
-                by_cov[(v, lvl)] = int(m.sum())
-                for arm in (0, 1):
-                    by_arm_cov[(arm, v, lvl)] = int((m & (t == arm)).sum())
-    return CellCounts(n=n, by_exposure=by_exp, by_arm_exposure=by_arm,
-                      by_exposure_covariate=by_cov,
+
+    def tally(cells):
+        counts = arm_counts(exposures.values, cells, t, x).tolist()
+        return ({(c if len(c) == 2 else c[0]): sum(row) for c, row in zip(cells, counts)},
+                {(arm, *c): k for c, row in zip(cells, counts)
+                 for arm, k in enumerate(row)})
+
+    by_exp, by_arm = tally(family_cells(BY_EXPOSURE, exposures.mapping.values))
+    by_cov, by_arm_cov = (None, None) if x is None else tally(family_cells(
+        BY_EXPOSURE_COVARIATE, exposures.mapping.values, sorted(np.unique(x).tolist())))
+    return CellCounts(n=len(exposures.values), by_exposure=by_exp,
+                      by_arm_exposure=by_arm, by_exposure_covariate=by_cov,
                       by_arm_exposure_covariate=by_arm_cov)

@@ -11,8 +11,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .conditioning import cell_mask
+from .conditioning import arm_counts, family_cells
 from .errors import EmptyCell, IndexOutOfRange, ParseError, SelfLoop
+from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import Dataset
@@ -242,25 +243,15 @@ def overlap_check(dataset: "Dataset", exposures: "ExposureVector",
     """
     if not 0.0 < eta < 0.5:
         raise ValueError(f"eta must be in (0, 0.5), got {eta}")
-    pi = np.asarray(exposures.values)
-    t = dataset.t
-    x = dataset.x
-    strata: list[tuple] = []
-    for v in exposures.mapping.values:
-        if x is None:
-            strata.append((v,))
-        else:
-            for lvl in dataset.x_levels:
-                strata.append((v, lvl))
+    family = BY_EXPOSURE if dataset.x is None else BY_EXPOSURE_COVARIATE
+    strata = family_cells(family, exposures.mapping.values, dataset.x_levels)
+    counts = arm_counts(exposures.values, strata, dataset.t, dataset.x).tolist()
     cells = []
-    for cell in strata:
-        mask = cell_mask(pi, cell, x)
-        denom = int(mask.sum())
-        if denom == 0:
+    for cell, row in zip(strata, counts):
+        if sum(row) == 0:
             raise EmptyCell(f"stratum {cell} has zero units")
-        for arm in (0, 1):
-            cnt = int((mask & (t == arm)).sum())
-            prop = cnt / denom
+        for arm, cnt in enumerate(row):
+            prop = cnt / sum(row)
             cells.append(OverlapCell(arm=arm, cell=cell, count=cnt,
                                      proportion=prop,
                                      passed=eta < prop < 1.0 - eta))

@@ -16,24 +16,24 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .conditioning import (Cell, ConditioningConfig, SuperFocalSet, cell_mask,
-                           sample_conditioning_set, select_observed_focal,
-                           superfocal_for_cell)
+from .conditioning import (Cell, ConditioningConfig, SuperFocalSet, arm_counts,
+                           cell_mask, family_cells, sample_conditioning_set,
+                           select_observed_focal, superfocal_for_cell)
 from .data import Dataset
-from .errors import (DataError, DegenerateInterval, EmptyArm, MissingParameter,
+from .errors import (DegenerateInterval, EmptyArm, MissingParameter,
                      SplitInfeasible, TooFewUnits)
 from .exposure import ExposureVector, compute_exposures
-from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
-                       GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
-                       NullSpec)
+from .nullspec import (GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
+                       NullSpec, effect_key)
 from .stats import arm_variances, combined_stat, ratio_stat_rows
 
 MIN_OBSERVED_FOCAL = 4  # two per arm is the least that gives two variances
 ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
+TOTAL_GRID_BUDGET = 400  # most points of a combined-mode CI product grid
 
 
 def empirical_pvalue(observed, draw_stats):
@@ -44,16 +44,6 @@ def empirical_pvalue(observed, draw_stats):
     if stats.shape[-1] < 1:
         raise ValueError("need at least one draw statistic")
     return np.mean(stats >= float(observed), axis=-1).tolist()
-
-
-def family_cells(family: str, values: Sequence, x_levels: Sequence | None) -> list[Cell]:
-    if family in (CONSTANT_ALL, BY_EXPOSURE):
-        return [(v,) for v in values]
-    if family == BY_EXPOSURE_COVARIATE:
-        if not x_levels:
-            raise DataError("per-cell families require a covariate column")
-        return [(v, l) for v in values for l in x_levels]
-    raise MissingParameter(f"family {family!r} has no testable cell structure")
 
 
 def _imputed_stats(y, t_obs, t_new, focal, taus) -> np.ndarray:
@@ -207,29 +197,23 @@ def adjust_multiple(pvalues: Mapping, alpha: float, method: str) -> AdjustResult
 def estimate_tau_plugin(dataset: Dataset, exposures: ExposureVector, family: str,
                         mask: np.ndarray | None = None,
                         provenance: str = PLUGIN) -> NuisanceParams:
-    """Difference-in-means effect estimates: pooled for the constant
-    family, otherwise per cell. Raises EmptyArm when a cell lacks an arm."""
-    pi = np.asarray(exposures.values)
+    """Difference-in-means estimate of each effect value, over the units of
+    its key: pooled for the constant family, otherwise per cell. Raises
+    EmptyArm when a key's units lack an arm."""
     sel = np.ones(dataset.n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     y, t = dataset.y, dataset.t
 
-    def dim(in_cell, label) -> float:
-        m1 = in_cell & (t == 1) & sel
-        m0 = in_cell & (t == 0) & sel
+    def dim(key) -> float:
+        in_key = cell_mask(exposures.values, key, dataset.x) & sel
+        m1, m0 = in_key & (t == 1), in_key & (t == 0)
         if not m1.any() or not m0.any():
-            raise EmptyArm(f"no {'treated' if not m1.any() else 'control'} units for {label}")
+            raise EmptyArm(f"no {'treated' if not m1.any() else 'control'} units for "
+                           f"{f'cell {key}' if key else 'pooled sample'}")
         return float(y[m1].mean() - y[m0].mean())
 
-    if family == CONSTANT_ALL:
-        values = {(): dim(np.ones(dataset.n, dtype=bool), "pooled sample")}
-    else:
-        cells = family_cells(family, exposures.mapping.values, dataset.x_levels or None)
-        values = {c: dim(cell_mask(pi, c, dataset.x), f"cell {c}") for c in cells}
-    return NuisanceParams(values=values, provenance=provenance)
-
-
-def _tau_lookup(null: NullSpec, cell: Cell) -> float:
-    return null.tau_for(cell[0], cell[1] if len(cell) == 2 else None)
+    cells = family_cells(family, exposures.mapping.values, dataset.x_levels)
+    keys = dict.fromkeys(effect_key(family, c) for c in cells)
+    return NuisanceParams(values={k: dim(k) for k in keys}, provenance=provenance)
 
 
 def _attach_decisions(report: TestReport, pvals: dict, alpha: float) -> None:
@@ -245,25 +229,25 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
 
 
-def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
-               gamma, *, epsilon, b, rng, stat, alpha, max_attempts,
-               keep_draws, inf_mask=None):
-    """The conditional randomization test over a grid of effect values:
-    multiple mode samples each cell's conditioning set on its own,
-    combined mode one set satisfying every cell's inequalities. Each
-    cell's focal units are restricted to inf_mask when given."""
+def _grid_test(technique, dataset, exposures, mechanism, family, axes, gamma,
+               *, epsilon, b, rng, stat, alpha, max_attempts, keep_draws,
+               inf_mask=None):
+    """The conditional randomization test over a grid of effect values,
+    given the observed ExposureVector and each effect key's axis: multiple
+    mode samples each cell's conditioning set on its own, combined mode
+    one set satisfying every cell's inequalities. Each cell's focal units
+    are restricted to inf_mask when given."""
     _check_stat(stat)
-    cells = list(cell_axis)
-    pi_obs = compute_exposures(mapping, dataset.t, dataset.graph).values
+    cells = family_cells(family, exposures.mapping.values, dataset.x_levels)
     groups = [(c,) for c in cells] if stat == "multiple" else [tuple(cells)]
     runs = []
     for group in groups:
         cfg = ConditioningConfig(epsilon=epsilon, cells=group,
                                  max_attempts_per_accept=max_attempts)
-        draws, diag = sample_conditioning_set(mechanism, dataset, pi_obs,
-                                              mapping, cfg, b, rng)
+        draws, diag = sample_conditioning_set(mechanism, dataset, exposures,
+                                              cfg, b, rng)
         for cell in group:
-            sf = superfocal_for_cell(pi_obs, cell, dataset.x)
+            sf = superfocal_for_cell(exposures.values, cell, dataset.x)
             if inf_mask is not None:
                 sf = SuperFocalSet(indicator=sf.indicator & inf_mask, cell=cell)
             focal = draws.focal & sf.indicator
@@ -275,26 +259,27 @@ def _grid_test(technique, dataset, mapping, mechanism, family, axes, cell_axis,
             fobs = select_observed_focal(sf, focal, dataset.t, rng, min_per_arm=2)
             runs.append((cell, sf.n, draws.t, focal, fobs, mean_focal,
                          diag.acceptance_rate))
-    return _score_grid(technique, dataset, family, pi_obs, runs, axes,
-                       cell_axis, gamma, b=b, epsilon=epsilon, stat=stat,
-                       alpha=alpha, keep_draws=keep_draws)
+    return _score_grid(technique, dataset, family, exposures.values, runs, axes,
+                       gamma, b=b, epsilon=epsilon, stat=stat, alpha=alpha,
+                       keep_draws=keep_draws)
 
 
-def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
-                gamma, *, b, epsilon, stat, alpha, keep_draws):
+def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
+                b, epsilon, stat, alpha, keep_draws):
     """Score the draws of every test and build its report.
 
     Each run is (cell, n_superfocal, t_new, focal, fobs, mean_focal,
     acceptance_rate): (b, N) treatment rows, the cell's focal units under
     each (or one broadcast row), and the observed focal units. A draw
-    imputes z = y + tau (t_new - t_obs) at each tau of its cell's axis,
-    axes[cell_axis[cell]], scored on the columns its cell's focal rows or
-    observed focal units hold. A cell's p-value is the largest over its
-    axis plus gamma, the combined one the largest over the product of the
-    axes plus gamma; fixed effects are the one-point grid with gamma = 0.
+    imputes z = y + tau (t_new - t_obs) at each tau of the axis of its
+    cell's effect key, axes[effect_key(family, cell)], scored on the
+    columns its cell's focal rows or observed focal units hold. A cell's
+    p-value is the largest over its axis plus gamma, the combined one the
+    largest over the product of the axes plus gamma; fixed effects are the
+    one-point grid with gamma = 0.
     Returns the report and the grid evaluations behind its p-values.
     """
-    cells = list(cell_axis)
+    cells = [run[0] for run in runs]
     report = TestReport(technique=technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon)
     y, t_obs = dataset.y, dataset.t
@@ -305,7 +290,7 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
         # the observed statistic is a one-row batch of the same kernel, so a
         # draw that keeps or swaps the observed arms ties with it exactly
         obs = float(_imputed_stats(yc, tc, tc[None, :], fobs[None, cols], [0.0])[0, 0])
-        grid = axes[cell_axis[cell]]
+        grid = axes[effect_key(family, cell)]
         stats[cell] = _imputed_stats(yc, tc, t_new[:, cols], focal[:, cols], grid)
         ps = empirical_pvalue(obs, stats[cell])
         best = int(np.argmax(ps))
@@ -322,8 +307,8 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
         _attach_decisions(report, pvals, alpha)
     else:
         # each cell weighs its share of the observed units
-        weights = [int(cell_mask(pi_obs, c, dataset.x).sum()) / dataset.n
-                   for c in cells]
+        weights = (arm_counts(pi_obs, cells, dataset.t, dataset.x).sum(axis=1)
+                   / dataset.n).tolist()
         obs = combined_stat(weights, [observed[c] for c in cells])
         # every point of the product grid at once: cell c's (G, b) rows lie
         # along its own axis and broadcast over the others
@@ -332,7 +317,7 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, cell_axis,
 
         def along_axis(c):
             s = [1] * len(keys) + [b]
-            s[keys.index(cell_axis[c])] = -1
+            s[keys.index(effect_key(family, c))] = -1
             return stats[c].reshape(s)
 
         total = combined_stat(weights, [along_axis(c) for c in cells])
@@ -366,13 +351,14 @@ def _nuisance_diag(nuisance: NuisanceParams) -> dict:
             "values": {_cell_key(k): v for k, v in nuisance.values.items()}}
 
 
-def _run_fixed_tau_test(technique, dataset, mapping, mechanism, null, *,
+def _run_fixed_tau_test(technique, dataset, exposures, mechanism, null, *,
                         epsilon, b, rng, stat, alpha, max_attempts,
                         keep_draws, inf_mask=None, extra_diag=None):
-    cells = family_cells(null.family, mapping.values, dataset.x_levels or None)
+    cells = family_cells(null.family, exposures.mapping.values, dataset.x_levels)
+    keys = [effect_key(null.family, c) for c in cells]
     report, _ = _grid_test(
-        technique, dataset, mapping, mechanism, null.family,
-        {c: [_tau_lookup(null, c)] for c in cells}, {c: c for c in cells}, 0.0,
+        technique, dataset, exposures, mechanism, null.family,
+        {k: [null.nuisance.get(k)] for k in keys}, 0.0,
         epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
         max_attempts=max_attempts, keep_draws=keep_draws, inf_mask=inf_mask)
     report.diagnostics = {"nuisance": _nuisance_diag(null.nuisance),
@@ -389,7 +375,8 @@ def run_oracle_test(dataset: Dataset, mapping, mechanism, null: NullSpec, *,
     if null.family == GENERAL:
         raise MissingParameter(
             "general hypotheses are representable but not testable")
-    return _run_fixed_tau_test("oracle", dataset, mapping, mechanism, null,
+    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
+    return _run_fixed_tau_test("oracle", dataset, exposures, mechanism, null,
                                epsilon=epsilon, b=b, rng=rng, stat=stat,
                                alpha=alpha, max_attempts=max_attempts_per_accept,
                                keep_draws=keep_draws)
@@ -409,7 +396,7 @@ def run_plugin_test(dataset: Dataset, mapping, mechanism, family: str, *,
     nuisance = estimate_tau_plugin(dataset, exposures, family)
     null = NullSpec(family, nuisance)
     return _run_fixed_tau_test(
-        "plugin", dataset, mapping, mechanism, null,
+        "plugin", dataset, exposures, mechanism, null,
         epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
         max_attempts=max_attempts_per_accept, keep_draws=keep_draws,
         extra_diag={"warning": "plug-in nuisance estimates reuse the full "
@@ -425,18 +412,18 @@ class SplitResult:
 
 def make_balanced_split(dataset: Dataset, exposures: ExposureVector, family: str,
                         rng: np.random.Generator) -> SplitResult:
-    """Half-split stratified on (treatment, exposure[, covariate]) so both
-    halves preserve the joint cell composition; odd cells flip a coin."""
-    pi = np.asarray(exposures.values)
-    keys = [tuple(k) for k in zip(dataset.t.tolist(), pi.tolist())]
-    if family == BY_EXPOSURE_COVARIATE:
-        if dataset.x is None:
-            raise DataError("per-cell families require a covariate column")
-        keys = [k + (x,) for k, x in zip(keys, dataset.x.tolist())]
+    """Half-split stratified on (treatment, family cell) so both halves
+    preserve the joint cell composition; odd strata flip a coin. Strata
+    are taken arm by arm in sorted cell order, empty ones skipped."""
+    cells = sorted(family_cells(family, exposures.mapping.values, dataset.x_levels))
     est = np.zeros(dataset.n, dtype=bool)
-    strata = sorted(set(keys))
-    for s in strata:
-        idx = np.array([i for i, k in enumerate(keys) if k == s])
+    strata = []
+    for arm, cell in itertools.product((0, 1), cells):
+        idx = np.flatnonzero(cell_mask(exposures.values, cell, dataset.x)
+                             & (dataset.t == arm))
+        if not len(idx):
+            continue
+        strata.append((arm, *cell))
         idx = rng.permutation(idx)
         half = len(idx) // 2
         if len(idx) % 2 == 1 and rng.random() < 0.5:
@@ -446,14 +433,14 @@ def make_balanced_split(dataset: Dataset, exposures: ExposureVector, family: str
 
 
 def _check_split(dataset, pi_obs, cells, split):
-    t = dataset.t
-    for cell in cells:
-        m = cell_mask(pi_obs, cell, dataset.x)
+    est, inf = (arm_counts(pi_obs, cells, dataset.t, dataset.x, within=side)
+                for side in (split.est_mask, split.inf_mask))
+    for cell, n_est, n_inf in zip(cells, est, inf):
         for arm in (0, 1):
-            if not (m & (t == arm) & split.est_mask).any():
+            if n_est[arm] == 0:
                 raise SplitInfeasible(
                     f"estimation side of cell {cell} has no arm-{arm} units")
-            if int((m & (t == arm) & split.inf_mask).sum()) < 2:
+            if n_inf[arm] < 2:
                 raise SplitInfeasible(
                     f"inference side of cell {cell} has fewer than 2 arm-{arm} units")
 
@@ -470,7 +457,7 @@ def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
     units) are restricted to the inference half.
     """
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    cells = family_cells(family, mapping.values, dataset.x_levels or None)
+    cells = family_cells(family, mapping.values, dataset.x_levels)
     split = make_balanced_split(dataset, exposures, family, split_rng)
     _check_split(dataset, exposures.values, cells, split)
     nuisance = estimate_tau_plugin(dataset, exposures, family,
@@ -481,7 +468,7 @@ def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
         "n_estimation": int(split.est_mask.sum()),
         "n_inference": int(split.inf_mask.sum()),
     }}
-    return _run_fixed_tau_test("ss", dataset, mapping, mechanism, null,
+    return _run_fixed_tau_test("ss", dataset, exposures, mechanism, null,
                                epsilon=epsilon, b=b, rng=rng, stat=stat,
                                alpha=alpha, max_attempts=max_attempts_per_accept,
                                keep_draws=keep_draws, inf_mask=split.inf_mask,
@@ -492,7 +479,6 @@ def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
 class CIConfig:
     gamma: float = 0.001
     grid_size: int = 20
-    total_grid_budget: int = 400
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -532,23 +518,22 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
     units whose difference in means estimates it (all units for the
     constant family). Multiple mode scans each cell's own axis at
     grid_size points; combined mode scans the product of the axes, with
-    points per axis cut so the product stays within total_grid_budget.
+    points per axis cut so the product stays within TOTAL_GRID_BUDGET.
     """
-    cells = family_cells(family, mapping.values, dataset.x_levels or None)
-    pi_obs = compute_exposures(mapping, dataset.t, dataset.graph).values
-    cell_axis = {c: () if family == CONSTANT_ALL else c for c in cells}
-    keys = list(dict.fromkeys(cell_axis.values()))
+    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
+    cells = family_cells(family, mapping.values, dataset.x_levels)
+    keys = list(dict.fromkeys(effect_key(family, c) for c in cells))
     level = 1.0 - ci.gamma / len(keys)  # Bonferroni joint coverage >= 1 - gamma
     m_axis = ci.grid_size
-    truncated = stat == "combined" and m_axis ** len(keys) > ci.total_grid_budget
+    truncated = stat == "combined" and m_axis ** len(keys) > TOTAL_GRID_BUDGET
     if truncated:
-        m_axis = max(2, int(ci.total_grid_budget ** (1.0 / len(keys))))
+        m_axis = max(2, int(TOTAL_GRID_BUDGET ** (1.0 / len(keys))))
     intervals = {k: neyman_interval(dataset.y, dataset.t, level,
-                                    cell_mask(pi_obs, k, dataset.x) if k else None)  # () pools all units
+                                    cell_mask(exposures.values, k, dataset.x))
                  for k in keys}
     axes = {k: np.linspace(lo, hi, m_axis) for k, (lo, hi, _) in intervals.items()}
     report, grid_evals = _grid_test(
-        "ci", dataset, mapping, mechanism, family, axes, cell_axis, ci.gamma,
+        "ci", dataset, exposures, mechanism, family, axes, ci.gamma,
         epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
         max_attempts=max_attempts_per_accept, keep_draws=keep_draws)
     report.diagnostics["ci"] = {
@@ -609,18 +594,19 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
     """
     _check_stat(stat)
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    cells = family_cells(family, mapping.values, dataset.x_levels or None)
+    cells = family_cells(family, mapping.values, dataset.x_levels)
     nuisance = estimate_tau_plugin(dataset, exposures, family,
                                    mask=split.est_mask, provenance=SPLIT_ESTIMATE)
-    null = NullSpec(family, nuisance)
+    taus = [nuisance.get(effect_key(family, c)) for c in cells]
     t = dataset.t
     masks = [cell_mask(exposures.values, c, dataset.x) & split.inf_mask for c in cells]
     units = [np.flatnonzero(m) for m in masks]
+    counts = arm_counts(exposures.values, cells, t, dataset.x, within=split.inf_mask)
     adjusted = dataset.y.copy()
-    for cell, m in zip(cells, masks):
-        if min(np.bincount(t[m], minlength=2)) < 2:
+    for cell, m, tau, n_arms in zip(cells, masks, taus, counts):
+        if n_arms.min() < 2:
             raise TooFewUnits(f"cell {cell}: the inference side needs >= 2 units per arm")
-        adjusted[m] -= _tau_lookup(null, cell) * t[m]
+        adjusted[m] -= tau * t[m]
 
     if b is None:
         total = math.prod(math.factorial(len(idx)) for idx in units)
@@ -643,10 +629,10 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
             for c, idx, m in zip(cells, units, masks)]
     report, _ = _score_grid(
         "permutation", replace(dataset, y=adjusted), family, exposures.values,
-        runs, {c: [0.0] for c in cells}, {c: c for c in cells}, 0.0,
+        runs, {effect_key(family, c): [0.0] for c in cells}, 0.0,
         b=len(t_new), epsilon=float("nan"), stat=stat, alpha=alpha,
         keep_draws=keep_draws)
-    for res in report.cells:
-        res.tau = _tau_lookup(null, res.cell)
+    for res, tau in zip(report.cells, taus):
+        res.tau = tau
     report.diagnostics = {"nuisance": _nuisance_diag(nuisance), **report.diagnostics}
     return report

@@ -28,6 +28,12 @@ PLUGIN = "plugin"
 SPLIT_ESTIMATE = "split_estimate"
 
 
+def effect_key(family: str, cell: tuple) -> tuple:
+    """Key of a cell's effect value: () under constant_all, whose one
+    effect holds in every cell, and the cell itself otherwise."""
+    return () if family == CONSTANT_ALL else tuple(cell)
+
+
 @dataclass(frozen=True)
 class NuisanceParams:
     """Effect values keyed by cell: () for a single constant, (pi,) per
@@ -79,12 +85,10 @@ class NullSpec:
         return cls(GENERAL, None, descriptor=descriptor)
 
     def tau_for(self, pi, x=None) -> float:
-        if self.family == CONSTANT_ALL:
-            return self.nuisance.get(())
-        if self.family == BY_EXPOSURE:
-            return self.nuisance.get((pi,))
-        if self.family == BY_EXPOSURE_COVARIATE:
-            if x is None:
-                raise MissingParameter("family needs a covariate level for lookup")
-            return self.nuisance.get((pi, x))
-        raise MissingParameter("general hypotheses carry no effect values")
+        """Effect value at exposure pi (and, per cell, covariate level x)."""
+        if self.family == GENERAL:
+            raise MissingParameter("general hypotheses carry no effect values")
+        if self.family == BY_EXPOSURE_COVARIATE and x is None:
+            raise MissingParameter("family needs a covariate level for lookup")
+        cell = (pi, x) if self.family == BY_EXPOSURE_COVARIATE else (pi,)
+        return self.nuisance.get(effect_key(self.family, cell))

@@ -21,7 +21,7 @@ from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
 from netrand.inference import family_cells
 from netrand.assignment import CompleteRandomization
 from netrand.data import Dataset
-from netrand.exposure import FractionThreshold, compute_exposures
+from netrand.exposure import ExposureVector, FractionThreshold, compute_exposures
 from netrand.graph import build_graph
 
 # the three vectors of the 4-path instance below that keep at least one
@@ -122,8 +122,8 @@ class TestFocalIndicator:
         for v in (0, 1):
             cfg = ConditioningConfig(epsilon=0.1, cells=((v,),))
             draws, _ = sample_conditioning_set(
-                CompleteRandomization(10, 5), ds, pi_obs, TEN_MAPPING, cfg, 20,
-                np.random.default_rng(4))
+                CompleteRandomization(10, 5), ds, ExposureVector(pi_obs, TEN_MAPPING),
+                cfg, 20, np.random.default_rng(4))
             sf = superfocal_for_cell(pi_obs, (v,))
             for t, f in zip(draws.t.tolist(), draws.focal):
                 assert not (f & ~sf.indicator).any()
@@ -146,7 +146,7 @@ class TestSampler:
         assert set(oracle) == LINE4_CELL1_SET
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         draws, diag = sample_conditioning_set(
-            CompleteRandomization(4, 2), ds, pi, TEN_MAPPING, cfg, 300,
+            CompleteRandomization(4, 2), ds, pi, cfg, 300,
             np.random.default_rng(0))
         got = Counter(tuple(int(v) for v in row) for row in draws.t)
         assert set(got) == LINE4_CELL1_SET
@@ -159,7 +159,7 @@ class TestSampler:
         ds, pi = self._line4()
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         draws, _ = sample_conditioning_set(
-            CompleteRandomization(4, 2), ds, pi, TEN_MAPPING, cfg, 50,
+            CompleteRandomization(4, 2), ds, pi, cfg, 50,
             np.random.default_rng(1))
         sf1 = superfocal_for_cell(np.array(LINE4_PI_OBS), (1,))
         for t_new, focal in zip(draws.t, draws.focal):
@@ -180,8 +180,8 @@ class TestSampler:
         cfg = ConditioningConfig(epsilon=0.3, cells=((0,),),
                                  max_attempts_per_accept=50)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
-            sample_conditioning_set(CompleteRandomization(4, 2), ds, pi,
-                                    TEN_MAPPING, cfg, 5, np.random.default_rng(0))
+            sample_conditioning_set(CompleteRandomization(4, 2), ds, pi, cfg, 5,
+                                    np.random.default_rng(0))
         assert "cell=(0,)" in str(exc.value)
 
     def test_toy12_joint_target_is_intersection(self):
@@ -205,7 +205,7 @@ class TestSampler:
                                             comparator=">"))
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
         draws, _ = sample_conditioning_set(
-            CompleteRandomization(12, 6), ds, pi, TOY12_MAPPING, cfg, 200,
+            CompleteRandomization(12, 6), ds, pi, cfg, 200,
             np.random.default_rng(3))
         for row in draws.t:
             assert tuple(int(v) for v in row) in joint
@@ -247,7 +247,7 @@ class TestSamplerBatches:
         ds, pi, mapping = self._edgeless()
         mech = _CountingMechanism(ds.n, ds.n // 2)
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        draws, diag = sample_conditioning_set(mech, ds, pi, mapping, cfg, 37,
+        draws, diag = sample_conditioning_set(mech, ds, pi, cfg, 37,
                                               np.random.default_rng(0))
         assert diag.n_candidates == 37 and diag.n_accepted == 37
         assert mech.batches == [37]
@@ -258,10 +258,10 @@ class TestSamplerBatches:
         ds, pi, mapping = self._edgeless()
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
         whole, _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, pi,
-                                           mapping, cfg, 50, np.random.default_rng(1))
+                                           cfg, 50, np.random.default_rng(1))
         monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 12 * ds.n + 5)
         mech = _CountingMechanism(ds.n, ds.n // 2)
-        capped, diag = sample_conditioning_set(mech, ds, pi, mapping, cfg, 50,
+        capped, diag = sample_conditioning_set(mech, ds, pi, cfg, 50,
                                                np.random.default_rng(1))
         assert mech.batches == [12, 12, 12, 12, 2]
         assert diag.n_candidates == 50
@@ -275,7 +275,7 @@ class TestSamplerBatches:
             cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)),
                                      max_attempts_per_accept=max_attempts)
             mech = _CountingMechanism(12, 6)
-            _, diag = sample_conditioning_set(mech, ds, pi, TOY12_MAPPING, cfg, b,
+            _, diag = sample_conditioning_set(mech, ds, pi, cfg, b,
                                               np.random.default_rng(b))
             assert diag.n_candidates == sum(mech.batches)
             assert b < diag.n_candidates <= b * max_attempts
@@ -291,7 +291,7 @@ class TestSamplerBatches:
                                  max_attempts_per_accept=7)
         mech = _CountingMechanism(4, 2)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
-            sample_conditioning_set(mech, ds, pi, TEN_MAPPING, cfg, 6,
+            sample_conditioning_set(mech, ds, pi, cfg, 6,
                                     np.random.default_rng(0))
         assert sum(mech.batches) == 6 * 7
         assert "after 42 candidates" in str(exc.value)
@@ -371,11 +371,14 @@ class TestEpsilonFeasibility:
 
     def test_balanced_two_by_two(self):
         ds = make_line4(t=(1, 1, 0, 0))
-        assert epsilon_feasibility(ds, np.array([0, 1, 0, 1])) == pytest.approx(0.25)
+        exp = ExposureVector(np.array([0, 1, 0, 1]), TEN_MAPPING)
+        assert epsilon_feasibility(ds, exp) == pytest.approx(0.25)
 
     def test_single_exposure_balanced_arms(self):
         ds = make_line4(t=(1, 1, 0, 0))
-        assert epsilon_feasibility(ds, np.array([0, 0, 0, 0])) == pytest.approx(0.5)
+        # the declared cell (1,) holds no units, so it is skipped
+        exp = ExposureVector(np.array([0, 0, 0, 0]), TEN_MAPPING)
+        assert epsilon_feasibility(ds, exp) == pytest.approx(0.5)
 
     def test_covariate_requested_but_missing(self):
         ds = make_ten()

@@ -375,6 +375,47 @@ class TestSsEngine:
                         rng=np.random.default_rng(1))
 
 
+class _CountingThreshold(FractionThreshold):
+    """FractionThreshold that counts its one-vector evaluations."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "calls", 0)  # the dataclass is frozen
+
+    def compute(self, t, graph):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().compute(t, graph)
+
+
+class TestObservedExposuresOncePerTest:
+    """Each engine evaluates the observed exposures once and passes that
+    ExposureVector down to the sampler; candidates go through
+    compute_batch, which is not counted."""
+
+    @pytest.mark.parametrize("technique", ["oracle", "plugin", "ci", "ss"])
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_one_compute_call(self, technique, stat):
+        mapping = _CountingThreshold(0.5, ">")
+        rng = np.random.default_rng(0)
+        if technique == "ss":
+            # toy12's split is infeasible, so use the split engine's design
+            ds = TestSsEngine()._dataset()
+            run_ss_test(ds, mapping, CompleteRandomization(80, 40), "by_exposure",
+                        epsilon=0.3, b=20, split_rng=np.random.default_rng(1),
+                        rng=rng, stat=stat)
+        else:
+            ds, _, mech = toy12_engine_args()
+            common = dict(epsilon=TOY12_EPS, b=20, rng=rng, stat=stat)
+            if technique == "oracle":
+                run_oracle_test(ds, mapping, mech, NullSpec.constant(0.0), **common)
+            elif technique == "plugin":
+                run_plugin_test(ds, mapping, mech, "by_exposure", **common)
+            else:
+                run_ci_test(ds, mapping, mech, "by_exposure",
+                            ci=CIConfig(grid_size=3), **common)
+        assert mapping.calls == 1
+
+
 class TestNeymanInterval:
     def test_hand_computation(self):
         y = np.array([3.0, 5.0, 1.0, 2.0])
@@ -430,7 +471,7 @@ class TestCiEngine:
 
     def test_combined_mode_truncates_to_budget(self):
         ds, mapping, mech = toy12_engine_args()
-        cfg = CIConfig(gamma=0.01, grid_size=25, total_grid_budget=400)
+        cfg = CIConfig(gamma=0.01, grid_size=25)
         rep = run_ci_test(ds, mapping, mech, "by_exposure", epsilon=TOY12_EPS,
                           b=80, rng=np.random.default_rng(6), stat="combined",
                           ci=cfg)

@@ -14,7 +14,7 @@ from netrand.conditioning import (ConditioningConfig, relative_frequency,
                                   sample_conditioning_set, superfocal_for_cell)
 from netrand.data import Dataset
 from netrand.errors import AcceptanceBudgetExhausted
-from netrand.exposure import FractionThreshold
+from netrand.exposure import ExposureVector, FractionThreshold
 from netrand.graph import build_graph
 from netrand.inference import (_imputed_stats, adjust_multiple, empirical_pvalue,
                                run_oracle_test)
@@ -118,9 +118,9 @@ def test_exposure_change_never_imputes(seed):
     ds = make_toy12()
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-    draws, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds, pi_obs,
-                                       TOY12_MAPPING, cfg, 10,
-                                       np.random.default_rng(seed))
+    draws, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds,
+                                       ExposureVector(pi_obs, TOY12_MAPPING), cfg,
+                                       10, np.random.default_rng(seed))
     pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
     assert (pi_new == pi_obs)[draws.focal].all()
 
@@ -230,9 +230,9 @@ def test_relative_frequency_and_focal_match_oracles(inst):
             # the sampler accepts t_other below its frequencies; its focal
             # row is the cell's super-focal units that keep their exposure
             cfg = ConditioningConfig(epsilon=min(r) / 2, cells=((v,),))
-            draws, _ = sample_conditioning_set(_FixedMechanism(t_other), ds, pi_obs,
-                                               mapping, cfg, 1,
-                                               np.random.default_rng(0))
+            draws, _ = sample_conditioning_set(_FixedMechanism(t_other), ds,
+                                               ExposureVector(pi_obs, mapping),
+                                               cfg, 1, np.random.default_rng(0))
             focal = draws.focal[0]
             assert not (focal & ~sf.indicator).any()
             assert tuple(np.flatnonzero(focal)) == oracle_focal(
@@ -273,8 +273,8 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
         assume(0.0 < below < 0.5)
         cfg = ConditioningConfig(epsilon=below, cells=((v,),),
                                  max_attempts_per_accept=8)
-        draws, _ = sample_conditioning_set(mech, ds, pi_obs, mapping, cfg,
-                                           1, np.random.default_rng(0))
+        draws, _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, mapping),
+                                           cfg, 1, np.random.default_rng(0))
         assert (draws.t[0] == t_obs).all()
         if 0.0 < r_min < 0.5:
             # at epsilon equal to the minimum frequency the strict
@@ -282,8 +282,8 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
             cfg = ConditioningConfig(epsilon=r_min, cells=((v,),),
                                      max_attempts_per_accept=8)
             try:
-                sample_conditioning_set(mech, ds, pi_obs, mapping, cfg, 1,
-                                        np.random.default_rng(0))
+                sample_conditioning_set(mech, ds, ExposureVector(pi_obs, mapping),
+                                        cfg, 1, np.random.default_rng(0))
                 raised = False
             except AcceptanceBudgetExhausted:
                 raised = True
@@ -299,7 +299,7 @@ def test_sampler_is_seed_deterministic(seed):
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     runs = []
     for _ in range(2):
-        draws, _ = sample_conditioning_set(mech, ds, pi_obs, TOY12_MAPPING,
+        draws, _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, TOY12_MAPPING),
                                            cfg, 3, np.random.default_rng(seed))
         runs.append(draws.t)
     assert (runs[0] == runs[1]).all()
