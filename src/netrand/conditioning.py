@@ -62,17 +62,25 @@ def arm_counts(pi: np.ndarray, cells: Sequence[Cell], t: np.ndarray,
 @dataclass(frozen=True)
 class ConditioningConfig:
     """epsilon bounds the relative frequencies of every (arm, cell) pair
-    of the cells conditioned on, each (pi,) or (pi, x_level)."""
+    of the cells conditioned on, each (pi,) or (pi, x_level). separate
+    gives each cell its own accepted draws (multiple mode); otherwise one
+    set of draws satisfies every cell jointly (combined mode)."""
 
     epsilon: float
     cells: tuple
     max_attempts_per_accept: int = 10_000
+    separate: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.max_attempts_per_accept < 1:
             raise ValueError("max_attempts_per_accept must be >= 1")
+
+    @property
+    def groups(self) -> list[tuple]:
+        """The cell groups that each keep their own accepted draws."""
+        return [(c,) for c in self.cells] if self.separate else [tuple(self.cells)]
 
 
 @dataclass
@@ -110,92 +118,121 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
 
 @dataclass
 class Draws:
-    """Accepted draws as (b, N) matrices: the treatment vectors and the
-    focal units (the union over the cells conditioned on, so a cell's own
-    focal units are ``focal & superfocal.indicator``)."""
+    """One cell group's accepted draws as (b, N) matrices: the treatment
+    vectors and the focal units (the union over the group's cells, so a
+    cell's own focal units are ``focal & sf.indicator`` for its entry sf
+    of superfocal), and the candidates drawn up to and including the
+    group's last accept."""
 
     t: np.ndarray
     focal: np.ndarray
+    superfocal: tuple  # a SuperFocalSet per cell of the group
+    n_candidates: int
+
+    @property
+    def acceptance_rate(self) -> float:
+        return len(self.t) / self.n_candidates
 
 
 @dataclass
 class ConditioningDiagnostics:
+    """The candidate stream: candidates drawn, draws accepted over every
+    group, and per (arm, cell) the candidates whose inequality failed
+    while the cell's group was still accepting."""
+
     n_candidates: int
     n_accepted: int
     failure_counts: dict
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / max(self.n_candidates, 1)
+
+def _batch_rows(need: int, accepted: int, attempts: int) -> int:
+    """Candidates a group wants next: exactly its need until it has
+    rejected a candidate, then its need plus one binomial standard
+    deviation (sqrt of the need) at its acceptance rate so far."""
+    if accepted == attempts:
+        return need
+    return int(np.ceil((need + np.sqrt(need)) / max(accepted / attempts, 0.01)))
 
 
 def sample_conditioning_set(mechanism, dataset, exposures,
                             config: ConditioningConfig, b: int,
                             rng: np.random.Generator):
-    """Draw b i.i.d. vectors from the conditioning set by rejection.
+    """Draw b i.i.d. vectors from each cell group's conditioning set by
+    rejection on one candidate stream.
 
     exposures is the observed ExposureVector, whose mapping also gives
-    each candidate's exposures. A candidate is accepted when, for every
-    cell in config.cells and both arms, the relative frequency of retained
-    super-focal units strictly exceeds epsilon. Returns the accepted
-    draws as one Draws record plus diagnostics. Raises
-    AcceptanceBudgetExhausted (naming the worst inequality) when
-    b * max_attempts_per_accept candidates fail to produce b accepts.
+    each candidate's exposures, computed once per candidate for every
+    group. A candidate is accepted into a group when, for every cell of
+    the group and both arms, the relative frequency of retained
+    super-focal units strictly exceeds epsilon. Each group keeps its first
+    b accepts, so its draws are i.i.d. on its own conditioning set (the
+    groups' draws are dependent, which Bonferroni and Holm allow).
+    Returns one Draws record per group of config.groups, with the cells'
+    super-focal sets, plus diagnostics. Raises AcceptanceBudgetExhausted,
+    naming each starved group and the worst inequality among their cells,
+    when b * max_attempts_per_accept candidates leave a group short of b.
 
-    Until a candidate is rejected, each batch draws exactly the accepts
-    still needed, so a design that rejects nothing draws b candidates.
-    After that, a batch is sized so that at the acceptance rate so far it
-    is expected to yield the accepts still needed plus one binomial
-    standard deviation (sqrt of that need). Batches hold at most
-    MAX_BATCH_CELLS rows x units.
+    Each batch is the largest that an unfinished group asks for (see
+    _batch_rows), so a design that rejects nothing draws b candidates.
+    Batches hold at most MAX_BATCH_CELLS rows x units.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    cells = list(config.cells)
-    masks = [superfocal_for_cell(exposures.values, c, dataset.x).indicator
-             for c in cells]
-    counts = [int(mask.sum()) for mask in masks]
+    groups = config.groups
+    sfs = {c: superfocal_for_cell(exposures.values, c, dataset.x) for c in config.cells}
 
     budget = b * config.max_attempts_per_accept
     max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
-    blocks = []  # (t, focal) rows accepted from each batch
-    n_accepted = 0
+    blocks = [[] for _ in groups]  # (t, focal) rows accepted from each batch
+    accepted = [0] * len(groups)
+    done_at = [0] * len(groups)  # candidates drawn up to the b-th accept
     attempts = 0
-    fail_counts = {(arm, c): 0 for c in cells for arm in (0, 1)}
+    fail_counts = {(arm, c): 0 for c in config.cells for arm in (0, 1)}
 
-    while n_accepted < b:
+    while live := [g for g in range(len(groups)) if accepted[g] < b]:
+        live_cells = [c for g in live for c in groups[g]]
         if attempts >= budget:
-            worst = max(fail_counts, key=fail_counts.get)
+            worst = max(((arm, c) for c in live_cells for arm in (0, 1)),
+                        key=fail_counts.get)
+            short = ", ".join(f"cell{'s' * (len(groups[g]) > 1)} "
+                              f"{', '.join(map(str, groups[g]))} accepted "
+                              f"{accepted[g]}/{b}" for g in live)
             raise AcceptanceBudgetExhausted(
-                f"accepted {n_accepted}/{b} after {attempts} candidates; "
-                f"worst inequality: arm={worst[0]}, cell={worst[1]} "
-                f"failed {fail_counts[worst]} times (epsilon={config.epsilon})")
-        need = b - n_accepted
-        if n_accepted == attempts:  # nothing rejected yet
-            m = need
-        else:  # expected need plus one binomial standard deviation
-            acc_est = max(n_accepted / attempts, 0.01)
-            m = int(np.ceil((need + np.sqrt(need)) / acc_est))
+                f"after {attempts} candidates, {short}; worst inequality: "
+                f"arm={worst[0]}, cell={worst[1]} failed {fail_counts[worst]} "
+                f"times (epsilon={config.epsilon})")
+        m = max(_batch_rows(b - accepted[g], accepted[g], attempts) for g in live)
         m = min(m, max_rows, budget - attempts)
         t_batch = mechanism.draw_batch(m, rng)
         pi_batch = exposures.mapping.compute_batch(t_batch, dataset.graph)
-        ok = np.ones(m, dtype=bool)
-        focal = np.zeros((m, dataset.n), dtype=bool)
-        for c, mask, cnt in zip(cells, masks, counts):
-            in_cell = (pi_batch == c[0]) & mask
-            focal |= in_cell
-            for arm in (0, 1):
-                r = (in_cell & (t_batch == arm)).sum(axis=1) / cnt
-                bad = ~(r > config.epsilon)
+        treated = t_batch == 1
+        in_cell, passes = {}, {}
+        for c in live_cells:
+            sf = sfs[c]
+            in_cell[c] = (pi_batch == c[0]) & sf.indicator
+            n1 = (in_cell[c] & treated).sum(axis=1)
+            ok = np.ones(m, dtype=bool)
+            for arm, n in ((0, in_cell[c].sum(axis=1) - n1), (1, n1)):
+                bad = ~(n / sf.n > config.epsilon)
                 fail_counts[(arm, c)] += int(bad.sum())
                 ok &= ~bad
-        rows = np.flatnonzero(ok)[:need]
-        blocks.append((t_batch[rows], focal[rows]))
-        n_accepted += len(rows)
+            passes[c] = ok
+        for g in live:
+            need = b - accepted[g]
+            rows = np.flatnonzero(np.logical_and.reduce(
+                [passes[c] for c in groups[g]]))[:need]
+            focal = np.logical_or.reduce([in_cell[c][rows] for c in groups[g]])
+            blocks[g].append((t_batch[rows], focal))
+            accepted[g] += len(rows)
+            if len(rows) == need:
+                done_at[g] = attempts + int(rows[-1]) + 1
         attempts += m
 
-    draws = Draws(*(np.concatenate(col) for col in zip(*blocks)))
-    diag = ConditioningDiagnostics(n_candidates=attempts, n_accepted=b,
+    draws = [Draws(*(np.concatenate(col) for col in zip(*blk)),
+                   superfocal=tuple(sfs[c] for c in grp), n_candidates=n)
+             for blk, grp, n in zip(blocks, groups, done_at)]
+    diag = ConditioningDiagnostics(n_candidates=attempts,
+                                   n_accepted=b * len(groups),
                                    failure_counts=fail_counts)
     return draws, diag
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conditioning import (Cell, ConditioningConfig, SuperFocalSet, arm_counts,
                            cell_mask, family_cells, sample_conditioning_set,
-                           select_observed_focal, superfocal_for_cell)
+                           select_observed_focal)
 from .data import Dataset
 from .errors import (DegenerateInterval, EmptyArm, MissingParameter,
                      SplitInfeasible, TooFewUnits)
@@ -233,32 +233,31 @@ def _grid_test(technique, dataset, exposures, mechanism, family, axes, gamma,
                *, epsilon, b, rng, stat, alpha, max_attempts, keep_draws,
                inf_mask=None):
     """The conditional randomization test over a grid of effect values,
-    given the observed ExposureVector and each effect key's axis: multiple
-    mode samples each cell's conditioning set on its own, combined mode
-    one set satisfying every cell's inequalities. Each cell's focal units
-    are restricted to inf_mask when given."""
+    given the observed ExposureVector and each effect key's axis. One
+    candidate stream serves every cell: multiple mode keeps each cell's
+    own accepts, combined mode the draws satisfying every cell's
+    inequalities. Each cell's focal units are restricted to inf_mask when
+    given."""
     _check_stat(stat)
     cells = family_cells(family, exposures.mapping.values, dataset.x_levels)
-    groups = [(c,) for c in cells] if stat == "multiple" else [tuple(cells)]
+    cfg = ConditioningConfig(epsilon=epsilon, cells=tuple(cells),
+                             max_attempts_per_accept=max_attempts,
+                             separate=stat == "multiple")
+    groups, _ = sample_conditioning_set(mechanism, dataset, exposures, cfg, b, rng)
     runs = []
-    for group in groups:
-        cfg = ConditioningConfig(epsilon=epsilon, cells=group,
-                                 max_attempts_per_accept=max_attempts)
-        draws, diag = sample_conditioning_set(mechanism, dataset, exposures,
-                                              cfg, b, rng)
-        for cell in group:
-            sf = superfocal_for_cell(exposures.values, cell, dataset.x)
+    for draws in groups:
+        for sf in draws.superfocal:
             if inf_mask is not None:
-                sf = SuperFocalSet(indicator=sf.indicator & inf_mask, cell=cell)
+                sf = SuperFocalSet(indicator=sf.indicator & inf_mask, cell=sf.cell)
             focal = draws.focal & sf.indicator
             mean_focal = float(np.mean(focal.sum(axis=1)))
             if round(mean_focal) < MIN_OBSERVED_FOCAL:
                 raise TooFewUnits(
-                    f"cell {cell}: observed focal selection of size {round(mean_focal)} "
+                    f"cell {sf.cell}: observed focal selection of size {round(mean_focal)} "
                     f"cannot support two per-arm variances (need >= {MIN_OBSERVED_FOCAL})")
             fobs = select_observed_focal(sf, focal, dataset.t, rng, min_per_arm=2)
-            runs.append((cell, sf.n, draws.t, focal, fobs, mean_focal,
-                         diag.acceptance_rate))
+            runs.append((sf.cell, sf.n, draws.t, focal, fobs, mean_focal,
+                         draws.acceptance_rate))
     return _score_grid(technique, dataset, family, exposures.values, runs, axes,
                        gamma, b=b, epsilon=epsilon, stat=stat, alpha=alpha,
                        keep_draws=keep_draws)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import CompleteRandomization
+from .conditioning import family_cells
 from .data import Dataset
 from .errors import (InfeasibleConditioning, InfeasibleCounts,
                      GenerationBudgetExhausted)
@@ -24,7 +25,7 @@ from .exposure import FractionThreshold
 from .graph import Graph
 from .inference import TECHNIQUES, CIConfig, run_technique
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
-                       NullSpec)
+                       NuisanceParams, NullSpec, effect_key)
 
 
 def generate_regular_graph(n: int, degree: int,
@@ -99,14 +100,18 @@ def generate_potential_outcomes(pi: np.ndarray, t: np.ndarray, x: np.ndarray,
     return y0 + np.asarray(t, dtype=np.float64) * tau
 
 
-def _oracle_null(family: str, psi0: float, psi1: float,
-                 values=(0, 1), x_levels=(0, 1)) -> NullSpec:
-    if family == CONSTANT_ALL:
-        return NullSpec.constant(1.0)
-    if family == BY_EXPOSURE:
-        return NullSpec.per_exposure({v: 1.0 + psi0 * v for v in values})
-    return NullSpec.per_cell({(v, l): 1.0 + psi0 * v + psi1 * l
-                              for v in values for l in x_levels})
+def _oracle_null(family: str, psi0: float, psi1: float, values: tuple,
+                 x_levels: tuple) -> NullSpec:
+    """The true null of the outcome model: the effect value of each
+    effect key (pi[, x]) is 1 + psi0*pi (+ psi1*x), 1 under constant_all."""
+    taus = {}
+    for cell in family_cells(family, values, x_levels):
+        key = effect_key(family, cell)
+        tau = 1.0
+        for psi, level in zip((psi0, psi1), key):
+            tau += psi * level
+        taus[key] = tau
+    return NullSpec(family, NuisanceParams(taus))
 
 
 _TABLES = {
@@ -226,7 +231,7 @@ def _run_one_rep(cfg: ScenarioConfig, graph: Graph, techniques, rep_ss):
                                     psi0=cfg.psi0, psi1=cfg.psi1,
                                     dgp=cfg.dgp, rng=rng_data)
     dataset = Dataset(y=y, t=t, graph=graph, x=x)
-    null = _oracle_null(cfg.family, cfg.psi0, cfg.psi1)
+    null = _oracle_null(cfg.family, cfg.psi0, cfg.psi1, mapping.values, dataset.x_levels)
     out = {}
     for tech in techniques:
         try:

@@ -349,7 +349,7 @@ class TestEnumerationEquivalence:
         exact = oracle_conditioning_set(4, 2, nbrs, pi_obs, 0.3, [(1,)])
         assert set(exact) == {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)}
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
-        draws, _ = sample_conditioning_set(
+        (draws,), _ = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, exposures, cfg, 300, np.random.default_rng(5))
         support = {tuple(int(v) for v in row) for row in draws.t}
         assert support == set(exact)
@@ -364,7 +364,7 @@ class TestEnumerationEquivalence:
                                             [cell])
             assert len(exact) == size
             cfg = ConditioningConfig(epsilon=0.1, cells=(cell,))
-            draws, _ = sample_conditioning_set(
+            (draws,), _ = sample_conditioning_set(
                 mech, ds, exposures, cfg, 4000,
                 np.random.default_rng(11))
             sampled = [tuple(int(v) for v in row) for row in draws.t]
@@ -403,7 +403,7 @@ class TestFuzzedInvariants:
         ds = make_ten()
         exposures = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        draws, _ = sample_conditioning_set(
+        (draws,), _ = sample_conditioning_set(
             CompleteRandomization(10, 5), ds, exposures, cfg, 50, np.random.default_rng(3))
         sf = superfocal_for_cell(np.array(TEN_PI_OBS), (0,), None)
         for focal in draws.focal:

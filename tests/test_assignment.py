@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fixtures import all_assignments
-from netrand.assignment import CompleteRandomization, StratifiedComplete
+from netrand.assignment import CompleteRandomization, StratifiedComplete, threshold_draw
 from netrand.errors import InfeasibleCounts
 
 # chi-square 0.999 quantiles for the degrees of freedom used below
-CHI2_999 = {3: 16.266, 5: 20.515}
+CHI2_999 = {2: 13.816, 3: 16.266, 5: 20.515}
 
 
 class TestCompleteRandomization:
@@ -112,3 +112,56 @@ class TestStratifiedComplete:
         strata = np.array(["a", "a"], dtype=object)
         with pytest.raises(InfeasibleCounts):
             StratifiedComplete(strata, {"a": 3})
+
+
+class _TinyKeyRng:
+    """A generator whose integers come from {0, 1, 2}, so threshold keys
+    tie at the threshold on many rows and those rows are redrawn."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        self.calls += 1
+        return self._rng.integers(0, 3, size=size, dtype=dtype)
+
+
+class TestThresholdDraw:
+    @pytest.mark.parametrize("m,n,k", [(5, 6, 0), (5, 6, 6), (4, 1, 0), (4, 1, 1),
+                                       (0, 6, 3), (0, 1, 1), (3, 0, 0)])
+    def test_edge_cases(self, m, n, k):
+        t = threshold_draw(m, n, k, np.random.default_rng(0))
+        assert t.shape == (m, n) and t.dtype == np.int8
+        assert (t.sum(axis=1) == k).all() and set(np.unique(t)) <= {0, 1}
+
+    def test_degenerate_mechanisms(self):
+        rng = np.random.default_rng(1)
+        for n_units, k in ((1, 0), (1, 1), (5, 0), (5, 5)):
+            batch = CompleteRandomization(n_units, k).draw_batch(7, rng)
+            assert batch.tolist() == [[int(k > 0)] * n_units] * 7
+        assert CompleteRandomization(6, 3).draw_batch(0, rng).shape == (0, 6)
+
+    def test_stratum_at_zero_and_stratum_at_full_size(self):
+        strata = np.array(["a", "b", "a", "c", "b", "c", "c"], dtype=object)
+        mech = StratifiedComplete(strata, {"a": 0, "b": 2, "c": 1})
+        batch = mech.draw_batch(3000, np.random.default_rng(2))
+        assert (batch[:, strata == "a"] == 0).all()
+        assert (batch[:, strata == "b"] == 1).all()
+        c = batch[:, strata == "c"]
+        assert (c.sum(axis=1) == 1).all()
+        # the one treated unit of stratum c is uniform over its three
+        counts = c.sum(axis=0)
+        assert ((counts - 1000) ** 2 / 1000).sum() < CHI2_999[2]
+        assert all(mech.supports(row) for row in batch[:50])
+
+    def test_forced_ties_are_redrawn_and_stay_uniform(self):
+        rng = _TinyKeyRng(7)
+        batch = threshold_draw(6000, 4, 2, rng)
+        assert rng.calls > 1  # tied rows were redrawn
+        assert (batch.sum(axis=1) == 2).all()
+        counts = Counter(map(tuple, batch.tolist()))
+        assert set(counts) == set(all_assignments(4, 2))
+        expected = 6000 / 6
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < CHI2_999[5]

@@ -18,7 +18,8 @@ from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
                                   select_observed_focal, superfocal_for_cell)
 from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
                             DataError, EmptySuperFocal)
-from netrand.inference import family_cells
+from netrand.inference import family_cells, run_oracle_test
+from netrand.nullspec import NullSpec
 from netrand.assignment import CompleteRandomization
 from netrand.data import Dataset
 from netrand.exposure import ExposureVector, FractionThreshold, compute_exposures
@@ -121,7 +122,7 @@ class TestFocalIndicator:
         pi_obs = np.array(TEN_PI_OBS)
         for v in (0, 1):
             cfg = ConditioningConfig(epsilon=0.1, cells=((v,),))
-            draws, _ = sample_conditioning_set(
+            (draws,), _ = sample_conditioning_set(
                 CompleteRandomization(10, 5), ds, ExposureVector(pi_obs, TEN_MAPPING),
                 cfg, 20, np.random.default_rng(4))
             sf = superfocal_for_cell(pi_obs, (v,))
@@ -145,7 +146,7 @@ class TestSampler:
             4, 2, neighbor_lists(4, LINE4_EDGES), LINE4_PI_OBS, 0.3, [(1,)])
         assert set(oracle) == LINE4_CELL1_SET
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
-        draws, diag = sample_conditioning_set(
+        (draws,), diag = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, pi, cfg, 300,
             np.random.default_rng(0))
         got = Counter(tuple(int(v) for v in row) for row in draws.t)
@@ -158,7 +159,7 @@ class TestSampler:
     def test_line4_draw_bookkeeping(self):
         ds, pi = self._line4()
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
-        draws, _ = sample_conditioning_set(
+        (draws,), _ = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, pi, cfg, 50,
             np.random.default_rng(1))
         sf1 = superfocal_for_cell(np.array(LINE4_PI_OBS), (1,))
@@ -204,7 +205,7 @@ class TestSampler:
                                             TOY12_EPS, [(0,), (1,)],
                                             comparator=">"))
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-        draws, _ = sample_conditioning_set(
+        (draws,), _ = sample_conditioning_set(
             CompleteRandomization(12, 6), ds, pi, cfg, 200,
             np.random.default_rng(3))
         for row in draws.t:
@@ -247,7 +248,7 @@ class TestSamplerBatches:
         ds, pi, mapping = self._edgeless()
         mech = _CountingMechanism(ds.n, ds.n // 2)
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        draws, diag = sample_conditioning_set(mech, ds, pi, cfg, 37,
+        (draws,), diag = sample_conditioning_set(mech, ds, pi, cfg, 37,
                                               np.random.default_rng(0))
         assert diag.n_candidates == 37 and diag.n_accepted == 37
         assert mech.batches == [37]
@@ -257,11 +258,11 @@ class TestSamplerBatches:
     def test_row_cap_splits_batches_without_changing_draws(self, monkeypatch):
         ds, pi, mapping = self._edgeless()
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        whole, _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, pi,
+        (whole,), _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, pi,
                                            cfg, 50, np.random.default_rng(1))
         monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 12 * ds.n + 5)
         mech = _CountingMechanism(ds.n, ds.n // 2)
-        capped, diag = sample_conditioning_set(mech, ds, pi, cfg, 50,
+        (capped,), diag = sample_conditioning_set(mech, ds, pi, cfg, 50,
                                                np.random.default_rng(1))
         assert mech.batches == [12, 12, 12, 12, 2]
         assert diag.n_candidates == 50
@@ -385,3 +386,90 @@ class TestEpsilonFeasibility:
         exp = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
         with pytest.raises(ValueError):
             epsilon_feasibility(ds, exp, use_covariate=True)
+
+
+class _CyclingMechanism:
+    """Emits the given vectors in turn, continuing across batches."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int8)
+        self.drawn = 0
+
+    def draw_batch(self, m, rng):
+        idx = (self.drawn + np.arange(m)) % len(self.rows)
+        self.drawn += m
+        return self.rows[idx]
+
+
+class TestSharedStream:
+    """Multiple mode: one candidate stream, each cell keeping its own
+    first b accepts. On toy12, TOY12_T_OBS satisfies both cells, while
+    ONLY_CELL0 satisfies cell (0,) and not cell (1,)."""
+
+    ONLY_CELL0 = (1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1)
+
+    def _toy12(self):
+        ds = make_toy12()
+        return ds, compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+
+    def test_fixture_vectors(self):
+        nbrs = neighbor_lists(12, TOY12_EDGES)
+        sets = {c: set(oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS, TOY12_EPS,
+                                               [c], comparator=">"))
+                for c in ((0,), (1,))}
+        assert TOY12_T_OBS in sets[(0,)] and TOY12_T_OBS in sets[(1,)]
+        assert self.ONLY_CELL0 in sets[(0,)] and self.ONLY_CELL0 not in sets[(1,)]
+
+    def test_each_cell_keeps_its_first_b_accepts(self):
+        # the stream repeats T_OBS, ONLY_CELL0, ONLY_CELL0: cell (0,)
+        # accepts every candidate, cell (1,) every third, so its b-th
+        # accept is candidate 3b - 2
+        ds, pi = self._toy12()
+        b = 20
+        mech = _CyclingMechanism([TOY12_T_OBS, self.ONLY_CELL0, self.ONLY_CELL0])
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True)
+        (d0, d1), diag = sample_conditioning_set(mech, ds, pi, cfg, b,
+                                                 np.random.default_rng(0))
+        assert [sf.cell for sf in d0.superfocal + d1.superfocal] == [(0,), (1,)]
+        assert d0.t.tolist() == [list(mech.rows[i % 3]) for i in range(b)]
+        assert d1.t.tolist() == [list(TOY12_T_OBS)] * b
+        assert (d0.n_candidates, d1.n_candidates) == (b, 3 * b - 2)
+        assert d0.acceptance_rate == 1.0 and d1.acceptance_rate == b / (3 * b - 2)
+        assert diag.n_candidates == mech.drawn >= 3 * b - 2
+        assert diag.n_accepted == 2 * b
+        assert diag.failure_counts[(0, (0,))] == diag.failure_counts[(1, (0,))] == 0
+        assert diag.failure_counts[(0, (1,))] + diag.failure_counts[(1, (1,))] > 0
+        # the engine reports the same per-cell rates
+        mech = _CyclingMechanism([TOY12_T_OBS, self.ONLY_CELL0, self.ONLY_CELL0])
+        rep = run_oracle_test(ds, TOY12_MAPPING, mech, NullSpec.constant(0.0),
+                              epsilon=TOY12_EPS, b=b, rng=np.random.default_rng(0))
+        assert [c.acceptance_rate for c in rep.cells] == [1.0, b / (3 * b - 2)]
+
+    def test_starved_cell_and_its_worst_inequality_are_named(self):
+        # cell (0,) accepts every candidate, cell (1,) none
+        ds, pi = self._toy12()
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True,
+                                 max_attempts_per_accept=5)
+        with pytest.raises(AcceptanceBudgetExhausted) as exc:
+            sample_conditioning_set(_CyclingMechanism([self.ONLY_CELL0]), ds, pi, cfg, 4,
+                                    np.random.default_rng(0))
+        msg = str(exc.value)
+        assert "after 20 candidates, cell (1,) accepted 0/4;" in msg
+        assert "cell=(1,) failed 20 times" in msg
+        assert "(0,) accepted" not in msg
+
+    def test_infeasible_epsilon_names_the_infeasible_cell(self):
+        # at epsilon 0.4 no vector keeps 3 of cell (1,)'s six super-focal
+        # units in each arm, and one of 924 does so for cell (0,)
+        ds, pi = self._toy12()
+        nbrs = neighbor_lists(12, TOY12_EDGES)
+        assert oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS, 0.4, [(1,)],
+                                       comparator=">") == []
+        with pytest.raises(AcceptanceBudgetExhausted) as exc:
+            run_oracle_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6),
+                            NullSpec.constant(0.0), epsilon=0.4, b=2,
+                            max_attempts_per_accept=50, rng=np.random.default_rng(0))
+        msg = str(exc.value)
+        assert "after 100 candidates," in msg and "cell (1,) accepted 0/2" in msg
+        worst = msg.split("cell=")[1].split(" failed")[0]
+        assert f"cell {worst} accepted" in msg  # the worst inequality is a starved cell's

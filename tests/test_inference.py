@@ -246,10 +246,16 @@ class TestOracleEngine:
         (res,) = rep.cells
         draws = np.asarray(rep.diagnostics["draw_treatments"]["0"])
         stats = np.asarray(rep.diagnostics["draw_stats"]["0"])
-        same = (draws == t).all(axis=1) | (draws == 1 - t).all(axis=1)
-        assert same.sum() == 8
+        kept = (draws == t).all(axis=1)
+        swapped = (draws == 1 - t).all(axis=1)
+        same = kept | swapped
+        assert kept.any() and swapped.any()
+        assert same.sum() == 6
         assert (stats[same] == res.observed_stat).all()
-        assert res.pvalue == 0.685
+        focal = range(8)
+        obs = oracle_cell_stat(y, t, focal)
+        reaching = [s or oracle_cell_stat(y, d, focal) >= obs for d, s in zip(draws, same)]
+        assert res.pvalue == sum(reaching) / 400 == 0.67
 
     @pytest.mark.parametrize("tau", [0.3, 1.3, -0.45, 2.9, 5.5])
     def test_swapped_arms_tie_at_nonzero_tau(self, tau):
@@ -269,7 +275,8 @@ class TestOracleEngine:
         stats = np.asarray(rep.diagnostics["draw_stats"]["0"])
         kept = (draws == t).all(axis=1)
         swapped = (draws == 1 - t).all(axis=1)
-        assert (kept.sum(), swapped.sum()) == (2, 6)
+        assert kept.any() and swapped.any()
+        assert (kept.sum(), swapped.sum()) == (3, 3)
         assert (stats[kept | swapped] == res.observed_stat).all()
         focal = range(8)
         obs = oracle_cell_stat(y, t, focal)

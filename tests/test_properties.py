@@ -118,7 +118,7 @@ def test_exposure_change_never_imputes(seed):
     ds = make_toy12()
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-    draws, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds,
+    (draws,), _ = sample_conditioning_set(CompleteRandomization(12, 6), ds,
                                        ExposureVector(pi_obs, TOY12_MAPPING), cfg,
                                        10, np.random.default_rng(seed))
     pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
@@ -230,7 +230,7 @@ def test_relative_frequency_and_focal_match_oracles(inst):
             # the sampler accepts t_other below its frequencies; its focal
             # row is the cell's super-focal units that keep their exposure
             cfg = ConditioningConfig(epsilon=min(r) / 2, cells=((v,),))
-            draws, _ = sample_conditioning_set(_FixedMechanism(t_other), ds,
+            (draws,), _ = sample_conditioning_set(_FixedMechanism(t_other), ds,
                                                ExposureVector(pi_obs, mapping),
                                                cfg, 1, np.random.default_rng(0))
             focal = draws.focal[0]
@@ -273,7 +273,7 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
         assume(0.0 < below < 0.5)
         cfg = ConditioningConfig(epsilon=below, cells=((v,),),
                                  max_attempts_per_accept=8)
-        draws, _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, mapping),
+        (draws,), _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, mapping),
                                            cfg, 1, np.random.default_rng(0))
         assert (draws.t[0] == t_obs).all()
         if 0.0 < r_min < 0.5:
@@ -299,7 +299,7 @@ def test_sampler_is_seed_deterministic(seed):
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     runs = []
     for _ in range(2):
-        draws, _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, TOY12_MAPPING),
+        (draws,), _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, TOY12_MAPPING),
                                            cfg, 3, np.random.default_rng(seed))
         runs.append(draws.t)
     assert (runs[0] == runs[1]).all()

@@ -4,10 +4,12 @@ import csv
 import numpy as np
 import pytest
 
+from netrand.data import Dataset
 from netrand.errors import InfeasibleCounts
 from netrand.exposure import FractionThreshold
-from netrand.simulation import (ScenarioConfig, TableResult, TableRow,
-                                generate_potential_outcomes,
+from netrand.nullspec import NullSpec
+from netrand.simulation import (_TABLES, ScenarioConfig, TableResult, TableRow,
+                                _oracle_null, generate_potential_outcomes,
                                 generate_regular_graph, run_scenario,
                                 run_table)
 
@@ -97,6 +99,31 @@ class TestOutcomeModel:
         y1 = generate_potential_outcomes(pi, np.ones(6), x, sigma_tau=2.0,
                                          rng=np.random.default_rng(3), **kw)
         assert np.allclose(y1 - y0, 1.0 + 2.0 * y0)
+
+
+class TestOracleNull:
+    @staticmethod
+    def _by_hand(family, psi0, psi1):
+        # each family's effect values written out over exposures {0, 1}
+        # and covariate levels {0, 1}
+        if family == "constant_all":
+            return NullSpec.constant(1.0)
+        if family == "by_exposure":
+            return NullSpec.per_exposure({v: 1.0 + psi0 * v for v in (0, 1)})
+        return NullSpec.per_cell({(v, l): 1.0 + psi0 * v + psi1 * l
+                                  for v in (0, 1) for l in (0, 1)})
+
+    @pytest.mark.parametrize("table", ["1", "2", "3", "4", "5", "6"])
+    def test_matches_the_model_effects_of_each_table(self, table):
+        # the cells come from the replication's mapping and covariate
+        cfg = _TABLES[table]
+        n = cfg["n_units"]
+        ds = Dataset(y=np.zeros(n), t=np.arange(n) % 2,
+                     graph=generate_regular_graph(n, 5, np.random.default_rng(0)),
+                     x=np.arange(n) % 2)
+        got = _oracle_null(cfg["family"], cfg["psi0"], cfg["psi1"],
+                           FractionThreshold(0.5, ">").values, ds.x_levels)
+        assert got == self._by_hand(cfg["family"], cfg["psi0"], cfg["psi1"])
 
 
 class TestScenarioRunner:
