@@ -19,17 +19,23 @@ from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE
 ExposureValue = Hashable
 
 _COMPARATORS = (">", ">=")
+QUOTIENT_BLOCK = 1 << 16  # candidate cells per float64 quotient block
 
 
 def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
                     graph: Graph) -> np.ndarray:
     """(B, N) exposures from the unit-major numerators of
     ``Graph.neighbor_sums`` and per-unit denominators in the same slot
-    order; a zero denominator gives ``isolated_value``."""
-    live = denom > 0
+    order; a zero denominator gives ``isolated_value``. The float64
+    quotient is taken a block of units at a time."""
     passes = np.greater if mapping.comparator == ">" else np.greater_equal
-    exposed = np.full(num.shape, mapping.isolated_value, dtype=np.int8)
-    exposed[live] = passes(num[live] / denom[live, None], mapping.threshold)
+    exposed = np.empty(num.shape, dtype=np.int8)
+    step = max(1, QUOTIENT_BLOCK // max(num.shape[1], 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, len(num), step):
+            passes(num[r:r + step] / denom[r:r + step, None], mapping.threshold,
+                   out=exposed[r:r + step])
+    exposed[denom <= 0] = mapping.isolated_value
     order = graph.slots[0]
     unit_major = np.empty_like(exposed)
     unit_major[order] = exposed

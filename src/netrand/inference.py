@@ -48,13 +48,8 @@ def empirical_pvalue(observed, draw_stats):
 
 def _imputed_stats(y, t_obs, t_new, focal, taus) -> np.ndarray:
     """(G, B) variance-ratio statistics of z = y + tau (t_new - t_obs) over
-    each row's focal units, split into arms by the rows of t_new, at every
-    tau. Within an arm, t_new - t_obs is +1 (treated arm) or -1 (control
-    arm) on the units the row switched and 0 elsewhere, so arm_variances
-    takes each arm's moments once and every tau costs O(B)."""
-    v1, v0 = [arm_variances(y, focal & (t_new == arm), taus, t_obs != arm,
-                            1.0 if arm else -1.0) for arm in (1, 0)]
-    return ratio_stat_rows(v1, v0)
+    each row's focal units, in the arms t_new gives them (arm_variances)."""
+    return ratio_stat_rows(*arm_variances(y, t_obs, t_new, focal, taus))
 
 
 @dataclass
@@ -269,13 +264,13 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
 
     Each run is (cell, n_superfocal, t_new, focal, fobs, mean_focal,
     acceptance_rate): (b, N) treatment rows, the cell's focal units under
-    each (or one broadcast row), and the observed focal units. A draw
-    imputes z = y + tau (t_new - t_obs) at each tau of the axis of its
-    cell's effect key, axes[effect_key(family, cell)], scored on the
-    columns its cell's focal rows or observed focal units hold. A cell's
-    p-value is the largest over its axis plus gamma, the combined one the
-    largest over the product of the axes plus gamma; fixed effects are the
-    one-point grid with gamma = 0.
+    each, and the observed focal units. A draw imputes
+    z = y + tau (t_new - t_obs) at each tau of the axis of its cell's effect
+    key, axes[effect_key(family, cell)], scored on the columns its cell's
+    focal rows or observed focal units hold. A cell's p-value is the largest
+    over its axis plus gamma, the combined one the largest over the product
+    of the axes plus gamma; fixed effects are the one-point grid with
+    gamma = 0.
     Returns the report and the grid evaluations behind its p-values.
     """
     cells = [run[0] for run in runs]
@@ -285,12 +280,14 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
     for cell, n_sf, t_new, focal, fobs, mean_focal, acceptance in runs:
         cols = np.flatnonzero(focal.any(axis=0) | fobs)
-        yc, tc = y[cols], t_obs[cols]
-        # the observed statistic is a one-row batch of the same kernel, so a
-        # draw that keeps or swaps the observed arms ties with it exactly
-        obs = float(_imputed_stats(yc, tc, tc[None, :], fobs[None, cols], [0.0])[0, 0])
+        tc = t_obs[cols]
+        # the observed row heads the batch and switches no unit: its statistic
+        # is the same at every tau, and draws keeping or swapping its arms tie it
+        t_rows = np.vstack([tc, t_new.take(cols, axis=1)])  # take keeps rows contiguous
+        f_rows = np.vstack([fobs[cols], focal.take(cols, axis=1)])
         grid = axes[effect_key(family, cell)]
-        stats[cell] = _imputed_stats(yc, tc, t_new[:, cols], focal[:, cols], grid)
+        scored = _imputed_stats(y[cols], tc, t_rows, f_rows, grid)
+        obs, stats[cell] = float(scored[0, 0]), scored[:, 1:]
         ps = empirical_pvalue(obs, stats[cell])
         best = int(np.argmax(ps))
         observed[cell], best_stats[cell] = obs, stats[cell][best]
@@ -624,7 +621,7 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
             row[idx[np.asarray(perm)]] = t[idx]
         rows.append(row)
     t_new = np.asarray(rows)
-    runs = [(c, len(idx), t_new, m[None, :], m, float(len(idx)), 1.0)
+    runs = [(c, len(idx), t_new, np.broadcast_to(m, t_new.shape), m, float(len(idx)), 1.0)
             for c, idx, m in zip(cells, units, masks)]
     report, _ = _score_grid(
         "permutation", replace(dataset, y=adjusted), family, exposures.values,

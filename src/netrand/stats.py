@@ -4,13 +4,14 @@ The per-cell statistic is the larger of the two ratios of sample
 variances across arms, so it is at least 1 when finite. Zero-variance
 conventions: both arms degenerate -> 1.0; exactly one -> +infinity.
 
-The engine scores with the batch kernel below: ``arm_variances`` takes
-each draw's arm moments once and gives the variance of the imputed
-outcomes at every effect value tau from them, and ``ratio_stat_rows``
-turns two arms' variances into statistics. ``masked_arm_variances`` is
-that kernel at tau = 0. ``ts_per_exposure`` and the scalar helpers under
-it are on no engine path: they are the independent reference that
-``benchmarks/checks.py`` recomputes every kept draw with.
+The engine scores with ``arm_variances``: at effect value tau, an arm's
+variance combines its units observed treated and those observed control,
+a parabola in tau with vertex at the difference of their means, from
+exact float64 sums of one blocked GEMM per cell. ``ratio_stat_rows``
+turns two arms' variances into statistics. The two-pass
+``masked_arm_variances`` and the scalar ``ts_per_exposure`` are on no
+engine path: they are the references that the tests and
+``benchmarks/checks.py`` recompute draws with.
 """
 from __future__ import annotations
 
@@ -62,57 +63,72 @@ def ts_per_exposure(y: np.ndarray, t: np.ndarray, focal: np.ndarray,
                               n_control_used=int((focal & (t == 0)).sum()))
 
 
-def arm_variances(y: np.ndarray, mask: np.ndarray, taus=(0.0,),
-                  switched: np.ndarray | None = None, sign: float = 1.0) -> np.ndarray:
-    """Row-wise sample variances of y + tau d over each row's masked units,
-    at every tau: a (G, B) array for G taus and a (B, N) mask.
+SCORE_BLOCK = 1 << 14  # draw cells (rows x columns) per GEMM block of arm_variances
 
-    y is an (N,) row or a (B, N) matrix. d is sign on the masked units
-    that switched (an (N,) bool row) marks and 0 elsewhere, so with k of
-    n units switched the variance is a quadratic in tau,
-    max(Syy + 2 tau Syd + tau^2 Sdd, 0) / (n - 1), with centered moments
-    Syy, Syd and Sdd = k (n - k) / n computed once per row. Syd is
-    sign * (sum of the deviations y - mean over the switched units), less
-    k/n of their sum over all n units, which takes out the rounding error
-    of the mean (the corrected two-pass algorithm of Chan, Golub & LeVeque
-    1983). Syd and Sdd are exactly 0 when k is 0 or n, so a row that keeps
-    or swaps every unit has the variance of y itself at every tau. Rows
-    where fewer than 2 units are masked get NaN.
+
+def _grid_parts(v: np.ndarray) -> np.ndarray:
+    """Each row of the (K, N) matrix v as a hi and a lo row, (2K, N), on
+    fixed binary grids coarse enough that any sum of N entries is exact in
+    float64. hi + lo is v to within 2**-80 of the row's largest entry."""
+    bits = 52 - v.shape[1].bit_length()
+    e = np.frexp(np.abs(v).max(axis=1, keepdims=True, initial=0.0))[1]  # |v| < 2**e
+    hi = np.ldexp(np.round(np.ldexp(v, bits - e)), e - bits)
+    lo = np.ldexp(np.round(np.ldexp(v - hi, 2 * bits - e)), e - 2 * bits)
+    return np.vstack([hi, lo])
+
+
+def arm_variances(y, t_obs, t_new, focal, taus=(0.0,)):
+    """Sample variances of z = y + tau (t_new - t_obs) over each row's focal
+    units in arm 1 and in arm 0 of t_new: two (G, B) arrays for G taus and
+    (B, N) 0/1 rows t_new and focal. NaN where an arm has < 2 units.
+
+    An arm's units observed treated and those observed control each shift
+    by one amount, so with their counts n1, n0, means m1, m0 and centered
+    sums of squares W1, W0 the arm's variance is (Chan, Golub & LeVeque
+    1983) (W1 + W0 + (n1 n0 / n) (m1 - m0 - tau)^2) / (n - 1). The sums are
+    exact (_grid_parts), so a row's variances depend only on which units
+    it puts in each arm: not on column order, row position, blocks or
+    BLAS threads, and a row that keeps or swaps every arm ties exactly.
     """
-    m = np.asarray(mask, dtype=bool)
-    yf = np.asarray(y, dtype=np.float64)
-    n = m.sum(axis=1).astype(np.float64)
-    mean = (yf * m).sum(axis=1) / np.maximum(n, 1.0)
-    dev = (yf - mean[:, None]) * m
-    syy = (dev * dev).sum(axis=1)
-    syd = sdd = 0.0
-    if switched is not None:
-        sw = np.asarray(switched, dtype=bool)
-        k = (m & sw).sum(axis=1).astype(np.float64)
-        partial = (k > 0.0) & (k < n)
-        sums = dev @ np.stack([sw, np.ones_like(sw)], axis=1).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            syd = np.where(partial, sign * (sums[:, 0] - k / n * sums[:, 1]), 0.0)
-            sdd = np.where(partial, k * (n - k) / n, 0.0)
-    tau = np.asarray(taus, dtype=np.float64)[:, None]
-    q = np.maximum(syy + 2.0 * tau * syd + tau * tau * sdd, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(n >= 2, q / np.maximum(n - 1.0, 1.0), np.nan)
+    y = np.asarray(y, dtype=np.float64)
+    groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
+    # each group's values less its mean, taken in sorted order so that the
+    # order of the columns cannot move it
+    shift = np.array([np.sort(y[g]).mean() if g.any() else 0.0 for g in groups])
+    u = np.where(groups, y - shift[:, None], 0.0)
+    right = np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, u * u]))]).T)
+    t_new, focal = np.asarray(t_new), np.asarray(focal)
+    rows, cols = t_new.shape
+    step = max(1, min(rows, SCORE_BLOCK // max(cols, 1)))
+    masks, sums = np.empty((step, 2, cols)), np.empty((rows, 2, 10))
+    for r in range(0, rows, step):
+        t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, rows - r)]
+        np.logical_and(f, t, out=m[:, 0])  # each row's arm 1, then its arm 0
+        np.greater(f, t, out=m[:, 1])
+        np.matmul(m.reshape(-1, cols), right, out=sums[r:r + step].reshape(-1, 10))
+    n, s = sums[..., :2], sums[..., 2:6] + sums[..., 6:]  # hi + lo
+    mean = s[..., :2] / np.maximum(n, 1.0)
+    w = np.maximum(s[..., 2:] - s[..., :2] * mean, 0.0).sum(axis=-1)
+    vertex = (shift[0] - shift[1]) + (mean[..., 0] - mean[..., 1])
+    count = n.sum(axis=-1)
+    tau = np.asarray(taus, dtype=np.float64)[:, None, None]
+    q = w + n[..., 0] * n[..., 1] / np.maximum(count, 1.0) * (vertex - tau) ** 2
+    var = np.where(count >= 2, q / np.maximum(count - 1.0, 1.0), np.nan)
+    return var[..., 0], var[..., 1]
 
 
 def masked_arm_variances(z: np.ndarray, arm_masks: tuple[np.ndarray, np.ndarray]):
-    """Row-wise sample variances for two arm masks over a (B, N) value matrix.
-
-    Returns (var1, var0, n1, n0) as (B,) arrays; rows where an arm has
-    fewer than 2 units get NaN there. This is arm_variances at tau = 0.
-    """
-    out = []
-    ns = []
-    for mask in arm_masks:
-        m = np.asarray(mask, dtype=bool)
-        out.append(arm_variances(z, m)[0])
-        ns.append(m.sum(axis=1).astype(np.int64))
-    return out[0], out[1], ns[0], ns[1]
+    """Row-wise two-pass sample variances of a (B, N) value matrix over two
+    (B, N) arm masks: (var1, var0, n1, n0) as (B,) arrays, NaN where an arm
+    has < 2 units. A reference for arm_variances, on no engine path."""
+    z, out = np.asarray(z, dtype=np.float64), []
+    for m in (np.asarray(mask, dtype=bool) for mask in arm_masks):
+        n = m.sum(axis=1)
+        dev = (z - (z * m).sum(axis=1, keepdims=True) / np.maximum(n, 1)[:, None]) * m
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out.append(np.where(n >= 2, (dev * dev).sum(axis=1) / (n - 1.0), np.nan))
+        out.append(n.astype(np.int64))
+    return out[0], out[2], out[1], out[3]
 
 
 def ratio_stat_rows(var1: np.ndarray, var0: np.ndarray) -> np.ndarray:

@@ -167,6 +167,17 @@ def test_closed_form_scorer_matches_direct_imputation(seed, offset_scale, ks):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
+def _exact_stat(y, t_obs, row, tau):
+    """The statistic of one draw at tau in Fraction arithmetic, all units focal."""
+    var = []
+    for arm in (1, 0):
+        z = [Fraction(y[i]) + Fraction(tau) * (int(row[i]) - int(t_obs[i]))
+             for i in range(len(y)) if row[i] == arm]
+        mean = sum(z) / len(z)
+        var.append(sum((v - mean) ** 2 for v in z) / (len(z) - 1))
+    return max(var[0] / var[1], var[1] / var[0])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_scorer_is_exact_to_rounding_at_a_large_offset(seed):
     # y = 1e6 + N(0, 1): the arm means carry rounding errors of about
@@ -181,13 +192,28 @@ def test_closed_form_scorer_is_exact_to_rounding_at_a_large_offset(seed):
     got = _imputed_stats(y, t_obs, t_new, focal, taus)
     for g, tau in enumerate(taus):
         for r, row in enumerate(t_new):
-            var = []
-            for arm in (1, 0):
-                z = [Fraction(y[i]) + Fraction(tau) * (int(row[i]) - int(t_obs[i]))
-                     for i in range(16) if row[i] == arm]
-                mean = sum(z) / len(z)
-                var.append(sum((v - mean) ** 2 for v in z) / (len(z) - 1))
-            exact = max(var[0] / var[1], var[1] / var[0])
+            exact = _exact_stat(y, t_obs, row, tau)
+            assert abs(Fraction(got[g, r]) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("effect", [1e3, 1e4])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_closed_form_scorer_is_exact_to_rounding_near_the_effect(effect, offset):
+    # y = offset + effect t_obs + N(0, 1): at tau = 0.999 effect a switched
+    # unit lands 0.001 effect from its new arm's kept units, so a form that
+    # expands the square in tau loses the digits that the difference of the
+    # two groups' means keeps
+    rng = np.random.default_rng(5)
+    t_obs = np.zeros(16, dtype=np.int8)
+    t_obs[rng.choice(16, 8, replace=False)] = 1
+    t_new = np.array([rng.permutation(t_obs) for _ in range(10)])
+    focal = np.ones(t_new.shape, dtype=bool)
+    y = offset + effect * t_obs + rng.standard_normal(16)
+    taus = [0.0, 0.999 * effect, -3.0]
+    got = _imputed_stats(y, t_obs, t_new, focal, taus)
+    for g, tau in enumerate(taus):
+        for r, row in enumerate(t_new):
+            exact = _exact_stat(y, t_obs, row, tau)
             assert abs(Fraction(got[g, r]) - exact) <= 1e-12 * exact
 
 
@@ -200,7 +226,7 @@ def test_closed_form_variance_is_exactly_zero_on_a_constant_arm(y6, stat):
     t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0])
     t_new = np.array([[1, 1, 0, 0, 1, 1, 0, 0]])
     focal = np.ones((1, 8), dtype=bool)
-    v1 = arm_variances(y, focal & (t_new == 1), [0.0, 2.0], t_obs != 1, 1.0)
+    v1, _ = arm_variances(y, t_obs, t_new, focal, [0.0, 2.0])
     assert v1[1, 0] == 0.0
     assert v1[0, 0] > 0.0
     got = _imputed_stats(y, t_obs, t_new, focal, [2.0])

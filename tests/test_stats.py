@@ -1,6 +1,9 @@
 """Variance-ratio statistics: conventions, combination weights, the batch
 kernel, and the scalar reference path it is checked against."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from fixtures import (TEN_PI_OBS, TEN_T_OBS, TEN_Y, TOY12_EPS, TOY12_MAPPING,
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import cell_mask
 from netrand.errors import TooFewUnits
-from netrand.inference import run_oracle_test
+from netrand import stats as stats_module
+from netrand.inference import _imputed_stats, run_oracle_test
 from netrand.nullspec import NullSpec
 from netrand.stats import (combined_stat, conditional_variance,
                            masked_arm_variances, ratio_stat_rows,
@@ -88,11 +92,11 @@ class TestPerExposure:
 
 def batch_stat(y, t, focal):
     """One draw through the engine's batch kernel: (statistic, n1, n0)."""
-    t = np.asarray(t)[None, :]
-    focal = np.asarray(focal, dtype=bool)[None, :]
-    v1, v0, n1, n0 = masked_arm_variances(np.asarray(y, dtype=np.float64)[None, :],
-                                          (focal & (t == 1), focal & (t == 0)))
-    return ratio_stat_rows(v1, v0)[0], n1[0], n0[0]
+    t = np.asarray(t)
+    focal = np.asarray(focal, dtype=bool)
+    stat = _imputed_stats(np.asarray(y, dtype=np.float64), t, t[None, :],
+                          focal[None, :], [0.0])[0, 0]
+    return stat, int((focal & (t == 1)).sum()), int((focal & (t == 0)).sum())
 
 
 class TestPerCell:
@@ -206,3 +210,69 @@ class TestBatchPath:
         v1, v0, _, _ = masked_arm_variances(z, (arm1, arm0))
         with pytest.raises(TooFewUnits):
             ratio_stat_rows(v1, v0)
+
+
+def _scoring_case(seed=3, n=40, b=30):
+    rng = np.random.default_rng(seed)
+    t_obs = np.zeros(n, dtype=np.int8)
+    t_obs[rng.choice(n, n // 2, replace=False)] = 1
+    y = 1e6 + 4.0 * t_obs + rng.standard_normal(n)
+    t_new = np.array([rng.permutation(t_obs) for _ in range(b)])
+    focal = rng.random((b, n)) < 0.8
+    return y, t_obs, t_new, focal, [0.0, 3.999, -2.5]
+
+
+def _bits(stats):
+    return np.ascontiguousarray(stats).view(np.uint64)
+
+
+class TestExactSums:
+    """The scorer's per-arm sums are exact, so a row's statistic depends
+    only on which units it puts in each arm."""
+
+    def test_column_order(self):
+        y, t_obs, t_new, focal, taus = _scoring_case()
+        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        perm = np.random.default_rng(0).permutation(len(y))
+        got = _imputed_stats(y[perm], t_obs[perm], t_new[:, perm], focal[:, perm], taus)
+        assert np.array_equal(_bits(got), _bits(base))
+
+    def test_row_position_and_duplicates(self):
+        y, t_obs, t_new, focal, taus = _scoring_case()
+        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        idx = np.random.default_rng(1).permutation(np.r_[:len(t_new), 4, 4, 4, 17])
+        got = _imputed_stats(y, t_obs, t_new[idx], focal[idx], taus)
+        assert np.array_equal(_bits(got), _bits(base[:, idx]))
+
+    def test_split_over_calls(self):
+        y, t_obs, t_new, focal, taus = _scoring_case()
+        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        parts = [_imputed_stats(y, t_obs, t_new[a:z], focal[a:z], taus)
+                 for a, z in ((0, 1), (1, 12), (12, 30))]
+        assert np.array_equal(_bits(np.hstack(parts)), _bits(base))
+
+    @pytest.mark.parametrize("block", [1, 3 * 40])
+    def test_block_size(self, monkeypatch, block):
+        y, t_obs, t_new, focal, taus = _scoring_case()
+        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        monkeypatch.setattr(stats_module, "SCORE_BLOCK", block)
+        got = _imputed_stats(y, t_obs, t_new, focal, taus)
+        assert np.array_equal(_bits(got), _bits(base))
+
+    def test_blas_threads(self):
+        # one block large enough for OpenBLAS to split it over two threads
+        code = ("import numpy as np, netrand.stats as s, test_stats as t\n"
+                "s.SCORE_BLOCK = 1 << 30\n"
+                "case = t._scoring_case(n=1500, b=400)\n"
+                "print(t._imputed_stats(*case).tobytes().hex())\n")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stats_module.__file__)))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, here]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            out.append(proc.stdout)
+        assert out[0] == out[1] and len(out[0]) > 1000
