@@ -11,6 +11,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from .assignment import KEY_BLOCK
 from .conditioning import arm_counts, family_cells
 from .errors import MappingFailure
 from .graph import Graph
@@ -19,7 +20,6 @@ from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE
 ExposureValue = Hashable
 
 _COMPARATORS = (">", ">=")
-QUOTIENT_BLOCK = 1 << 16  # candidate cells per float64 quotient block
 
 
 def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
@@ -30,7 +30,7 @@ def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
     quotient is taken a block of units at a time."""
     passes = np.greater if mapping.comparator == ">" else np.greater_equal
     exposed = np.empty(num.shape, dtype=np.int8)
-    step = max(1, QUOTIENT_BLOCK // max(num.shape[1], 1))
+    step = max(1, KEY_BLOCK // max(num.shape[1], 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(0, len(num), step):
             passes(num[r:r + step] / denom[r:r + step, None], mapping.threshold,

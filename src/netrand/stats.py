@@ -67,9 +67,10 @@ SCORE_BLOCK = 1 << 14  # draw cells (rows x columns) per GEMM block of arm_varia
 
 
 def _grid_parts(v: np.ndarray) -> np.ndarray:
-    """Each row of the (K, N) matrix v as a hi and a lo row, (2K, N), on
-    fixed binary grids coarse enough that any sum of N entries is exact in
-    float64. hi + lo is v to within 2**-80 of the row's largest entry."""
+    """Rows of the (K, N) matrix v as hi and lo rows, (2K, N), on binary grids
+    of bits = 52 - N.bit_length() so that any sum of N entries is exact in
+    float64. hi + lo is v to within 2**-(2 bits) of the row's largest |entry|
+    (2**-70 at 10**5 columns): precision scales with it, not an arm's spread."""
     bits = 52 - v.shape[1].bit_length()
     e = np.frexp(np.abs(v).max(axis=1, keepdims=True, initial=0.0))[1]  # |v| < 2**e
     hi = np.ldexp(np.round(np.ldexp(v, bits - e)), e - bits)
@@ -92,9 +93,8 @@ def arm_variances(y, t_obs, t_new, focal, taus=(0.0,)):
     """
     y = np.asarray(y, dtype=np.float64)
     groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
-    # each group's values less its mean, taken in sorted order so that the
-    # order of the columns cannot move it
-    shift = np.array([np.sort(y[g]).mean() if g.any() else 0.0 for g in groups])
+    # less each group's middle value: no column order moves it, integer y stays integer
+    shift = np.array([np.sort(y[g])[g.sum() // 2] if g.any() else 0.0 for g in groups])
     u = np.where(groups, y - shift[:, None], 0.0)
     right = np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, u * u]))]).T)
     t_new, focal = np.asarray(t_new), np.asarray(focal)

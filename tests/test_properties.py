@@ -198,23 +198,55 @@ def test_closed_form_scorer_is_exact_to_rounding_at_a_large_offset(seed):
 
 @pytest.mark.parametrize("effect", [1e3, 1e4])
 @pytest.mark.parametrize("offset", [0.0, 1e6])
-def test_closed_form_scorer_is_exact_to_rounding_near_the_effect(effect, offset):
+@pytest.mark.parametrize("n, outliers", [(16, []), (400, [1e3, -3e3, 1e4])])
+def test_closed_form_scorer_is_exact_to_rounding_near_the_effect(effect, offset, n,
+                                                                 outliers):
     # y = offset + effect t_obs + N(0, 1): at tau = 0.999 effect a switched
     # unit lands 0.001 effect from its new arm's kept units, so a form that
     # expands the square in tau loses the digits that the difference of the
-    # two groups' means keeps
+    # two groups' means keeps. The sums' grid is set by the largest value,
+    # so outliers of up to 1e4 sd must leave an arm without them exact too.
     rng = np.random.default_rng(5)
-    t_obs = np.zeros(16, dtype=np.int8)
-    t_obs[rng.choice(16, 8, replace=False)] = 1
+    t_obs = np.zeros(n, dtype=np.int8)
+    t_obs[rng.choice(n, n // 2, replace=False)] = 1
     t_new = np.array([rng.permutation(t_obs) for _ in range(10)])
     focal = np.ones(t_new.shape, dtype=bool)
-    y = offset + effect * t_obs + rng.standard_normal(16)
+    y = offset + effect * t_obs + rng.standard_normal(n)
+    y[rng.choice(n, len(outliers), replace=False)] += outliers
     taus = [0.0, 0.999 * effect, -3.0]
     got = _imputed_stats(y, t_obs, t_new, focal, taus)
     for g, tau in enumerate(taus):
         for r, row in enumerate(t_new):
             exact = _exact_stat(y, t_obs, row, tau)
             assert abs(Fraction(got[g, r]) - exact) <= 1e-12 * exact
+
+
+_BINARY = [0, 0, 0, 1, 1, 1, 1] + [1, 1, 1, 1, 1, 0, 0]
+_KEEP, _SWAP = [1] * 7 + [0] * 7, [0] * 7 + [1] * 7
+_THREE_AND_THREE = [1] * 3 + [0] * 4 + [1] * 3 + [0] * 4
+
+
+@pytest.mark.parametrize("y, t_new, focal, stats", [
+    # binary y whose group means (4/7, 5/7) are not dyadic: the keep and the
+    # swap row, with focal units that leave one or both arms constant
+    (_BINARY, _KEEP, [1] * 3 + [0] * 4 + [1] * 7, [math.inf] * 3),
+    (_BINARY, _KEEP, _THREE_AND_THREE, [1.0] * 3),
+    (_BINARY, _SWAP, [1] * 7 + [1] * 3 + [0] * 4, [math.inf] * 3),
+    (_BINARY, _SWAP, _THREE_AND_THREE, [1.0] * 3),
+    # counts: arm 1 keeps two 3s and takes two 1s, so it imputes 3 on all
+    # four of its units at tau = 2 only
+    ([3, 3, 5, 7, 1, 2, 4] + [1, 1, 4, 6, 2, 0, 5], [1, 1] + [0] * 5 + [1, 1] + [0] * 5,
+     [1] * 14, [None, math.inf, None]),
+])
+def test_integer_outcomes_keep_the_zero_variance_conventions(y, t_new, focal, stats):
+    y, t_obs = np.array(y, dtype=float), np.array(_KEEP)
+    t_new, focal = np.array([t_new]), np.array([focal], dtype=bool)
+    taus = [0.0, 2.0, -3.0]
+    got = _imputed_stats(y, t_obs, t_new, focal, taus)[:, 0]
+    for g, tau in enumerate(taus):
+        ref = ts_per_exposure(y + tau * (t_new[0] - t_obs), t_new[0], focal[0]).value
+        assert got[g] == pytest.approx(ref, rel=1e-12)
+        assert stats[g] is None or got[g] == ref == stats[g]
 
 
 @pytest.mark.parametrize("y6, stat", [(0.75, 1.0), (1.0, math.inf)])
