@@ -17,7 +17,7 @@ from .conditioning import epsilon_feasibility
 from .data import Dataset, ingest
 from .errors import DataError, InfeasibleConditioning, NetrandError
 from .exposure import FractionThreshold, WeightedThreshold, compute_exposures, exposure_cell_counts
-from .graph import _is_int, degree_diagnostics, overlap_check
+from .graph import degree_diagnostics, overlap_check
 from .inference import TECHNIQUES, CIConfig, _json_safe, run_technique
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        NullSpec)
@@ -122,9 +122,15 @@ def _mechanism_from_args(args, dataset: Dataset):
     return CompleteRandomization(dataset.n, int(dataset.t.sum()))
 
 
+def _int_or_str(s: str):
+    try:
+        return int(s)
+    except ValueError:
+        return s
+
+
 def _parse_cell_key(key: str, family: str):
-    parts = [p.strip() for p in key.split(",")]
-    parsed = tuple(int(p) if _is_int(p) else p for p in parts)
+    parsed = tuple(_int_or_str(p.strip()) for p in key.split(","))
     if family == BY_EXPOSURE and len(parsed) != 1:
         raise DataError(f"tau-map key {key!r} must name one exposure value")
     if family == BY_EXPOSURE_COVARIATE and len(parsed) != 2:

@@ -6,6 +6,7 @@ parallel edges); directed edge lists are symmetrized on construction.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -21,7 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Graph:
-    """Adjacency stored as sorted neighbor lists.
+    """Adjacency in compressed sparse row (CSR) form: unit i's neighbors
+    are ``indices[indptr[i]:indptr[i + 1]]``, ascending, deduped over both
+    orientations of the input pairs; ``edges`` derives the pairs i < j.
 
     Batch kernels read the neighbor-slot layout (``slots``): units sorted
     by descending degree, and for each slot k the k-th neighbors of the
@@ -33,39 +36,45 @@ class Graph:
 
     def __init__(self, n_units: int, edges: Iterable[tuple[int, int]],
                  symmetrized: bool = False):
-        self.n_units = int(n_units)
-        self.edges = frozenset(edges)
+        self.n_units = n = int(n_units)
         self.symmetrized = bool(symmetrized)
-        nbrs: list[list[int]] = [[] for _ in range(self.n_units)]
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        self._neighbors = tuple(np.array(sorted(ns), dtype=np.int64) for ns in nbrs)
-        self._degrees = np.array([len(ns) for ns in nbrs], dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
+        a, b = edges.astype(np.int64, copy=False).reshape(-1, 2).T
+        # each edge in both directions as key row * n + column, sorted and deduped
+        keys = np.sort(np.concatenate((a * n + b, b * n + a)))
+        rows, self.indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
         self._dense: np.ndarray | None = None
         self._slots: tuple | None = None
 
     def neighbors(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n_units:
             raise IndexOutOfRange(f"unit {i} not in 0..{self.n_units - 1}")
-        return self._neighbors[i]
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def degree(self, i: int) -> int:
-        if not 0 <= i < self.n_units:
-            raise IndexOutOfRange(f"unit {i} not in 0..{self.n_units - 1}")
-        return int(self._degrees[i])
+        return len(self.neighbors(i))
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._degrees
+        return np.diff(self.indptr)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        rows = self._rows()
+        upper = rows < self.indices
+        return frozenset(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    def _rows(self) -> np.ndarray:
+        """The unit whose neighbor list holds each entry of ``indices``."""
+        return np.repeat(np.arange(self.n_units), self.degrees)
 
     def dense(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (cached)."""
         if self._dense is None:
             a = np.zeros((self.n_units, self.n_units), dtype=np.float64)
-            for i, j in self.edges:
-                a[i, j] = 1.0
-                a[j, i] = 1.0
+            a[self._rows(), self.indices] = 1.0
             self._dense = a
         return self._dense
 
@@ -75,31 +84,27 @@ class Graph:
         k-th neighbors of ``order[:len(nbrs[k])]``, the units of degree
         > k (cached)."""
         if self._slots is None:
-            degs = self._degrees
+            degs = self.degrees
             order = np.argsort(-degs, kind="stable")
-            starts = (np.cumsum(degs) - degs)[order]
-            flat = self._flat_neighbors()
-            self._slots = (order, tuple(flat[starts[:np.count_nonzero(degs > k)] + k]
+            starts = self.indptr[order]
+            self._slots = (order, tuple(self.indices[starts[:np.count_nonzero(degs > k)] + k]
                                         for k in range(degs.max(initial=0))))
         return self._slots
-
-    def _flat_neighbors(self) -> np.ndarray:
-        """All neighbor lists concatenated in unit order."""
-        return np.concatenate((*self._neighbors, np.empty(0, np.int64)))
 
     def neighbor_sums(self, t_mat: np.ndarray,
                       weights: np.ndarray | None = None) -> np.ndarray:
         """Sum of t_j (times weights[j], if given) over each unit's
         neighbors j, for every row of the 0/1 matrix t_mat (B, N).
 
-        Returns a unit-major (N, B) matrix whose rows follow
-        ``slots[0]`` (descending degree), int32 counts without weights and
-        float64 sums with them. Working unit-major makes each slot's
-        gather read whole contiguous rows.
+        Returns a unit-major (N, B) matrix whose rows follow ``slots[0]``
+        (descending degree): counts in the narrowest signed integer type
+        holding the largest degree, or float64 sums with weights. Working
+        unit-major makes each slot's gather read whole contiguous rows.
         """
         order, nbrs = self.slots
         t_units = np.ascontiguousarray(np.asarray(t_mat).T, dtype=np.int8)
-        dtype = np.int32 if weights is None else np.float64
+        # a type that holds -(d + 1) also holds every count 0..d
+        dtype = np.min_scalar_type(-len(nbrs) - 1) if weights is None else np.float64
         sums = np.zeros(t_units.shape, dtype=dtype)
         for nbr in nbrs:
             rows = t_units[nbr]
@@ -111,7 +116,7 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
     def __repr__(self) -> str:
         return f"Graph(n_units={self.n_units}, n_edges={self.n_edges})"
@@ -120,24 +125,28 @@ class Graph:
 def build_graph(n_units: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     """Validate, dedupe, and symmetrize an edge list.
 
-    Raises IndexOutOfRange for endpoints outside 0..n_units-1 and SelfLoop
-    for (i, i) entries. The symmetrized flag on the result records whether
-    the input, read as directed pairs, was missing any mirror pair.
+    Raises IndexOutOfRange (endpoint outside 0..n_units-1) or SelfLoop
+    for the first offending edge in input order. The symmetrized flag on
+    the result records whether the input, read as directed pairs, was
+    missing any mirror pair.
     """
     if n_units <= 0:
         raise IndexOutOfRange(f"n_units must be positive, got {n_units}")
-    directed = set()
-    undirected = set()
-    for a, b in edge_list:
-        a, b = int(a), int(b)
-        if not (0 <= a < n_units and 0 <= b < n_units):
-            raise IndexOutOfRange(f"edge ({a}, {b}) outside 0..{n_units - 1}")
-        if a == b:
-            raise SelfLoop(f"self loop at unit {a}")
-        directed.add((a, b))
-        undirected.add((min(a, b), max(a, b)))
-    symmetrized = any((b, a) not in directed for a, b in directed)
-    return Graph(n_units, undirected, symmetrized=symmetrized)
+    pairs = np.asarray(edge_list, dtype=np.int64).reshape(len(edge_list), 2)
+    a, b = pairs.T
+    outside = ((pairs < 0) | (pairs >= n_units)).any(axis=1)
+    bad = np.flatnonzero(outside | (a == b))
+    if len(bad):
+        i, j = pairs[bad[0]].tolist()
+        if outside[bad[0]]:
+            raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n_units - 1}")
+        raise SelfLoop(f"self loop at unit {i}")
+    graph = Graph(n_units, pairs)
+    # each pair is one direction of an edge: a mirror pair is missing when
+    # fewer than the graph's 2E directed pairs occur
+    keys = np.sort(a * n_units + b)
+    graph.symmetrized = bool(np.count_nonzero(np.diff(keys, prepend=-1)) < len(graph.indices))
+    return graph
 
 
 def read_edge_csv(path, n_units: int | None = None) -> Graph:
@@ -145,7 +154,7 @@ def read_edge_csv(path, n_units: int | None = None) -> Graph:
 
     Node count is inferred as max index + 1 unless given explicitly.
     """
-    pairs: list[tuple[int, int]] = []
+    ends: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -153,25 +162,18 @@ def read_edge_csv(path, n_units: int | None = None) -> Graph:
                 continue
             if len(row) < 2:
                 raise ParseError("expected two columns src,dst", line=lineno)
-            a, b = row[0].strip(), row[1].strip()
-            if lineno == 1 and not (_is_int(a) and _is_int(b)):
-                continue  # header row
-            if not (_is_int(a) and _is_int(b)):
-                raise ParseError(f"non-integer edge endpoint {row[:2]}", line=lineno)
-            pairs.append((int(a), int(b)))
+            try:
+                ends += int(row[0]), int(row[1])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                raise ParseError(f"non-integer edge endpoint {row[:2]}", line=lineno) from None
+    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
     if n_units is None:
-        n_units = 1 + max((max(a, b) for a, b in pairs), default=-1)
+        n_units = 1 + int(edges.max(initial=-1))
         if n_units <= 0:
             raise ParseError("edge file contains no edges and no node count given")
-    return build_graph(n_units, pairs)
-
-
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-    except ValueError:
-        return False
-    return True
+    return build_graph(n_units, edges)
 
 
 @dataclass(frozen=True)
@@ -188,29 +190,27 @@ def degree_diagnostics(graph: Graph) -> DegreeDiagnostics:
     Both are k^3 checks for k-regular graphs and grow with N when the
     graph is too dense for exposure-based inference.
     """
-    n = graph.n_units
     degs = graph.degrees
     third = float(np.mean(degs.astype(np.float64)**3))
     # All walks: 1'A^3 1 = sum over ordered edges (i, j) of deg_i * deg_j.
     # Closed walks: trace(A^3) = 6 triangles = 2 x (wedges whose ends are
     # adjacent), each triangle closing one wedge at each of its corners.
-    edges = np.sort(np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2), axis=1)
-    walks = 2 * int(np.sum(degs[edges[:, 0]] * degs[edges[:, 1]]))
-    closed = 2 * _closed_wedges(graph, edges)
-    return DegreeDiagnostics(third_moment=third, path3_density=(walks - closed) / n)
+    walks = int(np.sum(np.repeat(degs, degs) * degs[graph.indices]))
+    closed = 2 * _closed_wedges(graph)
+    return DegreeDiagnostics(third_moment=third, path3_density=(walks - closed) / graph.n_units)
 
 
-def _closed_wedges(graph: Graph, edges: np.ndarray) -> int:
+def _closed_wedges(graph: Graph) -> int:
     """Number of wedges j - i - k (j < k, both neighbors of i) whose ends
     j and k are adjacent. Each neighbor-list position pairs with the
-    positions after it in the same (sorted) list."""
-    n = graph.n_units
-    flat = graph._flat_neighbors()
-    later = np.repeat(np.cumsum(graph.degrees), graph.degrees) - np.arange(len(flat)) - 1
+    positions after it in the same (ascending) list."""
+    n, flat, degs = graph.n_units, graph.indices, graph.degrees
+    later = np.repeat(graph.indptr[1:], degs) - np.arange(len(flat)) - 1
     first = np.repeat(np.arange(len(flat)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    keys = flat[first] * n + flat[second]
-    return int(np.count_nonzero(np.isin(keys, edges[:, 0] * n + edges[:, 1])))
+    # j and k are adjacent when j * n + k is a CSR entry's row * n + column
+    return int(np.count_nonzero(np.isin(flat[first] * n + flat[second],
+                                        graph._rows() * n + flat)))
 
 
 @dataclass(frozen=True)

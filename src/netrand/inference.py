@@ -537,7 +537,7 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
         "grid_points_per_axis": m_axis,
         "grid_truncated": truncated,
         "intervals": {_cell_key(k): list(v) for k, v in intervals.items()},
-        "grid_evaluations": _json_safe(grid_evals),
+        "grid_evaluations": grid_evals,
     }
     return report
 

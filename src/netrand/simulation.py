@@ -9,6 +9,7 @@ true; sigma_tau > 0 indexes fixed heterogeneity alternatives.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -37,19 +38,12 @@ def generate_regular_graph(n: int, degree: int,
         raise InfeasibleCounts(f"n * degree must be even, got {n} * {degree}")
     if not 0 <= degree < n:
         raise InfeasibleCounts(f"degree must be in 0..{n - 1}, got {degree}")
-    if degree == 0:
-        return Graph(n, set())
 
     def _suitable(edges, potential_edges):
-        if not potential_edges:
-            return True
-        nodes = list(potential_edges)
-        for i, s1 in enumerate(nodes):
-            for s2 in nodes[:i]:
-                a, b = (s2, s1) if s2 < s1 else (s1, s2)
-                if (a, b) not in edges:
-                    return True
-        return False
+        """Whether two of the leftover stubs' nodes could still be joined."""
+        return not potential_edges or any(
+            (min(u, v), max(u, v)) not in edges
+            for u, v in itertools.combinations(potential_edges, 2))
 
     def _try_creation():
         edges: set[tuple[int, int]] = set()

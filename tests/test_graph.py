@@ -6,8 +6,8 @@ from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_T_OBS, make_line4, make_ten,
                       neighbor_lists, random_irregular_graph)
 from netrand.errors import EmptyCell, IndexOutOfRange, ParseError, SelfLoop
 from netrand.exposure import FractionThreshold, compute_exposures
-from netrand.graph import (build_graph, degree_diagnostics, overlap_check,
-                           read_edge_csv)
+from netrand.graph import (Graph, build_graph, degree_diagnostics,
+                           overlap_check, read_edge_csv)
 from netrand.simulation import generate_regular_graph
 
 
@@ -43,6 +43,26 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRange):
             build_graph(0, [])
 
+    def test_first_offending_edge_decides_the_error(self):
+        with pytest.raises(IndexOutOfRange, match=r"edge \(0, 3\) outside 0..2"):
+            build_graph(3, [(0, 1), (0, 3), (2, 2)])
+        with pytest.raises(SelfLoop, match="self loop at unit 2"):
+            build_graph(3, [(0, 1), (2, 2), (0, 3)])
+        with pytest.raises(IndexOutOfRange, match=r"edge \(5, 5\)"):
+            build_graph(3, [(5, 5)])
+
+    def test_graph_dedupes_both_orientations(self):
+        g = Graph(3, [(1, 0), (0, 1), (0, 1)])
+        assert g.n_edges == 1 and g.edges == frozenset({(0, 1)})
+        assert g.neighbors(0).tolist() == [1] and g.neighbors(2).tolist() == []
+
+    def test_csr_arrays(self):
+        g = build_graph(10, TEN_EDGES)
+        nbrs = neighbor_lists(10, TEN_EDGES)
+        assert g.indptr.tolist() == np.cumsum([0] + [len(ns) for ns in nbrs]).tolist()
+        assert g.indices.tolist() == [j for ns in nbrs for j in sorted(ns)]
+        assert g.edges == frozenset((min(a, b), max(a, b)) for a, b in TEN_EDGES)
+
     def test_neighbor_index_checked(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(IndexOutOfRange):
@@ -68,16 +88,23 @@ class TestBuildGraph:
             assert got == g.neighbors(int(unit)).tolist()
 
     def test_neighbor_sums_match_dense_products(self):
+        # counts use the narrowest signed type holding the largest degree:
+        # int8 up to degree 127, int16 for the second graph's degree-200 hub,
+        # whose count in the all-treated row would overflow int8
         rng = np.random.default_rng(4)
-        g = random_irregular_graph(rng, 50, hub_degree=20, n_isolated=2)
-        t_mat = rng.integers(0, 2, size=(7, 50))
-        w = rng.integers(0, 5, size=50).astype(np.float64)
-        order = g.slots[0]
-        counts = g.neighbor_sums(t_mat)
-        assert counts.dtype == np.int32 and counts.shape == (50, 7)
-        assert np.array_equal(counts[np.argsort(order)].T, t_mat @ g.dense())
-        weighted = g.neighbor_sums(t_mat, w)
-        assert np.array_equal(weighted[np.argsort(order)].T, (t_mat * w) @ g.dense())
+        for n, hub, dtype in ((50, 20, np.int8), (260, 200, np.int16)):
+            g = random_irregular_graph(rng, n, hub_degree=hub, n_isolated=2)
+            assert g.degrees.max() >= hub
+            t_mat = np.vstack([np.ones(n, np.int64), rng.integers(0, 2, size=(6, n))])
+            w = rng.integers(0, 5, size=n).astype(np.float64)
+            order = g.slots[0]
+            counts = g.neighbor_sums(t_mat)
+            assert counts.dtype == dtype and counts.shape == (n, 7)
+            assert np.array_equal(counts[np.argsort(order)].T, t_mat @ g.dense())
+            assert counts.max() == g.degrees.max()
+            weighted = g.neighbor_sums(t_mat, w)
+            assert weighted.dtype == np.float64
+            assert np.array_equal(weighted[np.argsort(order)].T, (t_mat * w) @ g.dense())
 
     def test_edgeless_graph_has_no_slots(self):
         g = build_graph(3, [])
@@ -111,6 +138,16 @@ class TestEdgeCsv:
         with pytest.raises(ParseError) as exc:
             read_edge_csv(p)
         assert exc.value.line == 3
+
+    def test_only_the_first_row_may_be_a_header(self, tmp_path):
+        p = tmp_path / "edges.csv"
+        p.write_text("id, 2\n0, 1\n 1 ,2\n")
+        g = read_edge_csv(p)
+        assert g.n_units == 3 and g.edges == frozenset({(0, 1), (1, 2)})
+        p.write_text("0,1\nsrc,dst\n")
+        with pytest.raises(ParseError) as exc:
+            read_edge_csv(p)
+        assert exc.value.line == 2
 
     def test_single_column_rejected(self, tmp_path):
         p = tmp_path / "edges.csv"
