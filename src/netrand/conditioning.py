@@ -22,6 +22,7 @@ Cell = tuple  # (pi,) or (pi, x_level)
 # Cap on a candidate batch's rows x units. A batch's working set is a few
 # tens of bytes per cell, so this keeps it to several hundred MB at any N.
 MAX_BATCH_CELLS = 1 << 24
+MAX_FOCAL_RETRIES = 100  # observed focal selections tried before giving up
 
 
 def family_cells(family: str, values: Sequence, x_levels: Sequence = ()) -> list[Cell]:
@@ -118,15 +119,14 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
 
 @dataclass
 class Draws:
-    """One cell group's accepted draws as (b, N) matrices: the treatment
-    vectors and the focal units (the union over the group's cells, so a
-    cell's own focal units are ``focal & sf.indicator`` for its entry sf
-    of superfocal), and the candidates drawn up to and including the
-    group's last accept."""
+    """One cell's accepted draws: its group's (b, N) treatment vectors (one
+    array shared by the cells of a combined group), the cell's own (b, N)
+    focal units, its super-focal set, and the candidates its group drew up
+    to and including its last accept."""
 
     t: np.ndarray
     focal: np.ndarray
-    superfocal: tuple  # a SuperFocalSet per cell of the group
+    superfocal: SuperFocalSet
     n_candidates: int
 
     @property
@@ -167,10 +167,10 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     super-focal units strictly exceeds epsilon. Each group keeps its first
     b accepts, so its draws are i.i.d. on its own conditioning set (the
     groups' draws are dependent, which Bonferroni and Holm allow).
-    Returns one Draws record per group of config.groups, with the cells'
-    super-focal sets, plus diagnostics. Raises AcceptanceBudgetExhausted,
-    naming each starved group and the worst inequality among their cells,
-    when b * max_attempts_per_accept candidates leave a group short of b.
+    Returns one Draws record per cell of config.cells, in that order, plus
+    diagnostics. Raises AcceptanceBudgetExhausted, naming each starved
+    group and the worst inequality among their cells, when
+    b * max_attempts_per_accept candidates leave a group short of b.
 
     Each batch is the largest that an unfinished group asks for (see
     _batch_rows), so a design that rejects nothing draws b candidates.
@@ -183,7 +183,8 @@ def sample_conditioning_set(mechanism, dataset, exposures,
 
     budget = b * config.max_attempts_per_accept
     max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
-    blocks = [[] for _ in groups]  # (t, focal) rows accepted from each batch
+    t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
+    focal_blocks = {c: [] for c in config.cells}  # the same rows' focal units per cell
     accepted = [0] * len(groups)
     done_at = [0] * len(groups)  # candidates drawn up to the b-th accept
     attempts = 0
@@ -221,16 +222,18 @@ def sample_conditioning_set(mechanism, dataset, exposures,
             need = b - accepted[g]
             rows = np.flatnonzero(np.logical_and.reduce(
                 [passes[c] for c in groups[g]]))[:need]
-            focal = np.logical_or.reduce([in_cell[c][rows] for c in groups[g]])
-            blocks[g].append((t_batch[rows], focal))
+            t_blocks[g].append(t_batch[rows])
+            for c in groups[g]:
+                focal_blocks[c].append(in_cell[c][rows])
             accepted[g] += len(rows)
             if len(rows) == need:
                 done_at[g] = attempts + int(rows[-1]) + 1
         attempts += m
 
-    draws = [Draws(*(np.concatenate(col) for col in zip(*blk)),
-                   superfocal=tuple(sfs[c] for c in grp), n_candidates=n)
-             for blk, grp, n in zip(blocks, groups, done_at)]
+    draws = []
+    for grp, blk, n in zip(groups, t_blocks, done_at):
+        t = np.concatenate(blk)
+        draws += [Draws(t, np.concatenate(focal_blocks[c]), sfs[c], n) for c in grp]
     diag = ConditioningDiagnostics(n_candidates=attempts,
                                    n_accepted=b * len(groups),
                                    failure_counts=fail_counts)
@@ -239,18 +242,17 @@ def sample_conditioning_set(mechanism, dataset, exposures,
 
 def select_observed_focal(superfocal: SuperFocalSet, focal: np.ndarray,
                           t_obs: np.ndarray, rng: np.random.Generator,
-                          min_per_arm: int = 1,
-                          max_retries: int = 100) -> np.ndarray:
+                          min_per_arm: int = 1) -> np.ndarray:
     """Uniform subset of the super-focal units sized to the mean focal
-    count over the accepted draws' (b, N) focal matrix (round half to
-    even).
+    count over the cell's (b, N) focal matrix, a Draws record's focal
+    (round half to even).
 
     Resamples until each treatment arm holds at least min_per_arm selected
-    units; raises ArmEmptyAfterRetries when that is impossible or the
-    retry budget runs out.
+    units; raises ArmEmptyAfterRetries, naming the cell, when that is
+    impossible or MAX_FOCAL_RETRIES selections all miss.
     """
     t_obs = np.asarray(t_obs)
-    counts = (np.asarray(focal, dtype=bool) & superfocal.indicator).sum(axis=1)
+    counts = np.asarray(focal, dtype=bool).sum(axis=1)
     if counts.size == 0:
         raise ValueError("no accepted draws to size the selection from")
     size = round(float(np.mean(counts)))
@@ -261,9 +263,9 @@ def select_observed_focal(superfocal: SuperFocalSet, focal: np.ndarray,
     hi = min(size - min_per_arm, arm1)
     if size < 2 * min_per_arm or lo > hi:
         raise ArmEmptyAfterRetries(
-            f"selection of size {size} from {len(idx)} super-focal units "
-            f"(arms {arm1}/{arm0}) cannot hold >= {min_per_arm} per arm")
-    for _ in range(max_retries):
+            f"cell {superfocal.cell}: selection of size {size} from {len(idx)} "
+            f"super-focal units (arms {arm1}/{arm0}) cannot hold >= {min_per_arm} per arm")
+    for _ in range(MAX_FOCAL_RETRIES):
         pick = rng.choice(idx, size=size, replace=False)
         n1 = int(t_obs[pick].sum())
         if n1 >= min_per_arm and size - n1 >= min_per_arm:
@@ -271,7 +273,8 @@ def select_observed_focal(superfocal: SuperFocalSet, focal: np.ndarray,
             mask[pick] = True
             return mask
     raise ArmEmptyAfterRetries(
-        f"no selection with >= {min_per_arm} units per arm in {max_retries} tries")
+        f"cell {superfocal.cell}: no selection with >= {min_per_arm} units per arm "
+        f"in {MAX_FOCAL_RETRIES} tries")
 
 
 def epsilon_feasibility(dataset, exposures, use_covariate: bool = False) -> float:

@@ -34,10 +34,9 @@ class Graph:
     request; no engine path calls it.
     """
 
-    def __init__(self, n_units: int, edges: Iterable[tuple[int, int]],
-                 symmetrized: bool = False):
+    def __init__(self, n_units: int, edges: Iterable[tuple[int, int]]):
         self.n_units = n = int(n_units)
-        self.symmetrized = bool(symmetrized)
+        self.symmetrized = False  # build_graph sets it from its edge list
         if not isinstance(edges, np.ndarray):
             edges = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
         a, b = edges.astype(np.int64, copy=False).reshape(-1, 2).T

@@ -20,9 +20,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .conditioning import (Cell, ConditioningConfig, SuperFocalSet, arm_counts,
-                           cell_mask, family_cells, sample_conditioning_set,
-                           select_observed_focal)
+from .conditioning import (Cell, ConditioningConfig, Draws, SuperFocalSet,
+                           arm_counts, cell_mask, family_cells,
+                           sample_conditioning_set, select_observed_focal)
 from .data import Dataset
 from .errors import (DegenerateInterval, EmptyArm, MissingParameter,
                      SplitInfeasible, TooFewUnits)
@@ -31,7 +31,6 @@ from .nullspec import (GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec, effect_key)
 from .stats import arm_variances, combined_stat, ratio_stat_rows
 
-MIN_OBSERVED_FOCAL = 4  # two per arm is the least that gives two variances
 ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
 TOTAL_GRID_BUDGET = 400  # most points of a combined-mode CI product grid
 
@@ -167,17 +166,10 @@ def adjust_multiple(pvalues: Mapping, alpha: float, method: str) -> AdjustResult
         dec = p <= alpha / m
     elif method == "holm":
         order = np.argsort(p, kind="stable")
-        adj = np.empty(m)
-        running = 0.0
-        for rank, idx in enumerate(order):
-            running = max(running, min(1.0, (m - rank) * p[idx]))
-            adj[idx] = running
-        dec = np.zeros(m, dtype=bool)
-        for rank, idx in enumerate(order):
-            if p[idx] <= alpha / (m - rank):
-                dec[idx] = True
-            else:
-                break
+        p_sorted, k = p[order], m - np.arange(m)  # k = m - rank
+        adj, dec = np.empty(m), np.empty(m, dtype=bool)
+        adj[order] = np.maximum.accumulate(np.minimum(1.0, k * p_sorted))
+        dec[order] = np.logical_and.accumulate(p_sorted <= alpha / k)
     elif method == "unadjusted_any":
         adj = p.copy()
         dec = p < alpha
@@ -238,21 +230,15 @@ def _grid_test(technique, dataset, exposures, mechanism, family, axes, gamma,
     cfg = ConditioningConfig(epsilon=epsilon, cells=tuple(cells),
                              max_attempts_per_accept=max_attempts,
                              separate=stat == "multiple")
-    groups, _ = sample_conditioning_set(mechanism, dataset, exposures, cfg, b, rng)
+    records, _ = sample_conditioning_set(mechanism, dataset, exposures, cfg, b, rng)
     runs = []
-    for draws in groups:
-        for sf in draws.superfocal:
-            if inf_mask is not None:
-                sf = SuperFocalSet(indicator=sf.indicator & inf_mask, cell=sf.cell)
-            focal = draws.focal & sf.indicator
-            mean_focal = float(np.mean(focal.sum(axis=1)))
-            if round(mean_focal) < MIN_OBSERVED_FOCAL:
-                raise TooFewUnits(
-                    f"cell {sf.cell}: observed focal selection of size {round(mean_focal)} "
-                    f"cannot support two per-arm variances (need >= {MIN_OBSERVED_FOCAL})")
-            fobs = select_observed_focal(sf, focal, dataset.t, rng, min_per_arm=2)
-            runs.append((sf.cell, sf.n, draws.t, focal, fobs, mean_focal,
-                         draws.acceptance_rate))
+    for d in records:
+        if inf_mask is not None:
+            d = replace(d, focal=d.focal & inf_mask, superfocal=SuperFocalSet(
+                d.superfocal.indicator & inf_mask, d.superfocal.cell))
+        # two observed focal units per arm give the two arm variances
+        runs.append((d, select_observed_focal(d.superfocal, d.focal, dataset.t, rng,
+                                              min_per_arm=2)))
     return _score_grid(technique, dataset, family, exposures.values, runs, axes,
                        gamma, b=b, epsilon=epsilon, stat=stat, alpha=alpha,
                        keep_draws=keep_draws)
@@ -262,29 +248,28 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
                 b, epsilon, stat, alpha, keep_draws):
     """Score the draws of every test and build its report.
 
-    Each run is (cell, n_superfocal, t_new, focal, fobs, mean_focal,
-    acceptance_rate): (b, N) treatment rows, the cell's focal units under
-    each, and the observed focal units. A draw imputes
-    z = y + tau (t_new - t_obs) at each tau of the axis of its cell's effect
-    key, axes[effect_key(family, cell)], scored on the columns its cell's
-    focal rows or observed focal units hold. A cell's p-value is the largest
-    over its axis plus gamma, the combined one the largest over the product
-    of the axes plus gamma; fixed effects are the one-point grid with
-    gamma = 0.
+    Each run pairs a cell's Draws record with its observed focal units. A
+    draw t_new imputes z = y + tau (t_new - t_obs) at each tau of the axis
+    of its cell's effect key, axes[effect_key(family, cell)], scored on the
+    columns the cell's focal rows or observed focal units hold. The report
+    takes each cell's super-focal count, mean focal count and acceptance
+    rate from its record. A cell's p-value is the largest over its axis
+    plus gamma, the combined one the largest over the product of the axes
+    plus gamma; fixed effects are the one-point grid with gamma = 0.
     Returns the report and the grid evaluations behind its p-values.
     """
-    cells = [run[0] for run in runs]
+    cells = [d.superfocal.cell for d, _ in runs]
     report = TestReport(technique=technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon)
     y, t_obs = dataset.y, dataset.t
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
-    for cell, n_sf, t_new, focal, fobs, mean_focal, acceptance in runs:
-        cols = np.flatnonzero(focal.any(axis=0) | fobs)
+    for (d, fobs), cell in zip(runs, cells):
+        cols = np.flatnonzero(d.focal.any(axis=0) | fobs)
         tc = t_obs[cols]
         # the observed row heads the batch and switches no unit: its statistic
         # is the same at every tau, and draws keeping or swapping its arms tie it
-        t_rows = np.vstack([tc, t_new.take(cols, axis=1)])  # take keeps rows contiguous
-        f_rows = np.vstack([fobs[cols], focal.take(cols, axis=1)])
+        t_rows = np.vstack([tc, d.t.take(cols, axis=1)])  # take keeps rows contiguous
+        f_rows = np.vstack([fobs[cols], d.focal.take(cols, axis=1)])
         grid = axes[effect_key(family, cell)]
         scored = _imputed_stats(y[cols], tc, t_rows, f_rows, grid)
         obs, stats[cell] = float(scored[0, 0]), scored[:, 1:]
@@ -295,9 +280,9 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
         grid_evals[_cell_key(cell)] = [(float(tau), p) for tau, p in zip(grid, ps)]
         report.cells.append(CellResult(
             cell=cell, pvalue=pvals[cell], observed_stat=obs,
-            tau=grid[0] if len(grid) == 1 else None, n_superfocal=n_sf,
-            fobs_size=int(fobs.sum()), mean_focal=mean_focal,
-            acceptance_rate=acceptance))
+            tau=grid[0] if len(grid) == 1 else None, n_superfocal=d.superfocal.n,
+            fobs_size=int(fobs.sum()), mean_focal=float(np.mean(d.focal.sum(axis=1))),
+            acceptance_rate=d.acceptance_rate))
 
     if stat == "multiple":
         _attach_decisions(report, pvals, alpha)
@@ -331,14 +316,14 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
             weights={c: float(w) for c, w in zip(cells, weights)})
     if keep_draws:
         # multiple mode has one draw set per cell, combined mode one in all
-        kept = ({run[0]: run[2] for run in runs} if stat == "multiple"
-                else {"combined": runs[0][2]})
+        kept = ({c: d.t for (d, _), c in zip(runs, cells)} if stat == "multiple"
+                else {"combined": runs[0][0].t})
         report.diagnostics["draw_stats"] = {_cell_key(k): v.tolist()
                                             for k, v in best_stats.items()}
         report.diagnostics["draw_treatments"] = {_cell_key(k): v.tolist()
                                                  for k, v in kept.items()}
         report.diagnostics["observed_focal"] = {
-            _cell_key(run[0]): np.nonzero(run[4])[0].tolist() for run in runs}
+            _cell_key(c): np.nonzero(fobs)[0].tolist() for (_, fobs), c in zip(runs, cells)}
     return report, grid_evals
 
 
@@ -621,8 +606,9 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
             row[idx[np.asarray(perm)]] = t[idx]
         rows.append(row)
     t_new = np.asarray(rows)
-    runs = [(c, len(idx), t_new, np.broadcast_to(m, t_new.shape), m, float(len(idx)), 1.0)
-            for c, idx, m in zip(cells, units, masks)]
+    # every permutation keeps the cell's inference units focal
+    runs = [(Draws(t_new, np.broadcast_to(m, t_new.shape), SuperFocalSet(m, c),
+                   n_candidates=len(t_new)), m) for c, m in zip(cells, masks)]
     report, _ = _score_grid(
         "permutation", replace(dataset, y=adjusted), family, exposures.values,
         runs, {effect_key(family, c): [0.0] for c in cells}, 0.0,

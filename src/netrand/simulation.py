@@ -24,14 +24,15 @@ from .errors import (InfeasibleConditioning, InfeasibleCounts,
                      GenerationBudgetExhausted)
 from .exposure import FractionThreshold
 from .graph import Graph
-from .inference import TECHNIQUES, CIConfig, run_technique
+from .inference import TECHNIQUES, run_technique
 from .nullspec import (BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL,
                        NuisanceParams, NullSpec, effect_key)
 
 
-def generate_regular_graph(n: int, degree: int,
-                           rng: np.random.Generator,
-                           max_restarts: int = 1000) -> Graph:
+MAX_GRAPH_RESTARTS = 1000  # pairing-model attempts before giving up
+
+
+def generate_regular_graph(n: int, degree: int, rng: np.random.Generator) -> Graph:
     """Uniform-ish random d-regular graph via the pairing model with
     suitable-edge repair; restarts when the repair gets stuck."""
     if n * degree % 2 != 0:
@@ -66,12 +67,12 @@ def generate_regular_graph(n: int, degree: int,
                      for _ in range(count)]
         return edges
 
-    for _ in range(max_restarts):
+    for _ in range(MAX_GRAPH_RESTARTS):
         edges = _try_creation()
         if edges is not None:
             return Graph(n, edges)
     raise GenerationBudgetExhausted(
-        f"no {degree}-regular graph on {n} nodes in {max_restarts} restarts")
+        f"no {degree}-regular graph on {n} nodes in {MAX_GRAPH_RESTARTS} restarts")
 
 
 def _standardized_noise(dgp: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -149,10 +150,6 @@ class ScenarioConfig:
     dgp: str = "normal"
     sigma_tau: float = 0.0
     degree: int = 5
-    alpha: float = 0.05
-    gamma: float = 0.001
-    grid_size: int = 20
-    max_attempts_per_accept: int = 10_000
 
 
 @dataclass
@@ -211,7 +208,8 @@ def _cell_label(cell) -> str:
 
 
 def _run_one_rep(cfg: ScenarioConfig, graph: Graph, techniques, rep_ss):
-    """One replication: draw a dataset, run each technique, return
+    """One replication: draw a dataset, run each technique at the engine's
+    default alpha, CI settings and attempt budget, and return
     per-technique rejection indicators (or None on conditioning failure)."""
     children = rep_ss.spawn(len(_SLOTS))
     rng_data = np.random.default_rng(children[_SLOTS["data"]])
@@ -231,18 +229,15 @@ def _run_one_rep(cfg: ScenarioConfig, graph: Graph, techniques, rep_ss):
         try:
             rep = run_technique(tech, dataset, mapping, mechanism, cfg.family,
                                 children[_SLOTS[tech]], null=null,
-                                ci=CIConfig(gamma=cfg.gamma, grid_size=cfg.grid_size),
-                                epsilon=cfg.epsilon, b=cfg.b, stat=cfg.stat,
-                                alpha=cfg.alpha,
-                                max_attempts_per_accept=cfg.max_attempts_per_accept)
+                                epsilon=cfg.epsilon, b=cfg.b, stat=cfg.stat)
         except InfeasibleConditioning:
             out[tech] = None
             continue
         if cfg.stat == "multiple":
-            cells = {_cell_label(c.cell): c.pvalue < cfg.alpha for c in rep.cells}
+            cells = {_cell_label(c.cell): c.pvalue < rep.alpha for c in rep.cells}
             out[tech] = {"cells": cells, "fwer": rep.any_unadjusted_rejection}
         else:
-            out[tech] = {"combined": rep.combined.pvalue < cfg.alpha}
+            out[tech] = {"combined": rep.combined.pvalue < rep.alpha}
     return out
 
 
@@ -294,8 +289,7 @@ def run_scenario(cfg: ScenarioConfig, *, seed: int, reps: int,
 def run_table(table: str, *, seed: int, reps: int = 1000,
               techniques=TECHNIQUES, dgps=("normal", "lognormal"),
               sigma_taus=None, n_units=None, epsilon=None, b=None,
-              degree: int = 5, alpha: float = 0.05, gamma: float = 0.001,
-              grid_size: int = 20, workers: int = 1,
+              degree: int = 5, workers: int = 1,
               fig2_sizes=(200, 400, 800)) -> TableResult:
     """Reproduce one of the calibration/power tables (or the size-vs-N
     series, table id "fig2")."""
@@ -307,8 +301,7 @@ def run_table(table: str, *, seed: int, reps: int = 1000,
                                  psi0=0.0, psi1=0.0, n_units=n,
                                  epsilon=0.20 if epsilon is None else epsilon,
                                  b=149 if b is None else b, dgp="lognormal",
-                                 sigma_tau=0.0, degree=degree, alpha=alpha,
-                                 gamma=gamma, grid_size=grid_size)
+                                 sigma_tau=0.0, degree=degree)
             # one seed per sample size, shared rep streams across sizes
             rows = run_scenario(cfg, seed=seed + n, reps=reps,
                                 techniques=("ss",), workers=workers)
@@ -326,9 +319,7 @@ def run_table(table: str, *, seed: int, reps: int = 1000,
     sigmas = _DEFAULT_SIGMAS[table] if sigma_taus is None else tuple(sigma_taus)
     for dgp in dgps:
         for sigma in sigmas:
-            cfg = ScenarioConfig(dgp=dgp, sigma_tau=sigma, degree=degree,
-                                 alpha=alpha, gamma=gamma,
-                                 grid_size=grid_size, **base)
+            cfg = ScenarioConfig(dgp=dgp, sigma_tau=sigma, degree=degree, **base)
             result.rows.extend(run_scenario(cfg, seed=seed, reps=reps,
                                             techniques=techniques,
                                             workers=workers))

@@ -145,6 +145,19 @@ class TestExitCodes:
         assert rc == 3
         assert "infeasible conditioning" in capsys.readouterr().err
 
+    def test_too_small_focal_selection_exits_three(self, tmp_path, capsys):
+        # units 7-9 are isolated and always have exposure 1 (no fraction
+        # exceeds 1), so cell (1,)'s observed selection has only 3 units
+        nodes = tmp_path / "thin.csv"
+        t = (1, 0, 1, 0, 1, 0, 0, 1, 0, 1)
+        nodes.write_text("id,y,t\n" + "".join(f"{i},{i}.0,{t[i]}\n" for i in range(10)))
+        edges = tmp_path / "ring.csv"
+        edges.write_text("".join(f"{i},{(i + 1) % 7}\n" for i in range(7)))
+        argv = oracle_args(str(nodes), str(edges), **{"--epsilon": "0.2", "--b": "20"})
+        rc = main(argv + ["--threshold", "1.0", "--isolated-value", "1"])
+        assert rc == 3
+        assert "cell (1,): selection of size 3" in capsys.readouterr().err
+
     def test_weighted_requires_weight_column(self, tmp_path):
         nodes, edges = write_toy12(tmp_path)
         argv = oracle_args(nodes, edges) + ["--weighted"]

@@ -205,11 +205,28 @@ class TestSampler:
                                             TOY12_EPS, [(0,), (1,)],
                                             comparator=">"))
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-        (draws,), _ = sample_conditioning_set(
+        (d0, d1), _ = sample_conditioning_set(
             CompleteRandomization(12, 6), ds, pi, cfg, 200,
             np.random.default_rng(3))
-        for row in draws.t:
+        for row in d0.t:
             assert tuple(int(v) for v in row) in joint
+
+    def test_combined_records_share_draws_and_keep_own_focal(self):
+        # one record per cell: the cells of a combined group share one t,
+        # and each record's focal rows are that cell's own
+        ds = make_toy12()
+        pi = compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
+        records, _ = sample_conditioning_set(
+            CompleteRandomization(12, 6), ds, pi, cfg, 60, np.random.default_rng(5))
+        d0, d1 = records
+        assert d0.t is d1.t
+        assert [d.superfocal.cell for d in records] == [(0,), (1,)]
+        pi_new = TOY12_MAPPING.compute_batch(d0.t, ds.graph)
+        for d, c in zip(records, cfg.cells):
+            assert d.superfocal.indicator.tolist() == (pi.values == c[0]).tolist()
+            assert np.array_equal(d.focal, (pi_new == c[0]) & d.superfocal.indicator)
+            assert d.n_candidates == d0.n_candidates
 
     def test_identity_accepted_when_epsilon_below_bound(self):
         ds = make_toy12()
@@ -430,7 +447,7 @@ class TestSharedStream:
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True)
         (d0, d1), diag = sample_conditioning_set(mech, ds, pi, cfg, b,
                                                  np.random.default_rng(0))
-        assert [sf.cell for sf in d0.superfocal + d1.superfocal] == [(0,), (1,)]
+        assert [d0.superfocal.cell, d1.superfocal.cell] == [(0,), (1,)]
         assert d0.t.tolist() == [list(mech.rows[i % 3]) for i in range(b)]
         assert d1.t.tolist() == [list(TOY12_T_OBS)] * b
         assert (d0.n_candidates, d1.n_candidates) == (b, 3 * b - 2)

@@ -11,7 +11,8 @@ from netrand.assignment import CompleteRandomization
 from netrand.conditioning import superfocal_for_cell
 from netrand.data import Dataset
 from netrand.errors import (DataError, DegenerateInterval, EmptyArm,
-                            MissingParameter, SplitInfeasible, TooFewUnits)
+                            InfeasibleConditioning, MissingParameter,
+                            SplitInfeasible, TooFewUnits)
 from netrand.exposure import CustomMapping, FractionThreshold, compute_exposures
 from netrand.graph import build_graph
 from netrand.inference import (CIConfig, SplitResult, adjust_multiple,
@@ -28,6 +29,13 @@ from statistics import NormalDist
 def toy12_engine_args():
     ds = make_toy12()
     return ds, TOY12_MAPPING, CompleteRandomization(12, 6)
+
+
+# a 7-unit ring and three isolated units: no fraction exceeds 1, so the
+# ring units always have exposure 0 and the isolated ones exposure 1
+THIN_RING = tuple((i, (i + 1) % 7) for i in range(7))
+THIN_T_OBS = (1, 0, 1, 0, 1, 0, 0, 1, 0, 1)
+THIN_MAPPING = FractionThreshold(threshold=1.0, comparator=">", isolated_value=1)
 
 
 class TestEmpiricalPvalue:
@@ -283,6 +291,17 @@ class TestOracleEngine:
         reaching = [same or oracle_cell_stat(oracle_imputed(y, t, d, tau), d, focal) >= obs
                     for d, same in zip(draws, kept | swapped)]
         assert res.pvalue == sum(reaching) / 400
+
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_mean_focal_count_below_four_names_the_cell(self, stat):
+        # cell (1,)'s three units are focal under every draw, so its observed
+        # selection has 3 units and cannot hold two per arm
+        ds = Dataset(y=np.arange(10, dtype=float), t=np.array(THIN_T_OBS),
+                     graph=build_graph(10, THIN_RING))
+        with pytest.raises(InfeasibleConditioning, match=r"^cell \(1,\): selection of size 3 "):
+            run_oracle_test(ds, THIN_MAPPING, CompleteRandomization(10, 5),
+                            NullSpec.constant(0.0), epsilon=0.2, b=20, stat=stat,
+                            rng=np.random.default_rng(0))
 
 
 class TestPluginEngine:

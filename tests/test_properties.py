@@ -118,11 +118,12 @@ def test_exposure_change_never_imputes(seed):
     ds = make_toy12()
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-    (draws,), _ = sample_conditioning_set(CompleteRandomization(12, 6), ds,
-                                       ExposureVector(pi_obs, TOY12_MAPPING), cfg,
-                                       10, np.random.default_rng(seed))
-    pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
-    assert (pi_new == pi_obs)[draws.focal].all()
+    records, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds,
+                                         ExposureVector(pi_obs, TOY12_MAPPING), cfg,
+                                         10, np.random.default_rng(seed))
+    for draws in records:
+        pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
+        assert (pi_new == pi_obs)[draws.focal].all()
 
 
 @given(small_tau)
