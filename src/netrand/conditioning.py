@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
-                     DataError, EmptySuperFocal, MissingParameter)
+                     DataError, EmptySuperFocal, MissingParameter, TooFewUnits)
 from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 
 Cell = tuple  # (pi,) or (pi, x_level)
@@ -65,12 +65,19 @@ class ConditioningConfig:
     """epsilon bounds the relative frequencies of every (arm, cell) pair
     of the cells conditioned on, each (pi,) or (pi, x_level). separate
     gives each cell its own accepted draws (multiple mode); otherwise one
-    set of draws satisfies every cell jointly (combined mode)."""
+    set of draws satisfies every cell jointly (combined mode). scored
+    marks the units the statistics use (None for all): each record's
+    focal units and super-focal set are restricted to them, while the
+    inequalities count every super-focal unit. min_per_arm > 0 also asks
+    each accepted draw to keep that many scored focal units in each arm
+    of every cell of its group."""
 
     epsilon: float
     cells: tuple
     max_attempts_per_accept: int = 10_000
     separate: bool = False
+    scored: np.ndarray | None = None
+    min_per_arm: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
@@ -121,11 +128,13 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
 class Draws:
     """One cell's accepted draws: its group's (b, N) treatment vectors (one
     array shared by the cells of a combined group), the cell's own (b, N)
-    focal units, its super-focal set, and the candidates its group drew up
-    to and including its last accept."""
+    scored focal units and their (b,) counts per draw, its scored
+    super-focal set, and the candidates its group drew up to and including
+    its last accept."""
 
     t: np.ndarray
     focal: np.ndarray
+    focal_counts: np.ndarray
     superfocal: SuperFocalSet
     n_candidates: int
 
@@ -137,8 +146,10 @@ class Draws:
 @dataclass
 class ConditioningDiagnostics:
     """The candidate stream: candidates drawn, draws accepted over every
-    group, and per (arm, cell) the candidates whose inequality failed
-    while the cell's group was still accepting."""
+    group, and the candidates rejected while the cell's group was still
+    accepting: per (arm, cell) those whose epsilon inequality failed, and
+    per (arm, cell, "min_per_arm") those that met it but kept fewer than
+    min_per_arm scored focal units in the arm."""
 
     n_candidates: int
     n_accepted: int
@@ -164,13 +175,17 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     each candidate's exposures, computed once per candidate for every
     group. A candidate is accepted into a group when, for every cell of
     the group and both arms, the relative frequency of retained
-    super-focal units strictly exceeds epsilon. Each group keeps its first
-    b accepts, so its draws are i.i.d. on its own conditioning set (the
-    groups' draws are dependent, which Bonferroni and Holm allow).
-    Returns one Draws record per cell of config.cells, in that order, plus
-    diagnostics. Raises AcceptanceBudgetExhausted, naming each starved
-    group and the worst inequality among their cells, when
-    b * max_attempts_per_accept candidates leave a group short of b.
+    super-focal units strictly exceeds epsilon and, with
+    config.min_per_arm, at least that many of those units are scored.
+    Each group keeps its first b accepts, so its draws are i.i.d. on its
+    own conditioning set (the groups' draws are dependent, which
+    Bonferroni and Holm allow). Returns one Draws record per cell of
+    config.cells, in that order, plus diagnostics. Raises TooFewUnits,
+    naming the cell, before drawing when the observed assignment itself
+    keeps fewer than min_per_arm scored units in an arm, and
+    AcceptanceBudgetExhausted, naming each starved group and the worst
+    failure among their cells, when b * max_attempts_per_accept
+    candidates leave a group short of b.
 
     Each batch is the largest that an unfinished group asks for (see
     _batch_rows), so a design that rejects nothing draws b candidates.
@@ -178,44 +193,66 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    groups = config.groups
+    groups, scored, least = config.groups, config.scored, config.min_per_arm
     sfs = {c: superfocal_for_cell(exposures.values, c, dataset.x) for c in config.cells}
+    if least:
+        # the observed assignment keeps every super-focal unit focal
+        observed = arm_counts(exposures.values, config.cells, dataset.t, dataset.x,
+                              within=scored)
+        for c, (n0, n1) in zip(config.cells, observed):
+            if min(n0, n1) < least:
+                raise TooFewUnits(
+                    f"cell {c}: the observed assignment has {n0}/{n1} scored "
+                    f"super-focal units in arms 0/1; every draw needs >= {least} per arm")
 
     budget = b * config.max_attempts_per_accept
     max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
     focal_blocks = {c: [] for c in config.cells}  # the same rows' focal units per cell
+    count_blocks = {c: [] for c in config.cells}  # and their counts
     accepted = [0] * len(groups)
     done_at = [0] * len(groups)  # candidates drawn up to the b-th accept
     attempts = 0
     fail_counts = {(arm, c): 0 for c in config.cells for arm in (0, 1)}
+    if least:
+        fail_counts.update({(arm, c, "min_per_arm"): 0 for c in config.cells for arm in (0, 1)})
 
     while live := [g for g in range(len(groups)) if accepted[g] < b]:
         live_cells = [c for g in live for c in groups[g]]
         if attempts >= budget:
-            worst = max(((arm, c) for c in live_cells for arm in (0, 1)),
-                        key=fail_counts.get)
+            worst = max((k for k in fail_counts if k[1] in live_cells), key=fail_counts.get)
             short = ", ".join(f"cell{'s' * (len(groups[g]) > 1)} "
                               f"{', '.join(map(str, groups[g]))} accepted "
                               f"{accepted[g]}/{b}" for g in live)
+            bound = (f"at least {least} scored focal units" if len(worst) == 3
+                     else f"epsilon={config.epsilon}")
             raise AcceptanceBudgetExhausted(
                 f"after {attempts} candidates, {short}; worst inequality: "
                 f"arm={worst[0]}, cell={worst[1]} failed {fail_counts[worst]} "
-                f"times (epsilon={config.epsilon})")
+                f"times ({bound})")
         m = max(_batch_rows(b - accepted[g], accepted[g], attempts) for g in live)
         m = min(m, max_rows, budget - attempts)
         t_batch = mechanism.draw_batch(m, rng)
         pi_batch = exposures.mapping.compute_batch(t_batch, dataset.graph)
         treated = t_batch == 1
-        in_cell, passes = {}, {}
+        focal, counts, passes = {}, {}, {}
         for c in live_cells:
             sf = sfs[c]
-            in_cell[c] = (pi_batch == c[0]) & sf.indicator
-            n1 = (in_cell[c] & treated).sum(axis=1)
+            in_cell = (pi_batch == c[0]) & sf.indicator
+            n, n1 = in_cell.sum(axis=1), (in_cell & treated).sum(axis=1)
+            focal[c], k, k1 = in_cell, n, n1  # the scored focal units and their counts
+            if scored is not None:
+                focal[c] = in_cell & scored
+                k, k1 = focal[c].sum(axis=1), (focal[c] & treated).sum(axis=1)
+            counts[c] = k
             ok = np.ones(m, dtype=bool)
-            for arm, n in ((0, in_cell[c].sum(axis=1) - n1), (1, n1)):
-                bad = ~(n / sf.n > config.epsilon)
+            for arm, n_arm, k_arm in ((0, n - n1, k - k1), (1, n1, k1)):
+                bad = ~(n_arm / sf.n > config.epsilon)
                 fail_counts[(arm, c)] += int(bad.sum())
+                if least:
+                    few = ~bad & (k_arm < least)
+                    fail_counts[(arm, c, "min_per_arm")] += int(few.sum())
+                    bad |= few
                 ok &= ~bad
             passes[c] = ok
         for g in live:
@@ -224,7 +261,8 @@ def sample_conditioning_set(mechanism, dataset, exposures,
                 [passes[c] for c in groups[g]]))[:need]
             t_blocks[g].append(t_batch[rows])
             for c in groups[g]:
-                focal_blocks[c].append(in_cell[c][rows])
+                focal_blocks[c].append(focal[c][rows])
+                count_blocks[c].append(counts[c][rows])
             accepted[g] += len(rows)
             if len(rows) == need:
                 done_at[g] = attempts + int(rows[-1]) + 1
@@ -233,26 +271,29 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     draws = []
     for grp, blk, n in zip(groups, t_blocks, done_at):
         t = np.concatenate(blk)
-        draws += [Draws(t, np.concatenate(focal_blocks[c]), sfs[c], n) for c in grp]
+        for c in grp:
+            sf = sfs[c] if scored is None else SuperFocalSet(sfs[c].indicator & scored, c)
+            draws.append(Draws(t, np.concatenate(focal_blocks[c]),
+                               np.concatenate(count_blocks[c]), sf, n))
     diag = ConditioningDiagnostics(n_candidates=attempts,
                                    n_accepted=b * len(groups),
                                    failure_counts=fail_counts)
     return draws, diag
 
 
-def select_observed_focal(superfocal: SuperFocalSet, focal: np.ndarray,
+def select_observed_focal(superfocal: SuperFocalSet, focal_counts: np.ndarray,
                           t_obs: np.ndarray, rng: np.random.Generator,
                           min_per_arm: int = 1) -> np.ndarray:
-    """Uniform subset of the super-focal units sized to the mean focal
-    count over the cell's (b, N) focal matrix, a Draws record's focal
-    (round half to even).
+    """Uniform subset of the super-focal units sized to the mean of the
+    focal counts per draw, a Draws record's focal_counts (round half to
+    even).
 
     Resamples until each treatment arm holds at least min_per_arm selected
     units; raises ArmEmptyAfterRetries, naming the cell, when that is
     impossible or MAX_FOCAL_RETRIES selections all miss.
     """
     t_obs = np.asarray(t_obs)
-    counts = np.asarray(focal, dtype=bool).sum(axis=1)
+    counts = np.asarray(focal_counts)
     if counts.size == 0:
         raise ValueError("no accepted draws to size the selection from")
     size = round(float(np.mean(counts)))

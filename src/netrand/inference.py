@@ -1,14 +1,14 @@
-"""Randomization-test engines.
+"""Randomization-test engine.
 
-Four ways to handle the unknown effect values a null needs: oracle
-(caller supplies them), plug-in (full-sample difference in means,
-anti-conservative and flagged as such), confidence-interval (grid over a
-moment-based region, p-value inflated by the region's miscoverage), and
-sample splitting (estimate on one half, test on the other). All four run
-one engine over a grid of effect values, a single point for all but the
-confidence-interval technique; p-values are the plain fraction of
-accepted draws whose statistic reaches the observed one, with no +1
-smoothing.
+run_test is the one engine. The four techniques for the unknown effect
+values a null needs differ only in their TauSource, where those values
+come from: oracle (the caller), plug-in (full-sample difference in
+means, anti-conservative and flagged as such), sample splitting
+(estimates from one half, statistics on the other) and confidence region
+(a grid over a moment-based region, each p-value raised by the region's
+miscoverage gamma; Berger & Boos 1994). A fixed effect is the one-point
+grid. p-values are the plain fraction of accepted draws whose statistic
+reaches the observed one, with no +1 smoothing.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .stats import arm_variances, combined_stat, ratio_stat_rows
 
 ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
 TOTAL_GRID_BUDGET = 400  # most points of a combined-mode CI product grid
+MIN_PER_ARM = 2  # scored focal units per arm: two give an arm's sample variance
 
 
 def empirical_pvalue(observed, draw_stats):
@@ -203,64 +204,82 @@ def estimate_tau_plugin(dataset: Dataset, exposures: ExposureVector, family: str
     return NuisanceParams(values={k: dim(k) for k in keys}, provenance=provenance)
 
 
-def _attach_decisions(report: TestReport, pvals: dict, alpha: float) -> None:
-    for method in ("bonferroni", "holm", "unadjusted_any"):
-        adj = adjust_multiple(pvals, alpha, method)
-        report.decisions[method] = adj.decisions
-        if method == "unadjusted_any":
-            report.any_unadjusted_rejection = adj.any_rejection
-
-
 def _check_stat(stat: str) -> None:
     if stat not in ("multiple", "combined"):
         raise ValueError(f"stat must be 'multiple' or 'combined', got {stat!r}")
 
 
-def _grid_test(technique, dataset, exposures, mechanism, family, axes, gamma,
-               *, epsilon, b, rng, stat, alpha, max_attempts, keep_draws,
-               inf_mask=None):
-    """The conditional randomization test over a grid of effect values,
-    given the observed ExposureVector and each effect key's axis. One
-    candidate stream serves every cell: multiple mode keeps each cell's
-    own accepts, combined mode the draws satisfying every cell's
-    inequalities. Each cell's focal units are restricted to inf_mask when
-    given."""
+def _nuisance_diag(nuisance: NuisanceParams) -> dict:
+    return {"provenance": nuisance.provenance,
+            "values": {_cell_key(k): v for k, v in nuisance.values.items()}}
+
+
+@dataclass(frozen=True)
+class TauSource:
+    """Where a test's effect values come from, the one thing the
+    techniques vary. axes maps each effect key to the values tested (one
+    point for a fixed effect), gamma is added to every p-value, scored
+    marks the units the statistics use (None for all), and diagnostics is
+    what the technique adds to the report. A source with gamma > 0 scans
+    a region: the p-value at each of its grid points is reported under
+    diagnostics[technique]["grid_evaluations"]."""
+
+    technique: str
+    axes: dict
+    gamma: float = 0.0
+    scored: np.ndarray | None = None
+    diagnostics: dict = field(default_factory=dict)
+
+
+def _point_source(technique, family, cells, nuisance, scored=None, **extra):
+    """A fixed-effect source: each effect key's one value from nuisance."""
+    axes = {effect_key(family, c): [nuisance.get(effect_key(family, c))] for c in cells}
+    return TauSource(technique, axes, scored=scored,
+                     diagnostics={"nuisance": _nuisance_diag(nuisance), **extra})
+
+
+def run_test(source: TauSource, dataset: Dataset, exposures: ExposureVector,
+             mechanism, family: str, *, epsilon: float, b: int,
+             rng: np.random.Generator, stat: str = "multiple", alpha: float = 0.05,
+             max_attempts_per_accept: int = 10_000,
+             keep_draws: bool = False) -> TestReport:
+    """The conditional randomization test at the source's effect values,
+    given the observed ExposureVector: the one engine of every technique.
+    One candidate stream serves every cell: multiple mode keeps each
+    cell's own accepts, combined mode the draws satisfying every cell's
+    inequalities. Each accepted draw and observed focal selection keeps
+    MIN_PER_ARM scored units per arm, so every draw can be scored."""
     _check_stat(stat)
     cells = family_cells(family, exposures.mapping.values, dataset.x_levels)
     cfg = ConditioningConfig(epsilon=epsilon, cells=tuple(cells),
-                             max_attempts_per_accept=max_attempts,
-                             separate=stat == "multiple")
+                             max_attempts_per_accept=max_attempts_per_accept,
+                             separate=stat == "multiple", scored=source.scored,
+                             min_per_arm=MIN_PER_ARM)
     records, _ = sample_conditioning_set(mechanism, dataset, exposures, cfg, b, rng)
-    runs = []
-    for d in records:
-        if inf_mask is not None:
-            d = replace(d, focal=d.focal & inf_mask, superfocal=SuperFocalSet(
-                d.superfocal.indicator & inf_mask, d.superfocal.cell))
-        # two observed focal units per arm give the two arm variances
-        runs.append((d, select_observed_focal(d.superfocal, d.focal, dataset.t, rng,
-                                              min_per_arm=2)))
-    return _score_grid(technique, dataset, family, exposures.values, runs, axes,
-                       gamma, b=b, epsilon=epsilon, stat=stat, alpha=alpha,
-                       keep_draws=keep_draws)
+    runs = [(d, select_observed_focal(d.superfocal, d.focal_counts, dataset.t, rng,
+                                      min_per_arm=MIN_PER_ARM)) for d in records]
+    return _score_grid(source, dataset, family, exposures.values, runs, b=b,
+                       epsilon=epsilon, stat=stat, alpha=alpha, keep_draws=keep_draws)
 
 
-def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
-                b, epsilon, stat, alpha, keep_draws):
+def _score_grid(source, dataset, family, pi_obs, runs, *, b, epsilon, stat, alpha,
+                keep_draws):
     """Score the draws of every test and build its report.
 
     Each run pairs a cell's Draws record with its observed focal units. A
-    draw t_new imputes z = y + tau (t_new - t_obs) at each tau of the axis
-    of its cell's effect key, axes[effect_key(family, cell)], scored on the
+    draw t_new imputes z = y + tau (t_new - t_obs) at each tau of its
+    cell's axis, source.axes[effect_key(family, cell)], scored on the
     columns the cell's focal rows or observed focal units hold. The report
-    takes each cell's super-focal count, mean focal count and acceptance
-    rate from its record. A cell's p-value is the largest over its axis
-    plus gamma, the combined one the largest over the product of the axes
-    plus gamma; fixed effects are the one-point grid with gamma = 0.
-    Returns the report and the grid evaluations behind its p-values.
+    starts from the source's diagnostics and takes each cell's super-focal
+    count, mean focal count and acceptance rate from its record. A cell's
+    p-value is the largest over its axis plus gamma, the combined one the
+    largest over the product of the axes plus gamma.
     """
+    axes, gamma = source.axes, source.gamma
     cells = [d.superfocal.cell for d, _ in runs]
-    report = TestReport(technique=technique, family=family, stat_mode=stat,
-                        alpha=alpha, b=b, epsilon=epsilon)
+    report = TestReport(technique=source.technique, family=family, stat_mode=stat,
+                        alpha=alpha, b=b, epsilon=epsilon,
+                        diagnostics=dict(source.diagnostics))
     y, t_obs = dataset.y, dataset.t
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
     for (d, fobs), cell in zip(runs, cells):
@@ -281,11 +300,14 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
         report.cells.append(CellResult(
             cell=cell, pvalue=pvals[cell], observed_stat=obs,
             tau=grid[0] if len(grid) == 1 else None, n_superfocal=d.superfocal.n,
-            fobs_size=int(fobs.sum()), mean_focal=float(np.mean(d.focal.sum(axis=1))),
+            fobs_size=int(fobs.sum()), mean_focal=float(np.mean(d.focal_counts)),
             acceptance_rate=d.acceptance_rate))
 
     if stat == "multiple":
-        _attach_decisions(report, pvals, alpha)
+        for method in ("bonferroni", "holm", "unadjusted_any"):
+            adj = adjust_multiple(pvals, alpha, method)
+            report.decisions[method] = adj.decisions
+        report.any_unadjusted_rejection = adj.any_rejection  # the last method's
     else:
         # each cell weighs its share of the observed units
         weights = (arm_counts(pi_obs, cells, dataset.t, dataset.x).sum(axis=1)
@@ -324,26 +346,9 @@ def _score_grid(technique, dataset, family, pi_obs, runs, axes, gamma, *,
                                                  for k, v in kept.items()}
         report.diagnostics["observed_focal"] = {
             _cell_key(c): np.nonzero(fobs)[0].tolist() for (_, fobs), c in zip(runs, cells)}
-    return report, grid_evals
-
-
-def _nuisance_diag(nuisance: NuisanceParams) -> dict:
-    return {"provenance": nuisance.provenance,
-            "values": {_cell_key(k): v for k, v in nuisance.values.items()}}
-
-
-def _run_fixed_tau_test(technique, dataset, exposures, mechanism, null, *,
-                        epsilon, b, rng, stat, alpha, max_attempts,
-                        keep_draws, inf_mask=None, extra_diag=None):
-    cells = family_cells(null.family, exposures.mapping.values, dataset.x_levels)
-    keys = [effect_key(null.family, c) for c in cells]
-    report, _ = _grid_test(
-        technique, dataset, exposures, mechanism, null.family,
-        {k: [null.nuisance.get(k)] for k in keys}, 0.0,
-        epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
-        max_attempts=max_attempts, keep_draws=keep_draws, inf_mask=inf_mask)
-    report.diagnostics = {"nuisance": _nuisance_diag(null.nuisance),
-                          **report.diagnostics, **(extra_diag or {})}
+    if gamma:
+        report.diagnostics[source.technique] = {
+            **source.diagnostics[source.technique], "grid_evaluations": grid_evals}
     return report
 
 
@@ -354,13 +359,13 @@ def run_oracle_test(dataset: Dataset, mapping, mechanism, null: NullSpec, *,
                     keep_draws: bool = False) -> TestReport:
     """Randomization test with caller-supplied effect values."""
     if null.family == GENERAL:
-        raise MissingParameter(
-            "general hypotheses are representable but not testable")
+        raise MissingParameter("general hypotheses are representable but not testable")
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    return _run_fixed_tau_test("oracle", dataset, exposures, mechanism, null,
-                               epsilon=epsilon, b=b, rng=rng, stat=stat,
-                               alpha=alpha, max_attempts=max_attempts_per_accept,
-                               keep_draws=keep_draws)
+    cells = family_cells(null.family, mapping.values, dataset.x_levels)
+    source = _point_source("oracle", null.family, cells, null.nuisance)
+    return run_test(source, dataset, exposures, mechanism, null.family, epsilon=epsilon,
+                    b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
+                    max_attempts_per_accept=max_attempts_per_accept)
 
 
 def run_plugin_test(dataset: Dataset, mapping, mechanism, family: str, *,
@@ -375,13 +380,13 @@ def run_plugin_test(dataset: Dataset, mapping, mechanism, family: str, *,
     """
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
     nuisance = estimate_tau_plugin(dataset, exposures, family)
-    null = NullSpec(family, nuisance)
-    return _run_fixed_tau_test(
-        "plugin", dataset, exposures, mechanism, null,
-        epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
-        max_attempts=max_attempts_per_accept, keep_draws=keep_draws,
-        extra_diag={"warning": "plug-in nuisance estimates reuse the full "
-                               "sample; size control is not guaranteed"})
+    cells = family_cells(family, mapping.values, dataset.x_levels)
+    source = _point_source("plugin", family, cells, nuisance,
+                           warning="plug-in nuisance estimates reuse the full "
+                                   "sample; size control is not guaranteed")
+    return run_test(source, dataset, exposures, mechanism, family, epsilon=epsilon,
+                    b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
+                    max_attempts_per_accept=max_attempts_per_accept)
 
 
 @dataclass
@@ -442,18 +447,13 @@ def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
     split = make_balanced_split(dataset, exposures, family, split_rng)
     _check_split(dataset, exposures.values, cells, split)
     nuisance = estimate_tau_plugin(dataset, exposures, family,
-                                   mask=split.est_mask,
-                                   provenance=SPLIT_ESTIMATE)
-    null = NullSpec(family, nuisance)
-    extra = {"split": {
-        "n_estimation": int(split.est_mask.sum()),
-        "n_inference": int(split.inf_mask.sum()),
-    }}
-    return _run_fixed_tau_test("ss", dataset, exposures, mechanism, null,
-                               epsilon=epsilon, b=b, rng=rng, stat=stat,
-                               alpha=alpha, max_attempts=max_attempts_per_accept,
-                               keep_draws=keep_draws, inf_mask=split.inf_mask,
-                               extra_diag=extra)
+                                   mask=split.est_mask, provenance=SPLIT_ESTIMATE)
+    source = _point_source("ss", family, cells, nuisance, scored=split.inf_mask,
+                           split={"n_estimation": int(split.est_mask.sum()),
+                                  "n_inference": int(split.inf_mask.sum())})
+    return run_test(source, dataset, exposures, mechanism, family, epsilon=epsilon,
+                    b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
+                    max_attempts_per_accept=max_attempts_per_accept)
 
 
 @dataclass(frozen=True)
@@ -509,22 +509,20 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
     truncated = stat == "combined" and m_axis ** len(keys) > TOTAL_GRID_BUDGET
     if truncated:
         m_axis = max(2, int(TOTAL_GRID_BUDGET ** (1.0 / len(keys))))
-    intervals = {k: neyman_interval(dataset.y, dataset.t, level,
-                                    cell_mask(exposures.values, k, dataset.x))
-                 for k in keys}
+    intervals = {}
+    for k in keys:
+        try:
+            intervals[k] = neyman_interval(dataset.y, dataset.t, level,
+                                           cell_mask(exposures.values, k, dataset.x))
+        except DegenerateInterval as exc:
+            raise DegenerateInterval(f"effect key {k}: {exc}") from None
     axes = {k: np.linspace(lo, hi, m_axis) for k, (lo, hi, _) in intervals.items()}
-    report, grid_evals = _grid_test(
-        "ci", dataset, exposures, mechanism, family, axes, ci.gamma,
-        epsilon=epsilon, b=b, rng=rng, stat=stat, alpha=alpha,
-        max_attempts=max_attempts_per_accept, keep_draws=keep_draws)
-    report.diagnostics["ci"] = {
-        "gamma": ci.gamma,
-        "grid_points_per_axis": m_axis,
-        "grid_truncated": truncated,
-        "intervals": {_cell_key(k): list(v) for k, v in intervals.items()},
-        "grid_evaluations": grid_evals,
-    }
-    return report
+    diag = {"gamma": ci.gamma, "grid_points_per_axis": m_axis, "grid_truncated": truncated,
+            "intervals": {_cell_key(k): list(v) for k, v in intervals.items()}}
+    source = TauSource("ci", axes, gamma=ci.gamma, diagnostics={"ci": diag})
+    return run_test(source, dataset, exposures, mechanism, family, epsilon=epsilon,
+                    b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
+                    max_attempts_per_accept=max_attempts_per_accept)
 
 
 TECHNIQUES = ("oracle", "plugin", "ci", "ss")
@@ -607,14 +605,14 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
         rows.append(row)
     t_new = np.asarray(rows)
     # every permutation keeps the cell's inference units focal
-    runs = [(Draws(t_new, np.broadcast_to(m, t_new.shape), SuperFocalSet(m, c),
-                   n_candidates=len(t_new)), m) for c, m in zip(cells, masks)]
-    report, _ = _score_grid(
-        "permutation", replace(dataset, y=adjusted), family, exposures.values,
-        runs, {effect_key(family, c): [0.0] for c in cells}, 0.0,
-        b=len(t_new), epsilon=float("nan"), stat=stat, alpha=alpha,
-        keep_draws=keep_draws)
+    runs = [(Draws(t_new, np.broadcast_to(m, t_new.shape), np.full(len(t_new), m.sum()),
+                   SuperFocalSet(m, c), n_candidates=len(t_new)), m)
+            for c, m in zip(cells, masks)]
+    source = TauSource("permutation", {effect_key(family, c): [0.0] for c in cells},
+                       diagnostics={"nuisance": _nuisance_diag(nuisance)})
+    report = _score_grid(source, replace(dataset, y=adjusted), family, exposures.values,
+                         runs, b=len(t_new), epsilon=float("nan"), stat=stat,
+                         alpha=alpha, keep_draws=keep_draws)
     for res, tau in zip(report.cells, taus):
         res.tau = tau
-    report.diagnostics = {"nuisance": _nuisance_diag(nuisance), **report.diagnostics}
     return report

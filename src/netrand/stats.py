@@ -133,7 +133,9 @@ def masked_arm_variances(z: np.ndarray, arm_masks: tuple[np.ndarray, np.ndarray]
 
 def ratio_stat_rows(var1: np.ndarray, var0: np.ndarray) -> np.ndarray:
     """Vectorized variance-ratio with the zero conventions; NaN inputs
-    (an arm with < 2 units) surface as TooFewUnits."""
+    (an arm with < 2 units) surface as TooFewUnits. That is a guard the
+    engine cannot reach: its sampler accepts only draws, and selects only
+    observed focal units, with >= 2 scored units per arm."""
     v1 = np.asarray(var1, dtype=np.float64)
     v0 = np.asarray(var0, dtype=np.float64)
     if np.isnan(v1).any() or np.isnan(v0).any():

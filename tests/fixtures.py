@@ -181,9 +181,10 @@ def oracle_focal(t_new, pi_new, pi_obs, value, x=None, level=None):
 
 
 def oracle_conditioning_set(n, n_treated, nbrs, pi_obs, eps, cells, *,
-                            threshold=0.5, comparator=">=", x=None):
+                            threshold=0.5, comparator=">=", x=None, min_per_arm=0):
     """All assignments whose per-arm keep frequencies clear eps strictly
-    for every requested cell. Cells are (value,) or (value, level)."""
+    for every requested cell, and that keep at least min_per_arm focal
+    units in each arm of every cell. Cells are (value,) or (value, level)."""
     accepted = []
     for t in all_assignments(n, n_treated):
         pi = oracle_exposure(t, nbrs, threshold, comparator)
@@ -191,8 +192,10 @@ def oracle_conditioning_set(n, n_treated, nbrs, pi_obs, eps, cells, *,
         for cell in cells:
             value = cell[0]
             level = cell[1] if len(cell) == 2 else None
+            focal = oracle_focal(t, pi, pi_obs, value, x, level)
             for arm in (1, 0):
-                if oracle_r(t, pi, pi_obs, arm, value, x, level) <= eps:
+                kept = sum(1 for i in focal if t[i] == arm)
+                if oracle_r(t, pi, pi_obs, arm, value, x, level) <= eps or kept < min_per_arm:
                     ok = False
                     break
             if not ok:

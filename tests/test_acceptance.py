@@ -34,7 +34,7 @@ from netrand.data import Dataset
 from netrand.exposure import compute_exposures
 from netrand.inference import (make_balanced_split, run_ci_test,
                                run_oracle_test, run_permutation_variant,
-                               run_ss_test)
+                               run_plugin_test, run_ss_test)
 from netrand.nullspec import BY_EXPOSURE, CONSTANT_ALL, NullSpec
 from netrand.simulation import (ScenarioConfig, generate_regular_graph,
                                 run_scenario, run_table)
@@ -42,8 +42,8 @@ from netrand.simulation import (ScenarioConfig, generate_regular_graph,
 FULL = os.environ.get("NETRAND_ACCEPT_FULL") == "1"
 
 # 0.999 quantiles of the chi-square distribution, by degrees of freedom
-CHI2_999 = {2: 13.816, 93: 140.8931342732306, 105: 155.5276771810864,
-            115: 167.610, 203: 271.002}
+CHI2_999 = {2: 13.816, 22: 48.26794229083518, 93: 140.8931342732306,
+            105: 155.5276771810864, 115: 167.610, 203: 271.002}
 
 
 def _se(p: float, n: int) -> float:
@@ -343,6 +343,74 @@ class TestEnumerationEquivalence:
             chisq = sum((freq.get(t, 0) - expected) ** 2 / expected
                         for t in exact[cell])
             assert chisq < CHI2_999[len(exact[cell]) - 1]
+
+    def test_twelve_unit_draws_are_uniform_on_the_scored_set(self):
+        # at eps=0.1 one kept unit clears an arm's inequality, so each cell's
+        # set holds hundreds of vectors; two focal units per arm leave the
+        # eps=0.21 sets, and the observed vector is among them
+        ds = make_toy12()
+        nbrs = neighbor_lists(12, TOY12_EDGES)
+        for stat, groups in (("multiple", [[(0,)], [(1,)]]), ("combined", [[(0,), (1,)]])):
+            b = 2000
+            report = run_oracle_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6),
+                                     NullSpec.constant(0.0), epsilon=0.1, b=b, stat=stat,
+                                     rng=np.random.default_rng(2024), keep_draws=True)
+            kept = report.diagnostics["draw_treatments"]
+            for key, cells in zip(kept, groups):
+                exact = oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS, 0.1, cells,
+                                                comparator=">", min_per_arm=2)
+                loose = oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS, 0.1, cells,
+                                                comparator=">")
+                assert TOY12_T_OBS in exact and len(exact) < len(loose)
+                sampled = [tuple(int(v) for v in row) for row in kept[key]]
+                assert set(sampled) == set(exact)
+                freq = Counter(sampled)
+                expected = b / len(exact)
+                chisq = sum((freq.get(t, 0) - expected) ** 2 / expected for t in exact)
+                assert chisq < CHI2_999[len(exact) - 1]
+
+    @staticmethod
+    def _exact_pvalue(exact, cell, tau, fobs):
+        """The enumerated fraction of vectors whose statistic at tau, over
+        their own focal units, reaches the observed one over fobs."""
+        nbrs = neighbor_lists(12, TOY12_EDGES)
+        obs = oracle_cell_stat(TOY12_Y, TOY12_T_OBS, fobs)
+        hits = 0
+        for t_new in exact:
+            focal = oracle_focal(t_new, oracle_exposure(t_new, nbrs, comparator=">"),
+                                 TOY12_PI_OBS, cell[0])
+            z = oracle_imputed(TOY12_Y, TOY12_T_OBS, t_new, tau)
+            hits += oracle_cell_stat(z, t_new, focal) >= obs
+        return hits / len(exact)
+
+    def test_twelve_unit_plugin_and_ci_match_enumeration(self):
+        # each p-value within four binomial standard errors of the exact
+        # one at the report's tau: plug-in at its estimate, the CI at every
+        # grid point, and its reported p-value at the grid maximum plus gamma
+        ds = make_toy12()
+        nbrs = neighbor_lists(12, TOY12_EDGES)
+        b = 2000
+        common = dict(epsilon=TOY12_EPS, b=b, rng=np.random.default_rng(7), keep_draws=True)
+        plugin = run_plugin_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6),
+                                 BY_EXPOSURE, **common)
+        common["rng"] = np.random.default_rng(8)
+        ci = run_ci_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6), BY_EXPOSURE,
+                         **common)
+        gamma = ci.diagnostics["ci"]["gamma"]
+        for plug, res in zip(plugin.cells, ci.cells):
+            cell = plug.cell
+            exact = oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS, TOY12_EPS, [cell],
+                                            comparator=">", min_per_arm=2)
+            fobs = plugin.diagnostics["observed_focal"][_key(cell)]
+            p_exact = self._exact_pvalue(exact, cell, plug.tau, fobs)
+            assert abs(plug.pvalue - p_exact) <= 4.0 * max(_se(p_exact, b), 1.0 / b)
+            fobs = ci.diagnostics["observed_focal"][_key(cell)]
+            grid = [(p, self._exact_pvalue(exact, cell, tau, fobs))
+                    for tau, p in ci.diagnostics["ci"]["grid_evaluations"][_key(cell)]]
+            for p, p_exact in grid:
+                assert abs(p - p_exact) <= 4.0 * max(_se(p_exact, b), 1.0 / b)
+            p_sup = min(1.0, max(q for _, q in grid) + gamma)
+            assert abs(res.pvalue - p_sup) <= 4.0 * max(_se(p_sup, b), 1.0 / b)
 
     def test_four_unit_sampler_support(self):
         t_obs = (1, 1, 0, 0)

@@ -17,7 +17,7 @@ from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
                                   sample_conditioning_set,
                                   select_observed_focal, superfocal_for_cell)
 from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
-                            DataError, EmptySuperFocal)
+                            DataError, EmptySuperFocal, TooFewUnits)
 from netrand.inference import family_cells, run_oracle_test
 from netrand.nullspec import NullSpec
 from netrand.assignment import CompleteRandomization
@@ -317,27 +317,18 @@ class TestSamplerBatches:
 
 
 class TestSelectObservedFocal:
-    def _draws(self, focal_counts, sf_mask):
-        idx = np.flatnonzero(sf_mask)
-        out = []
-        for c in focal_counts:
-            f = np.zeros(len(sf_mask), dtype=bool)
-            f[idx[:c]] = True
-            out.append(f)
-        return np.stack(out)
-
     def test_full_focal_counts_force_whole_superfocal(self):
         sf = SuperFocalSet(indicator=np.array([True] * 6 + [False] * 2), cell=(0,))
         t_obs = np.array([1, 1, 1, 0, 0, 0, 1, 0])
-        draws = self._draws([6, 6, 6], sf.indicator)
-        mask = select_observed_focal(sf, draws, t_obs, np.random.default_rng(0))
+        counts = np.array([6, 6, 6])
+        mask = select_observed_focal(sf, counts, t_obs, np.random.default_rng(0))
         assert mask.tolist() == sf.indicator.tolist()
 
     def test_rounded_mean_size(self):
         sf = SuperFocalSet(indicator=np.array([True] * 8 + [False] * 2), cell=(0,))
         t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0])
-        draws = self._draws([4, 6], sf.indicator)
-        mask = select_observed_focal(sf, draws, t_obs, np.random.default_rng(0))
+        counts = np.array([4, 6])
+        mask = select_observed_focal(sf, counts, t_obs, np.random.default_rng(0))
         assert int(mask.sum()) == 5
         assert not (mask & ~sf.indicator).any()
 
@@ -345,18 +336,15 @@ class TestSelectObservedFocal:
         sf = SuperFocalSet(indicator=np.array([True] * 8), cell=(0,))
         t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0])
         rng = np.random.default_rng(0)
-        assert select_observed_focal(
-            sf, self._draws([4, 5], sf.indicator), t_obs, rng).sum() == 4
-        assert select_observed_focal(
-            sf, self._draws([5, 6], sf.indicator), t_obs, rng).sum() == 6
+        assert select_observed_focal(sf, np.array([4, 5]), t_obs, rng).sum() == 4
+        assert select_observed_focal(sf, np.array([5, 6]), t_obs, rng).sum() == 6
 
     def test_both_arms_present(self):
         sf = SuperFocalSet(indicator=np.array([True] * 6), cell=(0,))
         t_obs = np.array([1, 0, 0, 0, 0, 0])
         rng = np.random.default_rng(0)
         for _ in range(20):
-            mask = select_observed_focal(sf, self._draws([2, 2], sf.indicator),
-                                         t_obs, rng)
+            mask = select_observed_focal(sf, np.array([2, 2]), t_obs, rng)
             picked = np.flatnonzero(mask)
             arms = {int(t_obs[i]) for i in picked}
             assert arms == {0, 1}
@@ -365,14 +353,14 @@ class TestSelectObservedFocal:
         sf = SuperFocalSet(indicator=np.array([True] * 6), cell=(0,))
         t_obs = np.array([1, 0, 0, 0, 0, 0])  # one treated unit only
         with pytest.raises(ArmEmptyAfterRetries):
-            select_observed_focal(sf, self._draws([4, 4], sf.indicator), t_obs,
+            select_observed_focal(sf, np.array([4, 4]), t_obs,
                                   np.random.default_rng(0), min_per_arm=2)
 
     def test_size_below_two_per_arm_raises(self):
         sf = SuperFocalSet(indicator=np.array([True] * 6), cell=(0,))
         t_obs = np.array([1, 1, 1, 0, 0, 0])
         with pytest.raises(ArmEmptyAfterRetries):
-            select_observed_focal(sf, self._draws([2, 2], sf.indicator), t_obs,
+            select_observed_focal(sf, np.array([2, 2]), t_obs,
                                   np.random.default_rng(0), min_per_arm=2)
 
 
@@ -490,3 +478,70 @@ class TestSharedStream:
         assert "after 100 candidates," in msg and "cell (1,) accepted 0/2" in msg
         worst = msg.split("cell=")[1].split(" failed")[0]
         assert f"cell {worst} accepted" in msg  # the worst inequality is a starved cell's
+
+
+class TestScoredMinPerArm:
+    """ConditioningConfig(scored=..., min_per_arm=...): records keep only
+    the scored units, every accept keeps min_per_arm scored focal units in
+    each arm of its cells, and the rule's rejections are counted apart.
+    On toy12, cell (0,)'s super-focal units are 0-3, 10 and 11, observed
+    treated 1, 2, 3 and 11."""
+
+    def _toy12(self):
+        ds = make_toy12()
+        return ds, compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+
+    def test_records_hold_the_scored_units_and_meet_the_rule(self):
+        ds, pi = self._toy12()
+        scored = np.ones(12, dtype=bool)
+        scored[[1, 4]] = False
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)), separate=True,
+                                 scored=scored, min_per_arm=2)
+        records, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, pi, cfg,
+                                                300, np.random.default_rng(3))
+        for d in records:
+            cell = d.superfocal.cell
+            sf = superfocal_for_cell(pi.values, cell)
+            pi_new = TOY12_MAPPING.compute_batch(d.t, ds.graph)
+            assert np.array_equal(d.superfocal.indicator, sf.indicator & scored)
+            assert np.array_equal(d.focal, (pi_new == cell[0]) & sf.indicator & scored)
+            assert np.array_equal(d.focal_counts, d.focal.sum(axis=1))
+            for arm in (0, 1):
+                assert ((d.focal & (d.t == arm)).sum(axis=1) >= 2).all()
+                # the inequalities still count every super-focal unit
+                assert all(relative_frequency(t, p, sf, arm) > 0.1
+                           for t, p in zip(d.t, pi_new))
+        assert sum(n for key, n in diag.failure_counts.items() if len(key) == 3) > 0
+
+    def test_without_the_rule_no_rule_kind_is_counted(self):
+        ds, pi = self._toy12()
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)))
+        _, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, pi, cfg, 50,
+                                          np.random.default_rng(3))
+        assert sorted(diag.failure_counts) == sorted(
+            (arm, c) for c in ((0,), (1,)) for arm in (0, 1))
+
+    def test_observed_assignment_breaking_the_rule_draws_nothing(self):
+        # unscoring unit 0 leaves cell (0,) one scored control unit
+        ds, pi = self._toy12()
+        scored = np.ones(12, dtype=bool)
+        scored[0] = False
+        mech = _CountingMechanism(12, 6)
+        cfg = ConditioningConfig(epsilon=0.1, cells=((1,), (0,)), scored=scored,
+                                 min_per_arm=2)
+        with pytest.raises(TooFewUnits, match=r"^cell \(0,\): the observed assignment has 1/4 "):
+            sample_conditioning_set(mech, ds, pi, cfg, 10, np.random.default_rng(0))
+        assert mech.batches == []
+
+    def test_exhausted_budget_names_the_rule(self):
+        # with only units 0, 1, 2 and 10 of cell (0,) scored, few draws keep
+        # two of them in each arm, while eps=0.1 asks for one unit per arm
+        ds, pi = self._toy12()
+        scored = ~np.isin(np.arange(12), [3, 11])
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),), scored=scored, min_per_arm=2,
+                                 max_attempts_per_accept=2)
+        with pytest.raises(AcceptanceBudgetExhausted) as exc:
+            sample_conditioning_set(CompleteRandomization(12, 6), ds, pi, cfg, 20,
+                                    np.random.default_rng(0))
+        assert "cell=(0,) failed" in str(exc.value)
+        assert str(exc.value).endswith("times (at least 2 scored focal units)")

@@ -8,7 +8,7 @@ import pytest
 from fixtures import (TEN_MAPPING, TEN_Y, TOY12_EPS, TOY12_MAPPING,
                       make_ten, make_toy12, oracle_cell_stat, oracle_imputed)
 from netrand.assignment import CompleteRandomization
-from netrand.conditioning import superfocal_for_cell
+from netrand.conditioning import cell_mask, superfocal_for_cell
 from netrand.data import Dataset
 from netrand.errors import (DataError, DegenerateInterval, EmptyArm,
                             InfeasibleConditioning, MissingParameter,
@@ -22,7 +22,7 @@ from netrand.inference import (CIConfig, SplitResult, adjust_multiple,
                                run_permutation_variant, run_plugin_test,
                                run_ss_test)
 from netrand.nullspec import NullSpec
-from netrand.simulation import generate_regular_graph
+from netrand.simulation import generate_potential_outcomes, generate_regular_graph
 from statistics import NormalDist
 
 
@@ -294,14 +294,66 @@ class TestOracleEngine:
 
     @pytest.mark.parametrize("stat", ["multiple", "combined"])
     def test_mean_focal_count_below_four_names_the_cell(self, stat):
-        # cell (1,)'s three units are focal under every draw, so its observed
-        # selection has 3 units and cannot hold two per arm
+        # cell (1,)'s three units cannot hold two per arm, so the test stops
+        # before drawing a candidate
         ds = Dataset(y=np.arange(10, dtype=float), t=np.array(THIN_T_OBS),
                      graph=build_graph(10, THIN_RING))
-        with pytest.raises(InfeasibleConditioning, match=r"^cell \(1,\): selection of size 3 "):
+        with pytest.raises(InfeasibleConditioning,
+                           match=r"^cell \(1,\): the observed assignment has 1/2 scored "):
             run_oracle_test(ds, THIN_MAPPING, CompleteRandomization(10, 5),
                             NullSpec.constant(0.0), epsilon=0.2, b=20, stat=stat,
                             rng=np.random.default_rng(0))
+
+
+class TestEveryDrawScored:
+    """Every accepted draw keeps two scored focal units in each arm of
+    each cell, so the scorer has both arm variances of every draw. Both
+    runs below died before that rule, one in the scorer and one in the
+    observed focal selection."""
+
+    @staticmethod
+    def _fewest_scored_per_arm(ds, mapping, report, scored):
+        """Fewest scored focal units in an arm of a cell over every kept
+        draw, recomputed from the draws' exposures."""
+        pi_obs = compute_exposures(mapping, ds.t, ds.graph).values
+        kept, fewest = report.diagnostics["draw_treatments"], []
+        for res in report.cells:
+            key = "combined" if report.stat_mode == "combined" else ",".join(map(str, res.cell))
+            draws = np.asarray(kept[key])
+            pi_new = mapping.compute_batch(draws, ds.graph)
+            focal = (pi_new == res.cell[0]) & cell_mask(pi_obs, res.cell, ds.x) & scored
+            fewest += [int((focal & (draws == arm)).sum(axis=1).min()) for arm in (0, 1)]
+        return min(fewest)
+
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_split_scores_every_draw(self, stat):
+        # at N=200 and eps=0.2 one kept unit clears a covariate cell's
+        # inequality, and the inference half may hold none of it
+        rng = np.random.default_rng(7)
+        graph = generate_regular_graph(200, 5, rng)
+        mech = CompleteRandomization(200, 100)
+        t = mech.draw(rng)
+        mapping = FractionThreshold(0.5, ">")
+        x = np.arange(200) % 2
+        y = generate_potential_outcomes(mapping.compute(t, graph), t, x, sigma_tau=0.5,
+                                        psi0=1.0, psi1=1.0, dgp="normal", rng=rng)
+        ds = Dataset(y=y, t=t, graph=graph, x=x)
+        rep = run_ss_test(ds, mapping, mech, "by_exposure_covariate", epsilon=0.2, b=149,
+                          split_rng=np.random.default_rng(1), rng=np.random.default_rng(1),
+                          stat=stat, keep_draws=True)
+        split = make_balanced_split(ds, compute_exposures(mapping, ds.t, ds.graph),
+                                    "by_exposure_covariate", np.random.default_rng(1))
+        assert split.inf_mask.sum() == rep.diagnostics["split"]["n_inference"]
+        assert self._fewest_scored_per_arm(ds, mapping, rep, split.inf_mask) >= 2
+
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_toy12_at_low_epsilon_scores_every_draw(self, stat):
+        # at eps=0.1 one kept unit of six clears an arm's inequality
+        ds, mapping, mech = toy12_engine_args()
+        rep = run_oracle_test(ds, mapping, mech, NullSpec.constant(0.0), epsilon=0.1,
+                              b=200, rng=np.random.default_rng(0), stat=stat,
+                              keep_draws=True)
+        assert self._fewest_scored_per_arm(ds, mapping, rep, np.ones(12, dtype=bool)) >= 2
 
 
 class TestPluginEngine:
@@ -469,6 +521,13 @@ class TestNeymanInterval:
 
 
 class TestCiEngine:
+    def test_degenerate_interval_names_the_effect_key(self):
+        # make_ten's (0, "f") cell holds two treated units and one control
+        with pytest.raises(DegenerateInterval, match=r"^effect key \(0, 'f'\): need >= 2 "):
+            run_ci_test(make_ten(with_x=True), TEN_MAPPING, CompleteRandomization(10, 5),
+                        "by_exposure_covariate", epsilon=0.1, b=20,
+                        rng=np.random.default_rng(0))
+
     def test_pvalue_bookkeeping_multiple(self):
         ds, mapping, mech = toy12_engine_args()
         cfg = CIConfig(gamma=0.01, grid_size=8)
