@@ -26,11 +26,25 @@ def threshold_draw(m: int, n: int, k: int, rng: np.random.Generator) -> np.ndarr
     for lo in range(0, m, step):
         rows = np.arange(lo, min(lo + step, m))
         while rows.size:
-            keys = rng.integers(0, 1 << 32, size=(rows.size, n), dtype=np.uint32)
+            keys = uint32_keys(rng, (rows.size, n))
             below = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1:k]
             t[rows] = below
-            rows = rows[below.sum(axis=1) != k]
+            rows = rows[below.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n)) != k]
     return t
+
+
+def uint32_keys(rng, shape: tuple) -> np.ndarray:
+    """``rng.integers(0, 2**32, shape, np.uint32)`` bit for bit, with the same
+    ``state`` and ``has_uint32`` after. PCG64 makes such keys as the low,
+    then the high half of a 64-bit word, keeping the high half pending: with
+    none pending, an even count is its raw words read as uint32 pairs on a
+    little-endian host, at half the cost. Else it draws through the call."""
+    size = shape[0] * shape[1]
+    if (size % 2 == 0 and type(rng) is np.random.Generator and np.little_endian
+            and type(rng.bit_generator) is np.random.PCG64
+            and not rng.bit_generator.state["has_uint32"]):
+        return rng.bit_generator.random_raw(size // 2).view(np.uint32).reshape(shape)
+    return rng.integers(0, 1 << 32, size=shape, dtype=np.uint32)
 
 
 class CompleteRandomization:

@@ -19,8 +19,9 @@ from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 
 Cell = tuple  # (pi,) or (pi, x_level)
 
-# Cap on a candidate batch's rows x units. A batch's working set is a few
-# tens of bytes per cell, so this keeps it to several hundred MB at any N.
+# Cap on a candidate batch's rows x units. A batch's working set peaks at
+# about 7 bytes per cell above the records it keeps (8 with weighted sums;
+# tracemalloc, one 499 x 3200 batch), so this keeps it near 100 MB at any N.
 MAX_BATCH_CELLS = 1 << 24
 MAX_FOCAL_RETRIES = 100  # observed focal selections tried before giving up
 
@@ -60,7 +61,7 @@ def arm_counts(pi: np.ndarray, cells: Sequence[Cell], t: np.ndarray,
                      for c in cells], dtype=np.int64).reshape(-1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditioningConfig:
     """epsilon bounds the relative frequencies of every (arm, cell) pair
     of the cells conditioned on, each (pi,) or (pi, x_level). separate
@@ -207,6 +208,10 @@ def sample_conditioning_set(mechanism, dataset, exposures,
 
     budget = b * config.max_attempts_per_accept
     max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
+    units = {c: np.flatnonzero(sfs[c].indicator) for c in config.cells}  # super-focal rows
+    recorded = {c: sfs[c] if scored is None else SuperFocalSet(sfs[c].indicator & scored, c)
+                for c in config.cells}  # each record's scored super-focal set
+    count_type = np.min_scalar_type(-dataset.n)  # holds every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
     focal_blocks = {c: [] for c in config.cells}  # the same rows' focal units per cell
     count_blocks = {c: [] for c in config.cells}  # and their counts
@@ -233,21 +238,24 @@ def sample_conditioning_set(mechanism, dataset, exposures,
         m = max(_batch_rows(b - accepted[g], accepted[g], attempts) for g in live)
         m = min(m, max_rows, budget - attempts)
         t_batch = mechanism.draw_batch(m, rng)
-        pi_batch = exposures.mapping.compute_batch(t_batch, dataset.graph)
-        treated = t_batch == 1
-        focal, counts, passes = {}, {}, {}
+        # unit-major from here on: a cell's super-focal units are whole rows
+        t_units = np.ascontiguousarray(t_batch.T)
+        pi_units = exposures.mapping.compute_units(t_units, dataset.graph)
+        counts, passes = {}, {}
         for c in live_cells:
-            sf = sfs[c]
-            in_cell = (pi_batch == c[0]) & sf.indicator
-            n, n1 = in_cell.sum(axis=1), (in_cell & treated).sum(axis=1)
-            focal[c], k, k1 = in_cell, n, n1  # the scored focal units and their counts
+            rows = units[c]
+            in_cell, treated = pi_units[rows] == c[0], t_units[rows] == 1
+            n = in_cell.sum(axis=0, dtype=count_type)
+            n1 = (in_cell & treated).sum(axis=0, dtype=count_type)
+            k, k1 = n, n1  # the scored focal units' counts
             if scored is not None:
-                focal[c] = in_cell & scored
-                k, k1 = focal[c].sum(axis=1), (focal[c] & treated).sum(axis=1)
+                in_cell &= scored[rows, None]
+                k = in_cell.sum(axis=0, dtype=count_type)
+                k1 = (in_cell & treated).sum(axis=0, dtype=count_type)
             counts[c] = k
             ok = np.ones(m, dtype=bool)
             for arm, n_arm, k_arm in ((0, n - n1, k - k1), (1, n1, k1)):
-                bad = ~(n_arm / sf.n > config.epsilon)
+                bad = ~(n_arm / sfs[c].n > config.epsilon)
                 fail_counts[(arm, c)] += int(bad.sum())
                 if least:
                     few = ~bad & (k_arm < least)
@@ -255,13 +263,15 @@ def sample_conditioning_set(mechanism, dataset, exposures,
                     bad |= few
                 ok &= ~bad
             passes[c] = ok
+        t_units = in_cell = treated = None  # freed before the records are built
         for g in live:
             need = b - accepted[g]
             rows = np.flatnonzero(np.logical_and.reduce(
                 [passes[c] for c in groups[g]]))[:need]
+            pi_kept = pi_units.T[rows]  # only kept draws go back to draw-major
             t_blocks[g].append(t_batch[rows])
             for c in groups[g]:
-                focal_blocks[c].append(focal[c][rows])
+                focal_blocks[c].append((pi_kept == c[0]) & recorded[c].indicator)
                 count_blocks[c].append(counts[c][rows])
             accepted[g] += len(rows)
             if len(rows) == need:
@@ -272,9 +282,8 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     for grp, blk, n in zip(groups, t_blocks, done_at):
         t = np.concatenate(blk)
         for c in grp:
-            sf = sfs[c] if scored is None else SuperFocalSet(sfs[c].indicator & scored, c)
             draws.append(Draws(t, np.concatenate(focal_blocks[c]),
-                               np.concatenate(count_blocks[c]), sf, n))
+                               np.concatenate(count_blocks[c]).astype(int), recorded[c], n))
     diag = ConditioningDiagnostics(n_candidates=attempts,
                                    n_accepted=b * len(groups),
                                    failure_counts=fail_counts)

@@ -22,28 +22,31 @@ ExposureValue = Hashable
 _COMPARATORS = (">", ">=")
 
 
-def _threshold_rows(mapping, num: np.ndarray, denom: np.ndarray,
+class _UnitMajor:
+    """Draw-major entry points over a mapping's one kernel, compute_units:
+    the (N, m) exposures of the m treatment vectors in t_units' columns."""
+
+    def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
+        return self.compute_batch(np.asarray(t)[None, :], graph)[0]
+
+    def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
+        return np.ascontiguousarray(self.compute_units(np.asarray(t_mat).T, graph).swapaxes(0, 1))
+
+
+def _threshold_rows(mapping, passed: np.ndarray, isolated: np.ndarray,
                     graph: Graph) -> np.ndarray:
-    """(B, N) exposures from the unit-major numerators of
-    ``Graph.neighbor_sums`` and per-unit denominators in the same slot
-    order; a zero denominator gives ``isolated_value``. The float64
-    quotient is taken a block of units at a time."""
-    passes = np.greater if mapping.comparator == ">" else np.greater_equal
-    exposed = np.empty(num.shape, dtype=np.int8)
-    step = max(1, KEY_BLOCK // max(num.shape[1], 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(0, len(num), step):
-            passes(num[r:r + step] / denom[r:r + step, None], mapping.threshold,
-                   out=exposed[r:r + step])
-    exposed[denom <= 0] = mapping.isolated_value
-    order = graph.slots[0]
+    """(N, B) int8 exposures in unit order from a threshold test's (N, B)
+    booleans in the slot order of ``Graph.neighbor_sums``; the rows that
+    ``isolated`` marks in that order get ``isolated_value``."""
+    exposed = passed.view(np.int8)
+    exposed[isolated] = mapping.isolated_value
     unit_major = np.empty_like(exposed)
-    unit_major[order] = exposed
-    return np.ascontiguousarray(unit_major.T)
+    unit_major[graph.slots[0]] = exposed
+    return unit_major
 
 
 @dataclass(frozen=True)
-class FractionThreshold:
+class FractionThreshold(_UnitMajor):
     """Exposed when the fraction of treated neighbors clears a threshold.
 
     The comparator is explicit (strict ``">"`` or ``">="``), never inferred.
@@ -61,20 +64,30 @@ class FractionThreshold:
         if self.isolated_value not in self.values:
             raise ValueError("isolated_value must be a declared exposure value")
 
-    def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
-        return self.compute_batch(np.asarray(t)[None, :], graph)[0]
-
-    def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
-        counts = graph.neighbor_sums(t_mat)
-        degs = graph.degrees[graph.slots[0]].astype(np.float64)
-        return _threshold_rows(self, counts, degs, graph)
+    def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
+        """A unit of degree d is exposed when its treated-neighbor count
+        reaches its cut-off, the least c in 0..d for which c / float(d)
+        passes (d + 1 if none does): the float64 fraction test decided on
+        integers. Counts are compared with cut-off - 1, which fits them."""
+        counts = graph.neighbor_sums(t_units)
+        degs = graph.degrees[graph.slots[0]]
+        ds, inverse = np.unique(degs, return_inverse=True)
+        d = np.repeat(ds, ds + 1)  # each distinct degree, once per c in 0..d
+        starts = np.flatnonzero(np.diff(d, prepend=-1))
+        c = np.arange(len(d)) - np.repeat(starts, ds + 1)
+        passes = np.greater if self.comparator == ">" else np.greater_equal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = passes(c / d.astype(np.float64), self.threshold)
+        cut = np.minimum.reduceat(np.where(ok, c, d + 1), starts)
+        below = (cut - 1).astype(counts.dtype)[inverse]
+        return _threshold_rows(self, counts > below[:, None], degs == 0, graph)
 
     def config(self) -> dict:
         return {"type": "fraction_threshold", "threshold": self.threshold,
                 "comparator": self.comparator, "isolated_value": self.isolated_value}
 
 
-class WeightedThreshold:
+class WeightedThreshold(_UnitMajor):
     """Threshold on a weighted share of treated neighbors.
 
     Uses per-unit weights d_j: exposed when
@@ -95,23 +108,28 @@ class WeightedThreshold:
         self.comparator = comparator
         self.isolated_value = int(isolated_value)
 
-    def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
-        return self.compute_batch(np.asarray(t)[None, :], graph)[0]
-
-    def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
+    def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
+        """The float64 quotient of the weighted sums, a block at a time."""
         if self.weights.shape != (graph.n_units,):
             raise MappingFailure(
                 f"weights have shape {self.weights.shape}, expected ({graph.n_units},)")
-        num = graph.neighbor_sums(t_mat, self.weights)
-        denom = graph.neighbor_sums(np.ones((1, graph.n_units), np.int8), self.weights)[:, 0]
-        return _threshold_rows(self, num, denom, graph)
+        num = graph.neighbor_sums(t_units, self.weights)
+        denom = graph.neighbor_sums(np.ones((graph.n_units, 1), np.int8), self.weights)[:, 0]
+        passes = np.greater if self.comparator == ">" else np.greater_equal
+        passed = np.empty(num.shape, dtype=bool)
+        step = max(1, KEY_BLOCK // max(num.shape[1], 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r in range(0, len(num), step):
+                passes(num[r:r + step] / denom[r:r + step, None], self.threshold,
+                       out=passed[r:r + step])
+        return _threshold_rows(self, passed, denom <= 0, graph)
 
     def config(self) -> dict:
         return {"type": "weighted_threshold", "threshold": self.threshold,
                 "comparator": self.comparator, "isolated_value": self.isolated_value}
 
 
-class CustomMapping:
+class CustomMapping(_UnitMajor):
     """Wrap an arbitrary rule f(i, t, graph) -> value with a declared value set."""
 
     def __init__(self, fn: Callable[[int, np.ndarray, Graph], ExposureValue],
@@ -130,11 +148,9 @@ class CustomMapping:
             raise MappingFailure(f"exposure rule returned undeclared value {v!r} at unit {i}")
         return v
 
-    def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
-        return np.array([self.exposure(i, t, graph) for i in range(graph.n_units)])
-
-    def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
-        return np.stack([self.compute(row, graph) for row in np.asarray(t_mat)])
+    def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
+        return np.array([[self.exposure(i, t, graph) for i in range(graph.n_units)]
+                         for t in np.asarray(t_units).T]).swapaxes(0, 1)
 
     def config(self) -> dict:
         return {"type": "custom", "values": list(self.values)}

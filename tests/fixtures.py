@@ -156,6 +156,17 @@ def random_irregular_graph(rng, n, hub_degree=0, n_isolated=0):
     return build_graph(n, sorted(edges))
 
 
+class IntegersOnly:
+    """A duck-typed generator offering only ``integers``, so every uint32
+    key is drawn through the call rather than from raw words."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
 def all_assignments(n, n_treated):
     """Every vector of the complete-randomization mechanism, as tuples."""
     for comb in itertools.combinations(range(n), n_treated):

@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fixtures import all_assignments
-from netrand.assignment import CompleteRandomization, StratifiedComplete, threshold_draw
+from fixtures import IntegersOnly, all_assignments
+from netrand.assignment import (CompleteRandomization, StratifiedComplete, threshold_draw,
+                                uint32_keys)
 from netrand.errors import InfeasibleCounts
 
 # chi-square 0.999 quantiles for the degrees of freedom used below
@@ -165,3 +166,71 @@ class TestThresholdDraw:
         expected = 6000 / 6
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < CHI2_999[5]
+
+
+def _state(rng):
+    """The generator's state with arrays as lists, less the ``uinteger``
+    it ignores while ``has_uint32`` is 0."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    st = plain(rng.bit_generator.state)
+    if not st.get("has_uint32"):
+        st.pop("uinteger", None)
+    return st
+
+
+class TestUint32Keys:
+    """Raw-word keys against ``rng.integers(0, 2**32, size, np.uint32)``:
+    the same keys and the same generator state afterwards."""
+
+    def _same(self, make, shapes, before=()):
+        fast, slow = make(), make()
+        for rng in (fast, slow):
+            for size in before:  # draws that leave a half pending or not
+                rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+        for shape in shapes:
+            got = uint32_keys(fast, shape)
+            want = slow.integers(0, 1 << 32, size=shape, dtype=np.uint32)
+            assert got.dtype == np.uint32 and got.shape == shape
+            assert np.array_equal(got, want)
+            assert _state(fast) == _state(slow)
+        # the streams stay in step after the keys
+        assert np.array_equal(fast.integers(0, 1 << 32, 5, np.uint32),
+                              slow.integers(0, 1 << 32, 5, np.uint32))
+        assert fast.random() == slow.random()
+
+    def test_fresh_pcg64(self):
+        self._same(lambda: np.random.default_rng(0), [(2, 3), (1, 2), (81, 800), (4, 1)])
+
+    def test_pcg64_with_a_pending_half(self):
+        make = lambda: np.random.default_rng(1)
+        assert _state(make())["has_uint32"] == 0
+        probe = make()
+        probe.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        assert _state(probe)["has_uint32"] == 1  # an odd-size draw leaves a half pending
+        self._same(make, [(2, 3), (4, 4), (1, 1), (2, 2)], before=[3])
+        self._same(make, [(2, 3)], before=[3, 5])  # pending flag cleared again
+
+    def test_odd_key_counts(self):
+        self._same(lambda: np.random.default_rng(2), [(3, 3), (1, 1), (2, 2), (5, 7), (2, 4)])
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators(self, bitgen):
+        self._same(lambda: np.random.Generator(bitgen(3)), [(2, 3), (3, 3), (81, 800)])
+
+    def test_duck_typed_rng(self):
+        fast, slow = _TinyKeyRng(4), _TinyKeyRng(4)
+        got = uint32_keys(fast, (6, 5))
+        assert np.array_equal(got, slow.integers(0, 1 << 32, size=(6, 5), dtype=np.uint32))
+        assert fast.calls == 1 and set(np.unique(got)) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("m,n,k", [(7, 9, 4), (1000, 801, 400), (300, 400, 200)])
+    def test_threshold_draws_match_integer_keys(self, m, n, k):
+        # odd n with odd block sizes and tie redraws switch between raw
+        # words and the call; every row and the final state must match
+        fast, slow = np.random.default_rng(m), np.random.default_rng(m)
+        assert np.array_equal(threshold_draw(m, n, k, fast),
+                              threshold_draw(m, n, k, IntegersOnly(slow)))
+        assert _state(fast) == _state(slow)

@@ -9,8 +9,8 @@ from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TEN_T_ALT, TEN_T_OBS, TOY12_EPS, TOY12_MAPPING,
                       TOY12_PI_OBS, TOY12_T_OBS, make_line4, make_ten,
                       make_toy12, neighbor_lists, oracle_conditioning_set,
-                      oracle_exposure, oracle_focal, oracle_r, LINE4_EDGES,
-                      TOY12_EDGES)
+                      oracle_exposure, oracle_focal, oracle_r, IntegersOnly,
+                      LINE4_EDGES, TOY12_EDGES)
 from netrand import conditioning
 from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
                                   epsilon_feasibility, relative_frequency,
@@ -20,7 +20,7 @@ from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
                             DataError, EmptySuperFocal, TooFewUnits)
 from netrand.inference import family_cells, run_oracle_test
 from netrand.nullspec import NullSpec
-from netrand.assignment import CompleteRandomization
+from netrand.assignment import CompleteRandomization, StratifiedComplete
 from netrand.data import Dataset
 from netrand.exposure import ExposureVector, FractionThreshold, compute_exposures
 from netrand.graph import build_graph
@@ -48,6 +48,14 @@ class TestTargets:
             ConditioningConfig(epsilon=0.5, cells=((0,), (1,)))
         with pytest.raises(ValueError):
             ConditioningConfig(epsilon=0.0, cells=((0,), (1,)))
+
+
+class TestConditioningConfig:
+    def test_a_scored_mask_compares_and_hashes_by_identity(self):
+        cfg = ConditioningConfig(0.1, ((0,),), scored=np.ones(3, bool))
+        twin = ConditioningConfig(0.1, ((0,),), scored=np.ones(3, bool))
+        assert cfg == cfg and cfg != twin
+        assert hash(cfg) == hash(cfg) and len({cfg, twin}) == 2
 
 
 class TestSuperFocal:
@@ -205,11 +213,23 @@ class TestSampler:
                                             TOY12_EPS, [(0,), (1,)],
                                             comparator=">"))
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-        (d0, d1), _ = sample_conditioning_set(
-            CompleteRandomization(12, 6), ds, pi, cfg, 200,
-            np.random.default_rng(3))
-        for row in d0.t:
-            assert tuple(int(v) for v in row) in joint
+        # odd strata of 5 and 7 units with 3 treated in each: every draw
+        # still treats 6 of 12; at b = 199 the first two batches have odd
+        # row counts, whose keys draw through rng.integers, and the third
+        # an even one, whose keys are raw words
+        stratified = StratifiedComplete(np.repeat([0, 1], [5, 7]), {0: 3, 1: 3})
+        for mech, b in ((CompleteRandomization(12, 6), 200), (stratified, 199)):
+            (d0, d1), diag = sample_conditioning_set(mech, ds, pi, cfg, b,
+                                                     np.random.default_rng(3))
+            for row in d0.t:
+                assert tuple(int(v) for v in row) in joint
+            assert all(mech.supports(row) for row in d0.t)
+            # keys from raw words and from rng.integers give the same records
+            (e0, e1), slow = sample_conditioning_set(
+                mech, ds, pi, cfg, b, IntegersOnly(np.random.default_rng(3)))
+            assert slow.n_candidates == diag.n_candidates
+            for d, e in ((d0, e0), (d1, e1)):
+                assert np.array_equal(d.t, e.t) and np.array_equal(d.focal, e.focal)
 
     def test_combined_records_share_draws_and_keep_own_focal(self):
         # one record per cell: the cells of a combined group share one t,

@@ -190,6 +190,67 @@ class TestSlotKernelMatchesDense:
         assert (g.dense() @ weights == 0).sum() >= 6 + 3
 
 
+# thresholds on float edges: 0.1 + 0.2 is 0.30000000000000004, and the
+# neighbors of 0.5 decide ties of c / d = 1/2 against both comparators
+EDGE_THRESHOLDS = (0.0, 1 / 3, 2 / 3, 0.1 + 0.2, np.nextafter(0.5, -np.inf),
+                   np.nextafter(0.5, np.inf), 1.0)
+
+
+class TestUnitMajorKernels:
+    """Each mapping's one unit-major kernel, compute_units, against the
+    per-unit neighbor-loop oracle and against the draw-major wrapper."""
+
+    def test_integer_cutoffs_match_the_neighbor_loop(self):
+        rng = np.random.default_rng(21)
+        # degrees 0..~8, 5 isolated units and a hub of degree 200, whose
+        # count in the all-treated row needs int16
+        g = random_irregular_graph(rng, 240, hub_degree=200, n_isolated=5)
+        assert g.degrees.max() >= 200 and (g.degrees == 0).sum() >= 5
+        assert g.neighbor_sums(np.ones((g.n_units, 1), np.int8)).dtype == np.int16
+        nbrs = [g.neighbors(i).tolist() for i in range(g.n_units)]
+        t_mat = _treatment_rows(rng, g.n_units, 10)
+        for threshold in EDGE_THRESHOLDS:
+            for comparator in (">", ">="):
+                for isolated in (0, 1):
+                    m = FractionThreshold(threshold, comparator, isolated)
+                    got = m.compute_units(t_mat.T, g)
+                    assert got.shape == (g.n_units, len(t_mat)) and got.dtype == np.int8
+                    for row, t in enumerate(t_mat.tolist()):
+                        want = oracle_exposure(t, nbrs, threshold, comparator, isolated)
+                        assert tuple(got[:, row].tolist()) == want
+
+    def test_cutoff_ties_on_small_degrees(self):
+        # a star whose center has degree d sees c treated leaves, c = 0..d
+        for d in range(1, 11):
+            g = build_graph(d + 1, [(0, j) for j in range(1, d + 1)])
+            t_mat = np.array([[0] + [1] * c + [0] * (d - c) for c in range(d + 1)])
+            for threshold in EDGE_THRESHOLDS:
+                for comparator, passes in ((">", np.greater), (">=", np.greater_equal)):
+                    got = FractionThreshold(threshold, comparator).compute_batch(t_mat, g)[:, 0]
+                    want = passes(np.arange(d + 1) / float(d), threshold)
+                    assert got.tolist() == want.astype(int).tolist()
+
+    def test_compute_units_is_the_transposed_batch(self):
+        rng = np.random.default_rng(22)
+        g = random_irregular_graph(rng, 80, hub_degree=40, n_isolated=3)
+        t_mat = _treatment_rows(rng, g.n_units, 12)
+
+        def share(i, t, graph):
+            nbrs = graph.neighbors(i)
+            return "none" if not len(nbrs) else ("most" if t[nbrs].mean() > 0.5 else "few")
+
+        mappings = (FractionThreshold(1 / 3, ">="),
+                    WeightedThreshold(rng.integers(0, 4, g.n_units).astype(float), 0.4),
+                    CustomMapping(share, ("none", "few", "most")))
+        for m in mappings:
+            batch = m.compute_batch(t_mat, g)
+            units = m.compute_units(t_mat.T, g)
+            assert batch.flags.c_contiguous and units.shape == (g.n_units, len(t_mat))
+            assert np.array_equal(units, batch.T)
+            assert np.array_equal(m.compute(t_mat[1], g), batch[1])
+        assert set(np.unique(mappings[2].compute_batch(t_mat, g))) == {"none", "few", "most"}
+
+
 class TestCustomMapping:
     def test_wraps_rule_failure(self):
         def bad(i, t, g):

@@ -98,18 +98,18 @@ class TestBuildGraph:
             t_mat = np.vstack([np.ones(n, np.int64), rng.integers(0, 2, size=(6, n))])
             w = rng.integers(0, 5, size=n).astype(np.float64)
             order = g.slots[0]
-            counts = g.neighbor_sums(t_mat)
+            counts = g.neighbor_sums(t_mat.T)
             assert counts.dtype == dtype and counts.shape == (n, 7)
             assert np.array_equal(counts[np.argsort(order)].T, t_mat @ g.dense())
             assert counts.max() == g.degrees.max()
-            weighted = g.neighbor_sums(t_mat, w)
+            weighted = g.neighbor_sums(t_mat.T, w)
             assert weighted.dtype == np.float64
             assert np.array_equal(weighted[np.argsort(order)].T, (t_mat * w) @ g.dense())
 
     def test_edgeless_graph_has_no_slots(self):
         g = build_graph(3, [])
         assert len(g.slots[1]) == 0
-        assert g.neighbor_sums(np.ones((2, 3), np.int8)).tolist() == [[0, 0]] * 3
+        assert g.neighbor_sums(np.ones((3, 2), np.int8)).tolist() == [[0, 0]] * 3
 
 
 class TestEdgeCsv:
