@@ -1,29 +1,33 @@
 """Alternating parent/change pairs of benchmarks/run.py, written as BENCH_<pr>.json.
 
-Run from the root of a checkout:
+Run from the root of a checkout, with the change committed:
 
     python3 scripts/bench_pairs.py --pr 17 --parent HEAD~1
 
-The parent revision is checked out in a temporary ``git worktree`` (or read
-from ``--parent-dir``, an existing checkout of it); the change is this
-checkout's working tree. For each workload the script makes one untraced
-seed-1 run per side, whose digests must agree, then one pair per seed
-2-11, the parent first on odd seeds and the change first on
-even ones, then one ``--trace 1`` run per side at seed 1. Runs go one at
-a time. The summary gives, per workload and end-to-end metric, each side's
-median, ``change_vs_parent`` (the ratio of medians minus 1), the pairs the
-change won (ties count for neither side), and ``parent_iqr``, the distance
-between the quartiles of the parent's runs. Nothing under benchmarks/ is
-changed; each side's runs write to its own benchmarks/out/.
+The committed files of the parent revision and of HEAD are each exported
+(``git archive``) into a new temporary directory, and every run works in
+one of them, so neither side sees uncommitted files or the other side's
+benchmarks/out/. For each workload the script makes one untraced seed-1 run
+per side, whose digests must agree, then one pair per seed 2-11, the
+parent first on odd seeds and the change first on even ones, then one
+``--trace 1`` run per side at seed 1. Runs go one at a time. The summary
+gives, per workload and end-to-end metric, each side's median,
+``change_vs_parent`` (the ratio of medians minus 1), the pairs the change
+won (ties count for neither side), and ``parent_iqr``, the distance between
+the quartiles of the parent's runs. ``digests_match`` and ``all_correct``
+record the two gates; the script exits 1 after writing the file if either
+fails.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -34,6 +38,21 @@ TRACE_METRICS = ("conditioning.sample.self_s", "conditioning.select_focal.s",
                  "assignment.draw_batch.s", "stats.ratio_stat_rows.s",
                  "conditioning.accepted", "conditioning.candidates",
                  "conditioning.candidates_per_accept", "trace.op_s")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def export(rev: str, dest: Path) -> Path:
+    """The committed files of rev, unpacked into the new directory dest."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest
 
 
 def run(side: str, root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -79,33 +98,24 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
     ap.add_argument("--parent", required=True, help="the parent revision, such as HEAD~1")
-    ap.add_argument("--parent-dir", type=Path,
-                    help="an existing checkout of the parent, used instead of a worktree")
-    ap.add_argument("--workloads", nargs="+",
-                    help="workloads to run (default: every one in BENCHMARK.json)")
-    ap.add_argument("--description", default="", help="prepended to the file's description")
     args = ap.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
 
-    tmp = None
-    if args.parent_dir is None:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        subprocess.run(["git", "worktree", "add", "--detach", str(tmp / "parent"), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-        parent_root = tmp / "parent"
-    else:
-        parent_root = args.parent_dir.resolve()
-    sides = {"parent": parent_root, "change": ROOT}
-    runs = []
+    revs = {"parent": args.parent, "change": "HEAD"}
+    commits = {s: git("rev-parse", "--short", rev).strip() for s, rev in revs.items()}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    runs, digests_match = [], True
     try:
+        sides = {s: export(rev, tmp / s) for s, rev in revs.items()}
         for w in workloads:
             first = [run(s, sides[s], w, 1, seconds, 0) for s in ("parent", "change")]
             runs += first
             if first[0]["digest"] != first[1]["digest"]:
+                digests_match = False
                 print(f"{w}: seed-1 digests differ: {first[0]['digest']} != "
                       f"{first[1]['digest']}", file=sys.stderr)
             for seed in SEEDS:
@@ -113,10 +123,8 @@ def main() -> None:
                 runs += [run(s, sides[s], w, seed, seconds, 0) for s in order]
             runs += [run(s, sides[s], w, 1, seconds, 1) for s in ("parent", "change")]
     finally:
-        if tmp is not None:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tmp / "parent")],
-                           cwd=ROOT, check=False, capture_output=True)
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    all_correct = all(r["correct"] for r in runs)
 
     env = next((r.pop("env") for r in runs if r.get("env")), None)
     for r in runs:
@@ -124,8 +132,9 @@ def main() -> None:
     traced = {w: {r["side"]: {k: r["metrics"][k] for k in TRACE_METRICS if k in r["metrics"]}
                   for r in runs if r["workload"] == w and r["trace"] == 1} for w in workloads}
     doc = {
-        "description": (args.description + " " if args.description else "") + (
-            f"benchmarks/run.py results, parent ({args.parent}) vs this change, "
+        "description": (
+            f"benchmarks/run.py results, parent ({args.parent}, {commits['parent']}) vs "
+            f"change (HEAD, {commits['change']}), each exported with git archive, "
             f"{seconds} s per run, one run at a time. Seed 1 untraced per side checks the "
             f"determinism digests; then one pair per seed {SEEDS[0]}-{SEEDS[-1]}, "
             "the parent first on odd seeds and the change first on even ones; then one "
@@ -135,6 +144,8 @@ def main() -> None:
         "command": "python3 benchmarks/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds} --trace <0|1>",
         "environment": env,
+        "digests_match": digests_match,
+        "all_correct": all_correct,
         "summary": {w: summarise(runs, w, better) for w in workloads},
         "trace_seed1": {"description": "per-op layer metrics of the one --trace 1 run "
                                        "per side (seed 1)", **traced},
@@ -143,6 +154,8 @@ def main() -> None:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    if not (digests_match and all_correct):
+        sys.exit(f"gate failed: digests_match={digests_match} all_correct={all_correct}")
 
 
 if __name__ == "__main__":

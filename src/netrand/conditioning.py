@@ -211,7 +211,7 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     units = {c: np.flatnonzero(sfs[c].indicator) for c in config.cells}  # super-focal rows
     recorded = {c: sfs[c] if scored is None else SuperFocalSet(sfs[c].indicator & scored, c)
                 for c in config.cells}  # each record's scored super-focal set
-    count_type = np.min_scalar_type(-dataset.n)  # holds every count 0..N
+    count_type = np.min_scalar_type(-dataset.n - 1)  # holds -(N + 1), so every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
     focal_blocks = {c: [] for c in config.cells}  # the same rows' focal units per cell
     count_blocks = {c: [] for c in config.cells}  # and their counts

@@ -20,10 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .data import Dataset
     from .exposure import ExposureVector
 
-# Unit rows x columns summed at a time, so each gather stays in cache: on a
-# 2-vCPU Xeon, 800 x 2000 counts take 0.8-1.0 ms in blocks, 1.5 ms at once.
-SUM_BLOCK = 1 << 18
-
 
 class Graph:
     """Adjacency in compressed sparse row (CSR) form: unit i's neighbors
@@ -103,22 +99,19 @@ class Graph:
         Returns an (N, B) matrix whose rows follow ``slots[0]`` (descending
         degree): counts in the narrowest signed integer type holding the
         largest degree, or float64 sums with weights. Each slot's gather
-        reads whole contiguous rows, for a block of units at a time.
+        reads whole contiguous rows.
         """
         nbrs = self.slots[1]
         t_units = np.ascontiguousarray(t_units, dtype=np.int8)
         # a type that holds -(d + 1) also holds every count 0..d
         dtype = np.min_scalar_type(-len(nbrs) - 1) if weights is None else np.float64
         sums = np.zeros(t_units.shape, dtype=dtype)
-        step = max(1, SUM_BLOCK // max(t_units.shape[1], 1))
-        for lo in range(0, len(sums), step):
-            block = sums[lo:lo + step]
-            for nbr in nbrs:
-                nbr = nbr[lo:lo + step]
-                if not len(nbr):
-                    break  # the later slots are no longer
-                block[:len(nbr)] += (t_units[nbr] if weights is None
-                                     else t_units[nbr] * weights[nbr, None])
+        for nbr in nbrs:
+            rows = t_units[nbr]
+            if weights is None:
+                sums[:len(nbr)] += rows
+            else:
+                sums[:len(nbr)] += rows * weights[nbr, None]
         return sums
 
     @property

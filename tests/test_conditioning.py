@@ -306,6 +306,20 @@ class TestSamplerBatches:
         assert np.array_equal(capped.t, whole.t)
         assert np.array_equal(capped.focal, whole.focal)
 
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    def test_a_cell_holding_every_unit_counts_all_n(self, n):
+        # every unit lands in cell (0,) in every draw, so each count is N
+        # itself: at N = 128 one more than the int8 maximum
+        ds, pi, mapping = self._edgeless(n)
+        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        (draws,), _ = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, pi,
+                                           cfg, 20, np.random.default_rng(0))
+        assert draws.focal.all()
+        assert draws.focal_counts.tolist() == [n] * 20
+        mask = select_observed_focal(draws.superfocal, draws.focal_counts, ds.t,
+                                     np.random.default_rng(1))
+        assert mask.all()
+
     def test_rejecting_design_stays_within_budget(self):
         ds = make_toy12()
         pi = compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
