@@ -20,8 +20,8 @@ from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 Cell = tuple  # (pi,) or (pi, x_level)
 
 # Cap on a candidate batch's rows x units. A batch's working set peaks at
-# about 7 bytes per cell above the records it keeps (8 with weighted sums;
-# tracemalloc, one 499 x 3200 batch), so this keeps it near 100 MB at any N.
+# about 5.5 bytes per cell, 3 of them the records it keeps (19 with weighted
+# sums; tracemalloc, one 499 x 3200 batch), so this keeps it near 90 MB at any N.
 MAX_BATCH_CELLS = 1 << 24
 MAX_FOCAL_RETRIES = 100  # observed focal selections tried before giving up
 
@@ -128,13 +128,17 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
 @dataclass
 class Draws:
     """One cell's accepted draws: its group's (b, N) treatment vectors (one
-    array shared by the cells of a combined group), the cell's own (b, N)
-    scored focal units and their (b,) counts per draw, its scored
-    super-focal set, and the candidates its group drew up to and including
+    array shared by the cells of a combined group), and, unit-major over
+    the cell's super-focal units (ascending indices), which of them are
+    scored focal units and which are treated under each draw, both
+    (n_sf, b); then the focal counts per draw, the cell's scored
+    super-focal set and the candidates its group drew up to and including
     its last accept."""
 
     t: np.ndarray
+    units: np.ndarray
     focal: np.ndarray
+    treated: np.ndarray
     focal_counts: np.ndarray
     superfocal: SuperFocalSet
     n_candidates: int
@@ -213,8 +217,8 @@ def sample_conditioning_set(mechanism, dataset, exposures,
                 for c in config.cells}  # each record's scored super-focal set
     count_type = np.min_scalar_type(-dataset.n - 1)  # holds -(N + 1), so every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
-    focal_blocks = {c: [] for c in config.cells}  # the same rows' focal units per cell
-    count_blocks = {c: [] for c in config.cells}  # and their counts
+    # the same draws' focal and treated rows per cell, and their focal counts
+    record_blocks = {c: ([], [], []) for c in config.cells}
     accepted = [0] * len(groups)
     done_at = [0] * len(groups)  # candidates drawn up to the b-th accept
     attempts = 0
@@ -241,7 +245,7 @@ def sample_conditioning_set(mechanism, dataset, exposures,
         # unit-major from here on: a cell's super-focal units are whole rows
         t_units = np.ascontiguousarray(t_batch.T)
         pi_units = exposures.mapping.compute_units(t_units, dataset.graph)
-        counts, passes = {}, {}
+        passes, checked = {}, {}
         for c in live_cells:
             rows = units[c]
             in_cell, treated = pi_units[rows] == c[0], t_units[rows] == 1
@@ -252,7 +256,7 @@ def sample_conditioning_set(mechanism, dataset, exposures,
                 in_cell &= scored[rows, None]
                 k = in_cell.sum(axis=0, dtype=count_type)
                 k1 = (in_cell & treated).sum(axis=0, dtype=count_type)
-            counts[c] = k
+            checked[c] = in_cell, treated, k
             ok = np.ones(m, dtype=bool)
             for arm, n_arm, k_arm in ((0, n - n1, k - k1), (1, n1, k1)):
                 bad = ~(n_arm / sfs[c].n > config.epsilon)
@@ -263,27 +267,30 @@ def sample_conditioning_set(mechanism, dataset, exposures,
                     bad |= few
                 ok &= ~bad
             passes[c] = ok
-        t_units = in_cell = treated = None  # freed before the records are built
+        t_units = pi_units = None  # freed before the records are built
         for g in live:
             need = b - accepted[g]
             rows = np.flatnonzero(np.logical_and.reduce(
                 [passes[c] for c in groups[g]]))[:need]
-            pi_kept = pi_units.T[rows]  # only kept draws go back to draw-major
-            t_blocks[g].append(t_batch[rows])
+            every = len(rows) == m  # then the check's own rows are the records
+            t_blocks[g].append(t_batch if every else t_batch[rows])
             for c in groups[g]:
-                focal_blocks[c].append((pi_kept == c[0]) & recorded[c].indicator)
-                count_blocks[c].append(counts[c][rows])
+                for blk, a in zip(record_blocks[c], checked[c]):
+                    blk.append(a if every else a[..., rows])
             accepted[g] += len(rows)
             if len(rows) == need:
                 done_at[g] = attempts + int(rows[-1]) + 1
         attempts += m
 
+    def joined(blocks, axis=-1):
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
+
     draws = []
     for grp, blk, n in zip(groups, t_blocks, done_at):
-        t = np.concatenate(blk)
+        t = joined(blk, axis=0)
         for c in grp:
-            draws.append(Draws(t, np.concatenate(focal_blocks[c]),
-                               np.concatenate(count_blocks[c]).astype(int), recorded[c], n))
+            focal, treated, k = (joined(r) for r in record_blocks[c])
+            draws.append(Draws(t, units[c], focal, treated, k.astype(int), recorded[c], n))
     diag = ConditioningDiagnostics(n_candidates=attempts,
                                    n_accepted=b * len(groups),
                                    failure_counts=fail_counts)

@@ -48,7 +48,8 @@ def empirical_pvalue(observed, draw_stats):
 
 def _imputed_stats(y, t_obs, t_new, focal, taus) -> np.ndarray:
     """(G, B) variance-ratio statistics of z = y + tau (t_new - t_obs) over
-    each row's focal units, in the arms t_new gives them (arm_variances)."""
+    each draw's focal units, in the arms t_new gives them, from unit-major
+    (N, B) t_new and focal (arm_variances)."""
     return ratio_stat_rows(*arm_variances(y, t_obs, t_new, focal, taus))
 
 
@@ -283,14 +284,16 @@ def _score_grid(source, dataset, family, pi_obs, runs, *, b, epsilon, stat, alph
     y, t_obs = dataset.y, dataset.t
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
     for (d, fobs), cell in zip(runs, cells):
-        cols = np.flatnonzero(d.focal.any(axis=0) | fobs)
+        used = d.focal.any(axis=1) | fobs[d.units]  # rows of super-focal units
+        cols = d.units[used]
         tc = t_obs[cols]
-        # the observed row heads the batch and switches no unit: its statistic
+        # the observed column heads the draws and switches no unit: its statistic
         # is the same at every tau, and draws keeping or swapping its arms tie it
-        t_rows = np.vstack([tc, d.t.take(cols, axis=1)])  # take keeps rows contiguous
-        f_rows = np.vstack([fobs[cols], d.focal.take(cols, axis=1)])
+        keep = slice(None) if used.all() else used  # gather rows only when some go
+        t_cols = np.column_stack([tc == 1, d.treated[keep]])
+        f_cols = np.column_stack([fobs[cols], d.focal[keep]])
         grid = axes[effect_key(family, cell)]
-        scored = _imputed_stats(y[cols], tc, t_rows, f_rows, grid)
+        scored = _imputed_stats(y[cols], tc, t_cols, f_cols, grid)
         obs, stats[cell] = float(scored[0, 0]), scored[:, 1:]
         ps = empirical_pvalue(obs, stats[cell])
         best = int(np.argmax(ps))
@@ -605,9 +608,10 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
         rows.append(row)
     t_new = np.asarray(rows)
     # every permutation keeps the cell's inference units focal
-    runs = [(Draws(t_new, np.broadcast_to(m, t_new.shape), np.full(len(t_new), m.sum()),
+    runs = [(Draws(t_new, idx, np.ones((len(idx), len(t_new)), dtype=bool),
+                   t_new.T[idx] == 1, np.full(len(t_new), len(idx)),
                    SuperFocalSet(m, c), n_candidates=len(t_new)), m)
-            for c, m in zip(cells, masks)]
+            for c, m, idx in zip(cells, masks, units)]
     source = TauSource("permutation", {effect_key(family, c): [0.0] for c in cells},
                        diagnostics={"nuisance": _nuisance_diag(nuisance)})
     report = _score_grid(source, replace(dataset, y=adjusted), family, exposures.values,

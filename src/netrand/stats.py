@@ -79,33 +79,36 @@ def _grid_parts(v: np.ndarray) -> np.ndarray:
 
 
 def arm_variances(y, t_obs, t_new, focal, taus=(0.0,)):
-    """Sample variances of z = y + tau (t_new - t_obs) over each row's focal
-    units in arm 1 and in arm 0 of t_new: two (G, B) arrays for G taus and
-    (B, N) 0/1 rows t_new and focal. NaN where an arm has < 2 units.
+    """Sample variances of z = y + tau (t_new - t_obs) over each draw's
+    focal units in arm 1 and in arm 0 of t_new: two (G, B) arrays for G
+    taus and unit-major (N, B) 0/1 columns t_new and focal, one column per
+    draw. NaN where an arm has < 2 units.
 
     An arm's units observed treated and those observed control each shift
     by one amount, so with their counts n1, n0, means m1, m0 and centered
     sums of squares W1, W0 the arm's variance is (Chan, Golub & LeVeque
     1983) (W1 + W0 + (n1 n0 / n) (m1 - m0 - tau)^2) / (n - 1). The sums are
-    exact (_grid_parts), so a row's variances depend only on which units
-    it puts in each arm: not on column order, row position, blocks or
-    BLAS threads, and a row that keeps or swaps every arm ties exactly.
+    exact (_grid_parts), so a draw's variances depend only on which units
+    it puts in each arm: not on unit order, column position, blocks of
+    units or BLAS threads, and a draw that keeps or swaps every arm ties
+    exactly.
     """
     y = np.asarray(y, dtype=np.float64)
     groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
-    # less each group's middle value: no column order moves it, integer y stays integer
+    # less each group's middle value: no unit order moves it, integer y stays integer
     shift = np.array([np.sort(y[g])[g.sum() // 2] if g.any() else 0.0 for g in groups])
     u = np.where(groups, y - shift[:, None], 0.0)
     right = np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, u * u]))]).T)
     t_new, focal = np.asarray(t_new), np.asarray(focal)
-    rows, cols = t_new.shape
-    step = max(1, min(rows, SCORE_BLOCK // max(cols, 1)))
-    masks, sums = np.empty((step, 2, cols)), np.empty((rows, 2, 10))
-    for r in range(0, rows, step):
-        t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, rows - r)]
-        np.logical_and(f, t, out=m[:, 0])  # each row's arm 1, then its arm 0
+    units, draws = t_new.shape
+    step = max(1, min(units, SCORE_BLOCK // max(draws, 1)))
+    masks, sums = np.empty((step, 2, draws)), np.zeros((2 * draws, 10))
+    for r in range(0, units, step):  # each block's sums are exact, so adding them is too
+        t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, units - r)]
+        np.logical_and(f, t, out=m[:, 0])  # each draw's arm 1, then its arm 0
         np.greater(f, t, out=m[:, 1])
-        np.matmul(m.reshape(-1, cols), right, out=sums[r:r + step].reshape(-1, 10))
+        sums += m.reshape(len(m), -1).T @ right[r:r + step]
+    sums = sums.reshape(2, draws, 10).transpose(1, 0, 2)
     n, s = sums[..., :2], sums[..., 2:6] + sums[..., 6:]  # hi + lo
     mean = s[..., :2] / np.maximum(n, 1.0)
     w = np.maximum(s[..., 2:] - s[..., :2] * mean, 0.0).sum(axis=-1)

@@ -135,6 +135,19 @@ def dense_threshold_reference(mapping, t_mat, graph):
     return out
 
 
+def expand_record(record):
+    """A Draws record's unit-major (n_sf, b) focal and treated rows as the
+    draw-major (b, N) matrices they stand for, False off the cell's
+    super-focal units."""
+    n = len(record.superfocal.indicator)
+    full = []
+    for rows in (record.focal, record.treated):
+        out = np.zeros((rows.shape[1], n), dtype=bool)
+        out[:, record.units] = rows.T
+        full.append(out)
+    return tuple(full)
+
+
 def direct_imputed_stats(y, t_obs, t_new, focal, taus):
     """The per-tau scorer the closed form replaced: at each tau, impute
     the (B, N) outcome matrix y + tau (t_new - t_obs) and take its arm

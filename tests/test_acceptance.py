@@ -22,7 +22,7 @@ import test_properties as props
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TEN_T_ALT, TEN_Y, TOY12_EDGES, TOY12_EPS,
                       TOY12_MAPPING, TOY12_PI_OBS, TOY12_T_OBS, TOY12_Y, LINE4_EDGES,
-                      make_line4, make_ten, make_toy12, neighbor_lists,
+                      expand_record, make_line4, make_ten, make_toy12, neighbor_lists,
                       oracle_cell_stat, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_imputed,
                       oracle_r)
@@ -442,7 +442,7 @@ class TestEnumerationEquivalence:
             sampled = [tuple(int(v) for v in row) for row in draws.t]
             assert set(sampled) == set(exact)
             # per-draw focal sets equal the hand computation
-            for focal, t_new in zip(draws.focal, sampled):
+            for focal, t_new in zip(expand_record(draws)[0], sampled):
                 pi_new = oracle_exposure(t_new, nbrs)
                 want = oracle_focal(t_new, pi_new, TEN_PI_OBS, cell[0])
                 assert tuple(np.flatnonzero(focal)) == want
@@ -478,7 +478,7 @@ class TestFuzzedInvariants:
         (draws,), _ = sample_conditioning_set(
             CompleteRandomization(10, 5), ds, exposures, cfg, 50, np.random.default_rng(3))
         sf = superfocal_for_cell(np.array(TEN_PI_OBS), (0,), None)
-        for focal in draws.focal:
+        for focal in expand_record(draws)[0]:
             assert not np.any(focal & ~sf.indicator)
 
     def test_identity_acceptance_and_seed_determinism(self):

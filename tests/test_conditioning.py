@@ -8,7 +8,7 @@ import pytest
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TEN_T_ALT, TEN_T_OBS, TOY12_EPS, TOY12_MAPPING,
                       TOY12_PI_OBS, TOY12_T_OBS, make_line4, make_ten,
-                      make_toy12, neighbor_lists, oracle_conditioning_set,
+                      expand_record, make_toy12, neighbor_lists, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_r, IntegersOnly,
                       LINE4_EDGES, TOY12_EDGES)
 from netrand import conditioning
@@ -134,7 +134,7 @@ class TestFocalIndicator:
                 CompleteRandomization(10, 5), ds, ExposureVector(pi_obs, TEN_MAPPING),
                 cfg, 20, np.random.default_rng(4))
             sf = superfocal_for_cell(pi_obs, (v,))
-            for t, f in zip(draws.t.tolist(), draws.focal):
+            for t, f in zip(draws.t.tolist(), expand_record(draws)[0]):
                 assert not (f & ~sf.indicator).any()
                 pi = oracle_exposure(t, nbrs)
                 assert tuple(np.flatnonzero(f).tolist()) == oracle_focal(
@@ -171,7 +171,7 @@ class TestSampler:
             CompleteRandomization(4, 2), ds, pi, cfg, 50,
             np.random.default_rng(1))
         sf1 = superfocal_for_cell(np.array(LINE4_PI_OBS), (1,))
-        for t_new, focal in zip(draws.t, draws.focal):
+        for t_new, focal in zip(draws.t, expand_record(draws)[0]):
             t = tuple(int(v) for v in t_new)
             pi_new = TEN_MAPPING.compute(t_new, ds.graph)
             for arm in (0, 1):
@@ -230,6 +230,7 @@ class TestSampler:
             assert slow.n_candidates == diag.n_candidates
             for d, e in ((d0, e0), (d1, e1)):
                 assert np.array_equal(d.t, e.t) and np.array_equal(d.focal, e.focal)
+                assert np.array_equal(d.treated, e.treated)
 
     def test_combined_records_share_draws_and_keep_own_focal(self):
         # one record per cell: the cells of a combined group share one t,
@@ -245,7 +246,7 @@ class TestSampler:
         pi_new = TOY12_MAPPING.compute_batch(d0.t, ds.graph)
         for d, c in zip(records, cfg.cells):
             assert d.superfocal.indicator.tolist() == (pi.values == c[0]).tolist()
-            assert np.array_equal(d.focal, (pi_new == c[0]) & d.superfocal.indicator)
+            assert np.array_equal(expand_record(d)[0], (pi_new == c[0]) & d.superfocal.indicator)
             assert d.n_candidates == d0.n_candidates
 
     def test_identity_accepted_when_epsilon_below_bound(self):
@@ -305,6 +306,7 @@ class TestSamplerBatches:
         assert diag.n_candidates == 50
         assert np.array_equal(capped.t, whole.t)
         assert np.array_equal(capped.focal, whole.focal)
+        assert np.array_equal(capped.treated, whole.treated)
 
     @pytest.mark.parametrize("n", [127, 128, 129])
     def test_a_cell_holding_every_unit_counts_all_n(self, n):
@@ -538,10 +540,11 @@ class TestScoredMinPerArm:
             sf = superfocal_for_cell(pi.values, cell)
             pi_new = TOY12_MAPPING.compute_batch(d.t, ds.graph)
             assert np.array_equal(d.superfocal.indicator, sf.indicator & scored)
-            assert np.array_equal(d.focal, (pi_new == cell[0]) & sf.indicator & scored)
-            assert np.array_equal(d.focal_counts, d.focal.sum(axis=1))
+            focal = expand_record(d)[0]
+            assert np.array_equal(focal, (pi_new == cell[0]) & sf.indicator & scored)
+            assert np.array_equal(d.focal_counts, focal.sum(axis=1))
             for arm in (0, 1):
-                assert ((d.focal & (d.t == arm)).sum(axis=1) >= 2).all()
+                assert ((focal & (d.t == arm)).sum(axis=1) >= 2).all()
                 # the inequalities still count every super-focal unit
                 assert all(relative_frequency(t, p, sf, arm) > 0.1
                            for t, p in zip(d.t, pi_new))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fixtures import (TEN_MAPPING, TEN_Y, TOY12_EPS, TOY12_MAPPING,
-                      make_ten, make_toy12, oracle_cell_stat, oracle_imputed)
+                      direct_imputed_stats, expand_record, make_ten, make_toy12,
+                      oracle_cell_stat, oracle_imputed)
+from netrand import conditioning, inference
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import cell_mask, superfocal_for_cell
 from netrand.data import Dataset
@@ -354,6 +356,105 @@ class TestEveryDrawScored:
                               b=200, rng=np.random.default_rng(0), stat=stat,
                               keep_draws=True)
         assert self._fewest_scored_per_arm(ds, mapping, rep, np.ones(12, dtype=bool)) >= 2
+
+
+class _CountingMechanism(CompleteRandomization):
+    """Complete randomization that counts the batches it draws."""
+
+    batches = 0
+
+    def draw_batch(self, m, rng):
+        self.batches += 1
+        return super().draw_batch(m, rng)
+
+
+class TestUnitMajorRecords:
+    """Records are unit-major over each cell's super-focal units, and the
+    scorer reads them there. Expanded to full width, a record holds the
+    focal units the draws' exposures give and the draws themselves, and
+    each statistic the scorer computes on its cell's columns equals
+    direct imputation over full-width draw-major rows."""
+
+    @pytest.fixture
+    def scored_runs(self, monkeypatch):
+        """Every (dataset, grid, record, observed focal, statistics) that
+        the scorer handles, in order."""
+        seen, score, imputed = [], inference._score_grid, inference._imputed_stats
+
+        def spy_score(source, dataset, family, pi_obs, runs, **kw):
+            stats = []
+            monkeypatch.setattr(inference, "_imputed_stats",
+                                lambda *a: stats.append(imputed(*a)) or stats[-1])
+            report = score(source, dataset, family, pi_obs, runs, **kw)
+            monkeypatch.setattr(inference, "_imputed_stats", imputed)
+            seen.extend((dataset, source.axes[inference.effect_key(family, d.superfocal.cell)],
+                         d, fobs, got) for (d, fobs), got in zip(runs, stats))
+            return report
+
+        monkeypatch.setattr(inference, "_score_grid", spy_score)
+        return seen
+
+    @staticmethod
+    def _check(seen, mapping, t_ref=None):
+        assert seen
+        for ds, grid, d, fobs, got in seen:
+            focal, treated = expand_record(d)
+            in_units = np.zeros(ds.n, dtype=bool)
+            in_units[d.units] = True
+            assert np.array_equal(d.units, np.sort(d.units))
+            assert not (d.superfocal.indicator & ~in_units).any()
+            pi_new = mapping.compute_batch(d.t, ds.graph)
+            assert np.array_equal(focal, (pi_new == d.superfocal.cell[0]) & d.superfocal.indicator)
+            assert np.array_equal(treated, (d.t == 1) & in_units)
+            assert np.array_equal(d.focal_counts, focal.sum(axis=1))
+            want = direct_imputed_stats(ds.y, ds.t, np.vstack([ds.t, d.t]),
+                                        np.vstack([fobs, focal]), grid)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_rejecting_design_over_many_batches(self, monkeypatch, scored_runs, stat):
+        ds, mapping, _ = toy12_engine_args()
+        mech = _CountingMechanism(12, 6)
+        monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 7 * ds.n)
+        run_oracle_test(ds, mapping, mech, NullSpec.per_exposure({0: 0.5, 1: -0.25}),
+                        epsilon=TOY12_EPS, b=30, rng=np.random.default_rng(2), stat=stat)
+        assert mech.batches >= 3
+        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _ in scored_runs)
+        self._check(scored_runs, mapping)
+
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_scored_half_over_many_batches(self, monkeypatch, scored_runs, stat):
+        rng = np.random.default_rng(4)
+        graph = generate_regular_graph(60, 5, rng)
+        mech = _CountingMechanism(60, 30)
+        t = mech.draw(rng)
+        ds = Dataset(y=rng.standard_normal(60), t=t, graph=graph)
+        mapping = FractionThreshold(0.5, ">")
+        monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 9 * ds.n)
+        run_ss_test(ds, mapping, mech, "by_exposure", epsilon=0.2, b=40, stat=stat,
+                    split_rng=np.random.default_rng(1), rng=np.random.default_rng(1))
+        assert mech.batches >= 3
+        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _ in scored_runs)
+        # the records hold only the inference half's focal units
+        assert all(not (expand_record(d)[0] & ~(d.superfocal.indicator)).any()
+                   and d.superfocal.n < len(d.units) for _, _, d, _, _ in scored_runs)
+        self._check(scored_runs, mapping)
+
+    @pytest.mark.parametrize("b", [30, None])
+    @pytest.mark.parametrize("stat", ["multiple", "combined"])
+    def test_permutation_variant(self, scored_runs, b, stat):
+        # exposure is the unit's parity; the last nine units are the
+        # inference side, 4 + 5 per cell, so b=None enumerates 4! 5! = 2880
+        n = 17
+        mapping = CustomMapping(lambda i, t, gr: i % 2, (0, 1))
+        ds = Dataset(y=np.random.default_rng(3).standard_normal(n),
+                     t=np.array([1, 1, 0, 0] * 4 + [1]), graph=build_graph(n, []))
+        inf = np.arange(n) >= n - 9
+        split = SplitResult(est_mask=~inf, inf_mask=inf, strata=[])
+        rep = run_permutation_variant(ds, mapping, "by_exposure", split, b,
+                                      np.random.default_rng(0), stat=stat)
+        assert rep.b == (2880 if b is None else b)
+        self._check(scored_runs, mapping)
 
 
 class TestPluginEngine:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import (TOY12_EPS, TOY12_MAPPING, direct_imputed_stats, make_toy12,
-                      neighbor_lists, oracle_exposure, oracle_focal, oracle_r)
+from fixtures import (TOY12_EPS, TOY12_MAPPING, direct_imputed_stats, expand_record,
+                      make_toy12, neighbor_lists, oracle_exposure, oracle_focal,
+                      oracle_r)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import (ConditioningConfig, relative_frequency,
                                   sample_conditioning_set, superfocal_for_cell)
@@ -123,7 +124,7 @@ def test_exposure_change_never_imputes(seed):
                                          10, np.random.default_rng(seed))
     for draws in records:
         pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
-        assert (pi_new == pi_obs)[draws.focal].all()
+        assert (pi_new == pi_obs)[expand_record(draws)[0]].all()
 
 
 @given(small_tau)
@@ -162,7 +163,7 @@ def test_closed_form_scorer_matches_direct_imputation(seed, offset_scale, ks):
     t_new, focal = t_new[enough[0] & enough[1]], focal[enough[0] & enough[1]]
     y = offset + scale * np.round(rng.standard_normal(n) * 2**20) / 2**20
     grid = [0.0] + [scale * k / 1024 for k in ks]
-    got = _imputed_stats(y, t_obs, t_new, focal, grid)
+    got = _imputed_stats(y, t_obs, t_new.T, focal.T, grid)
     want = direct_imputed_stats(y, t_obs, t_new, focal, grid)
     assert got.shape == (len(grid), len(t_new))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
@@ -190,7 +191,7 @@ def test_closed_form_scorer_is_exact_to_rounding_at_a_large_offset(seed):
     focal = np.ones(t_new.shape, dtype=bool)
     y = 1e6 + rng.standard_normal(16)
     taus = [-2.0, 0.5, 3.0]
-    got = _imputed_stats(y, t_obs, t_new, focal, taus)
+    got = _imputed_stats(y, t_obs, t_new.T, focal.T, taus)
     for g, tau in enumerate(taus):
         for r, row in enumerate(t_new):
             exact = _exact_stat(y, t_obs, row, tau)
@@ -215,7 +216,7 @@ def test_closed_form_scorer_is_exact_to_rounding_near_the_effect(effect, offset,
     y = offset + effect * t_obs + rng.standard_normal(n)
     y[rng.choice(n, len(outliers), replace=False)] += outliers
     taus = [0.0, 0.999 * effect, -3.0]
-    got = _imputed_stats(y, t_obs, t_new, focal, taus)
+    got = _imputed_stats(y, t_obs, t_new.T, focal.T, taus)
     for g, tau in enumerate(taus):
         for r, row in enumerate(t_new):
             exact = _exact_stat(y, t_obs, row, tau)
@@ -243,7 +244,7 @@ def test_integer_outcomes_keep_the_zero_variance_conventions(y, t_new, focal, st
     y, t_obs = np.array(y, dtype=float), np.array(_KEEP)
     t_new, focal = np.array([t_new]), np.array([focal], dtype=bool)
     taus = [0.0, 2.0, -3.0]
-    got = _imputed_stats(y, t_obs, t_new, focal, taus)[:, 0]
+    got = _imputed_stats(y, t_obs, t_new.T, focal.T, taus)[:, 0]
     for g, tau in enumerate(taus):
         ref = ts_per_exposure(y + tau * (t_new[0] - t_obs), t_new[0], focal[0]).value
         assert got[g] == pytest.approx(ref, rel=1e-12)
@@ -259,10 +260,10 @@ def test_closed_form_variance_is_exactly_zero_on_a_constant_arm(y6, stat):
     t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0])
     t_new = np.array([[1, 1, 0, 0, 1, 1, 0, 0]])
     focal = np.ones((1, 8), dtype=bool)
-    v1, _ = arm_variances(y, t_obs, t_new, focal, [0.0, 2.0])
+    v1, _ = arm_variances(y, t_obs, t_new.T, focal.T, [0.0, 2.0])
     assert v1[1, 0] == 0.0
     assert v1[0, 0] > 0.0
-    got = _imputed_stats(y, t_obs, t_new, focal, [2.0])
+    got = _imputed_stats(y, t_obs, t_new.T, focal.T, [2.0])
     assert got[0, 0] == stat
     assert direct_imputed_stats(y, t_obs, t_new, focal, [2.0])[0, 0] == stat
 
@@ -292,7 +293,7 @@ def test_relative_frequency_and_focal_match_oracles(inst):
             (draws,), _ = sample_conditioning_set(_FixedMechanism(t_other), ds,
                                                ExposureVector(pi_obs, mapping),
                                                cfg, 1, np.random.default_rng(0))
-            focal = draws.focal[0]
+            focal = expand_record(draws)[0][0]
             assert not (focal & ~sf.indicator).any()
             assert tuple(np.flatnonzero(focal)) == oracle_focal(
                 tuple(t_other), tuple(pi_new), tuple(pi_obs), v)

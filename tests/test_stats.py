@@ -94,8 +94,8 @@ def batch_stat(y, t, focal):
     """One draw through the engine's batch kernel: (statistic, n1, n0)."""
     t = np.asarray(t)
     focal = np.asarray(focal, dtype=bool)
-    stat = _imputed_stats(np.asarray(y, dtype=np.float64), t, t[None, :],
-                          focal[None, :], [0.0])[0, 0]
+    stat = _imputed_stats(np.asarray(y, dtype=np.float64), t, t[:, None],
+                          focal[:, None], [0.0])[0, 0]
     return stat, int((focal & (t == 1)).sum()), int((focal & (t == 0)).sum())
 
 
@@ -213,13 +213,14 @@ class TestBatchPath:
 
 
 def _scoring_case(seed=3, n=40, b=30):
+    """y, t_obs, unit-major (n, b) t_new and focal, and taus."""
     rng = np.random.default_rng(seed)
     t_obs = np.zeros(n, dtype=np.int8)
     t_obs[rng.choice(n, n // 2, replace=False)] = 1
     y = 1e6 + 4.0 * t_obs + rng.standard_normal(n)
     t_new = np.array([rng.permutation(t_obs) for _ in range(b)])
     focal = rng.random((b, n)) < 0.8
-    return y, t_obs, t_new, focal, [0.0, 3.999, -2.5]
+    return y, t_obs, t_new.T, focal.T, [0.0, 3.999, -2.5]
 
 
 def _bits(stats):
@@ -227,31 +228,35 @@ def _bits(stats):
 
 
 class TestExactSums:
-    """The scorer's per-arm sums are exact, so a row's statistic depends
-    only on which units it puts in each arm."""
+    """The scorer's per-arm sums are exact, so a draw's statistic depends
+    only on which units it puts in each arm. Inputs are unit-major: a
+    unit's row holds its treatments (and focal flags) over the draws."""
 
     def test_column_order(self):
+        # the order of the units (the columns of a draw-major batch)
         y, t_obs, t_new, focal, taus = _scoring_case()
         base = _imputed_stats(y, t_obs, t_new, focal, taus)
         perm = np.random.default_rng(0).permutation(len(y))
-        got = _imputed_stats(y[perm], t_obs[perm], t_new[:, perm], focal[:, perm], taus)
+        got = _imputed_stats(y[perm], t_obs[perm], t_new[perm], focal[perm], taus)
         assert np.array_equal(_bits(got), _bits(base))
 
     def test_row_position_and_duplicates(self):
+        # a draw's position (a row of a draw-major batch), and repeated draws
         y, t_obs, t_new, focal, taus = _scoring_case()
         base = _imputed_stats(y, t_obs, t_new, focal, taus)
-        idx = np.random.default_rng(1).permutation(np.r_[:len(t_new), 4, 4, 4, 17])
-        got = _imputed_stats(y, t_obs, t_new[idx], focal[idx], taus)
+        idx = np.random.default_rng(1).permutation(np.r_[:t_new.shape[1], 4, 4, 4, 17])
+        got = _imputed_stats(y, t_obs, t_new[:, idx], focal[:, idx], taus)
         assert np.array_equal(_bits(got), _bits(base[:, idx]))
 
     def test_split_over_calls(self):
         y, t_obs, t_new, focal, taus = _scoring_case()
         base = _imputed_stats(y, t_obs, t_new, focal, taus)
-        parts = [_imputed_stats(y, t_obs, t_new[a:z], focal[a:z], taus)
+        parts = [_imputed_stats(y, t_obs, t_new[:, a:z], focal[:, a:z], taus)
                  for a, z in ((0, 1), (1, 12), (12, 30))]
         assert np.array_equal(_bits(np.hstack(parts)), _bits(base))
 
-    @pytest.mark.parametrize("block", [1, 3 * 40])
+    # 1 and 4 units a block (30 draws), and 7, which leaves a short last block
+    @pytest.mark.parametrize("block", [1, 3 * 40, 7 * 30])
     def test_block_size(self, monkeypatch, block):
         y, t_obs, t_new, focal, taus = _scoring_case()
         base = _imputed_stats(y, t_obs, t_new, focal, taus)
