@@ -128,12 +128,11 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
 @dataclass
 class Draws:
     """One cell's accepted draws: its group's (b, N) treatment vectors (one
-    array shared by the cells of a combined group), and, unit-major over
-    the cell's super-focal units (ascending indices), which of them are
-    scored focal units and which are treated under each draw, both
-    (n_sf, b); then the focal counts per draw, the cell's scored
-    super-focal set and the candidates its group drew up to and including
-    its last accept."""
+    array shared by the cells of a combined group); unit-major (n_sf, b)
+    rows, over the cell's super-focal units (ascending), of its scored
+    focal units and of the treated units under each draw; the focal counts
+    per draw; its scored super-focal set; and the candidates its group
+    drew up to and including its last accept."""
 
     t: np.ndarray
     units: np.ndarray
@@ -185,7 +184,8 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     Each group keeps its first b accepts, so its draws are i.i.d. on its
     own conditioning set (the groups' draws are dependent, which
     Bonferroni and Holm allow). Returns one Draws record per cell of
-    config.cells, in that order, plus diagnostics. Raises TooFewUnits,
+    config.cells, in that order (focal and treated rows unit-major, as the
+    check gathered them), plus diagnostics. Raises TooFewUnits,
     naming the cell, before drawing when the observed assignment itself
     keeps fewer than min_per_arm scored units in an arm, and
     AcceptanceBudgetExhausted, naming each starved group and the worst

@@ -7,7 +7,8 @@ conventions: both arms degenerate -> 1.0; exactly one -> +infinity.
 The engine scores with ``arm_variances``: at effect value tau, an arm's
 variance combines its units observed treated and those observed control,
 a parabola in tau with vertex at the difference of their means, from
-exact float64 sums of one blocked GEMM per cell. ``ratio_stat_rows``
+exact float64 sums, one GEMM per block of units of the unit-major
+(units, draws) input the sampler's records hold. ``ratio_stat_rows``
 turns two arms' variances into statistics. The two-pass
 ``masked_arm_variances`` and the scalar ``ts_per_exposure`` are on no
 engine path: they are the references that the tests and
@@ -63,7 +64,7 @@ def ts_per_exposure(y: np.ndarray, t: np.ndarray, focal: np.ndarray,
                               n_control_used=int((focal & (t == 0)).sum()))
 
 
-SCORE_BLOCK = 1 << 14  # draw cells (rows x columns) per GEMM block of arm_variances
+SCORE_BLOCK = 1 << 14  # draw cells (units x draws) per GEMM block of arm_variances
 
 
 def _grid_parts(v: np.ndarray) -> np.ndarray:

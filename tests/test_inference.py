@@ -26,6 +26,7 @@ from netrand.inference import (CIConfig, SplitResult, adjust_multiple,
 from netrand.nullspec import NullSpec
 from netrand.simulation import generate_potential_outcomes, generate_regular_graph
 from statistics import NormalDist
+from test_conditioning import _CountingMechanism
 
 
 def toy12_engine_args():
@@ -358,16 +359,6 @@ class TestEveryDrawScored:
         assert self._fewest_scored_per_arm(ds, mapping, rep, np.ones(12, dtype=bool)) >= 2
 
 
-class _CountingMechanism(CompleteRandomization):
-    """Complete randomization that counts the batches it draws."""
-
-    batches = 0
-
-    def draw_batch(self, m, rng):
-        self.batches += 1
-        return super().draw_batch(m, rng)
-
-
 class TestUnitMajorRecords:
     """Records are unit-major over each cell's super-focal units, and the
     scorer reads them there. Expanded to full width, a record holds the
@@ -377,21 +368,21 @@ class TestUnitMajorRecords:
 
     @pytest.fixture
     def scored_runs(self, monkeypatch):
-        """Every (dataset, grid, record, observed focal, statistics) that
-        the scorer handles, in order."""
-        seen, score, imputed = [], inference._score_grid, inference._imputed_stats
+        """(dataset, grid, record, observed focal, statistics) for every
+        cell the scorer scores, in order."""
+        seen, stats = [], []
+        score, imputed = inference._score_grid, inference._imputed_stats
 
         def spy_score(source, dataset, family, pi_obs, runs, **kw):
-            stats = []
-            monkeypatch.setattr(inference, "_imputed_stats",
-                                lambda *a: stats.append(imputed(*a)) or stats[-1])
+            stats.clear()
             report = score(source, dataset, family, pi_obs, runs, **kw)
-            monkeypatch.setattr(inference, "_imputed_stats", imputed)
             seen.extend((dataset, source.axes[inference.effect_key(family, d.superfocal.cell)],
                          d, fobs, got) for (d, fobs), got in zip(runs, stats))
             return report
 
         monkeypatch.setattr(inference, "_score_grid", spy_score)
+        monkeypatch.setattr(inference, "_imputed_stats",
+                            lambda *a: stats.append(imputed(*a)) or stats[-1])
         return seen
 
     @staticmethod
@@ -418,7 +409,7 @@ class TestUnitMajorRecords:
         monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 7 * ds.n)
         run_oracle_test(ds, mapping, mech, NullSpec.per_exposure({0: 0.5, 1: -0.25}),
                         epsilon=TOY12_EPS, b=30, rng=np.random.default_rng(2), stat=stat)
-        assert mech.batches >= 3
+        assert len(mech.batches) >= 3
         assert all(d.acceptance_rate < 1.0 for _, _, d, _, _ in scored_runs)
         self._check(scored_runs, mapping)
 
@@ -433,7 +424,7 @@ class TestUnitMajorRecords:
         monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 9 * ds.n)
         run_ss_test(ds, mapping, mech, "by_exposure", epsilon=0.2, b=40, stat=stat,
                     split_rng=np.random.default_rng(1), rng=np.random.default_rng(1))
-        assert mech.batches >= 3
+        assert len(mech.batches) >= 3
         assert all(d.acceptance_rate < 1.0 for _, _, d, _, _ in scored_runs)
         # the records hold only the inference half's focal units
         assert all(not (expand_record(d)[0] & ~(d.superfocal.indicator)).any()
