@@ -19,9 +19,9 @@ from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 
 Cell = tuple  # (pi,) or (pi, x_level)
 
-# Cap on a candidate batch's rows x units. A batch's working set peaks at
-# about 5.5 bytes per cell, 3 of them the records it keeps (19 with weighted
-# sums; tracemalloc, one 499 x 3200 batch), so this keeps it near 90 MB at any N.
+# Cap on a candidate batch's rows x units. One sampler call (N=3200, b=499, two cells)
+# peaks at 5.5 bytes per batch cell with FractionThreshold (8.4 MiB, tracemalloc) and
+# 19.1 with WeightedThreshold's float64 sums (29.1 MiB): near 92 or 320 MB at this cap.
 MAX_BATCH_CELLS = 1 << 24
 MAX_FOCAL_RETRIES = 100  # observed focal selections tried before giving up
 

@@ -82,4 +82,4 @@ class TooFewUnits(InfeasibleConditioning):
 
 
 class SplitInfeasible(InfeasibleConditioning):
-    """A sample split leaves an estimation or inference cell unusable."""
+    """A sample split leaves a cell's estimation side with no units in an arm."""

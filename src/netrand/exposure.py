@@ -6,12 +6,11 @@ unit's exposure may depend only on its own neighborhood.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .assignment import KEY_BLOCK
 from .conditioning import arm_counts, family_cells
 from .errors import MappingFailure
 from .graph import Graph
@@ -31,18 +30,6 @@ class _UnitMajor:
 
     def compute_batch(self, t_mat: np.ndarray, graph: Graph) -> np.ndarray:
         return np.ascontiguousarray(self.compute_units(np.asarray(t_mat).T, graph).swapaxes(0, 1))
-
-
-def _threshold_rows(mapping, passed: np.ndarray, isolated: np.ndarray,
-                    graph: Graph) -> np.ndarray:
-    """(N, B) int8 exposures in unit order from a threshold test's (N, B)
-    booleans in the slot order of ``Graph.neighbor_sums``; the rows that
-    ``isolated`` marks in that order get ``isolated_value``."""
-    exposed = passed.view(np.int8)
-    exposed[isolated] = mapping.isolated_value
-    unit_major = np.empty_like(exposed)
-    unit_major[graph.slots[0]] = exposed
-    return unit_major
 
 
 @dataclass(frozen=True)
@@ -70,7 +57,7 @@ class FractionThreshold(_UnitMajor):
         passes (d + 1 if none does): the float64 fraction test decided on
         integers. Counts are compared with cut-off - 1, which fits them."""
         counts = graph.neighbor_sums(t_units)
-        degs = graph.degrees[graph.slots[0]]
+        degs = graph.degrees
         ds, inverse = np.unique(degs, return_inverse=True)
         d = np.repeat(ds, ds + 1)  # each distinct degree, once per c in 0..d
         starts = np.flatnonzero(np.diff(d, prepend=-1))
@@ -80,7 +67,9 @@ class FractionThreshold(_UnitMajor):
             ok = passes(c / d.astype(np.float64), self.threshold)
         cut = np.minimum.reduceat(np.where(ok, c, d + 1), starts)
         below = (cut - 1).astype(counts.dtype)[inverse]
-        return _threshold_rows(self, counts > below[:, None], degs == 0, graph)
+        exposed = (counts > below[:, None]).view(np.int8)
+        exposed[degs == 0] = self.isolated_value
+        return exposed
 
     def config(self) -> dict:
         return {"type": "fraction_threshold", "threshold": self.threshold,
@@ -109,20 +98,18 @@ class WeightedThreshold(_UnitMajor):
         self.isolated_value = int(isolated_value)
 
     def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
-        """The float64 quotient of the weighted sums, a block at a time."""
+        """The float64 quotient of the weighted sums, divided in place."""
         if self.weights.shape != (graph.n_units,):
             raise MappingFailure(
                 f"weights have shape {self.weights.shape}, expected ({graph.n_units},)")
         num = graph.neighbor_sums(t_units, self.weights)
         denom = graph.neighbor_sums(np.ones((graph.n_units, 1), np.int8), self.weights)[:, 0]
         passes = np.greater if self.comparator == ">" else np.greater_equal
-        passed = np.empty(num.shape, dtype=bool)
-        step = max(1, KEY_BLOCK // max(num.shape[1], 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(0, len(num), step):
-                passes(num[r:r + step] / denom[r:r + step, None], self.threshold,
-                       out=passed[r:r + step])
-        return _threshold_rows(self, passed, denom <= 0, graph)
+            exposed = passes(np.divide(num, denom[:, None], out=num),
+                             self.threshold).view(np.int8)
+        exposed[denom <= 0] = self.isolated_value
+        return exposed
 
     def config(self) -> dict:
         return {"type": "weighted_threshold", "threshold": self.threshold,
@@ -162,7 +149,6 @@ class ExposureVector:
 
     values: np.ndarray
     mapping: object
-    treatment: np.ndarray = field(repr=False, default=None)
 
 
 def compute_exposures(mapping, t: np.ndarray, graph: Graph) -> ExposureVector:
@@ -171,7 +157,7 @@ def compute_exposures(mapping, t: np.ndarray, graph: Graph) -> ExposureVector:
     if t.shape != (graph.n_units,):
         raise MappingFailure(f"t has shape {t.shape}, expected ({graph.n_units},)")
     vals = mapping.compute(t, graph)
-    return ExposureVector(values=np.asarray(vals), mapping=mapping, treatment=t.copy())
+    return ExposureVector(values=np.asarray(vals), mapping=mapping)
 
 
 @dataclass(frozen=True)

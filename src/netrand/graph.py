@@ -26,9 +26,9 @@ class Graph:
     are ``indices[indptr[i]:indptr[i + 1]]``, ascending, deduped over both
     orientations of the input pairs; ``edges`` derives the pairs i < j.
 
-    Batch kernels read the neighbor-slot layout (``slots``): units sorted
-    by descending degree, and for each slot k the k-th neighbors of the
-    units of degree > k, which are a prefix of that order. A sum over
+    ``neighbor_sums`` works in the neighbor-slot layout (``slots``): units
+    sorted by descending degree, and for each slot k the k-th neighbors of
+    the units of degree > k, which are a prefix of that order. A sum over
     neighbors is then one gather-add per slot, O(E) per row, and skewed
     degrees cost no padding. ``dense()`` builds the N x N matrix on
     request; no engine path calls it.
@@ -96,12 +96,12 @@ class Graph:
         neighbors j, for every column of the unit-major 0/1 matrix t_units
         (N, B), whose row j holds unit j's treatments in B vectors.
 
-        Returns an (N, B) matrix whose rows follow ``slots[0]`` (descending
-        degree): counts in the narrowest signed integer type holding the
-        largest degree, or float64 sums with weights. Each slot's gather
-        reads whole contiguous rows.
+        Returns an (N, B) matrix in unit order: counts in the narrowest
+        signed integer type holding the largest degree, or float64 sums
+        with weights. The sums accumulate in slot order, where each slot's
+        gather reads whole contiguous rows, and are scattered back once.
         """
-        nbrs = self.slots[1]
+        order, nbrs = self.slots
         t_units = np.ascontiguousarray(t_units, dtype=np.int8)
         # a type that holds -(d + 1) also holds every count 0..d
         dtype = np.min_scalar_type(-len(nbrs) - 1) if weights is None else np.float64
@@ -112,7 +112,9 @@ class Graph:
                 sums[:len(nbr)] += rows
             else:
                 sums[:len(nbr)] += rows * weights[nbr, None]
-        return sums
+        out = np.empty_like(sums)
+        out[order] = sums
+        return out
 
     @property
     def n_edges(self) -> int:

@@ -422,16 +422,13 @@ def make_balanced_split(dataset: Dataset, exposures: ExposureVector, family: str
 
 
 def _check_split(dataset, pi_obs, cells, split):
-    est, inf = (arm_counts(pi_obs, cells, dataset.t, dataset.x, within=side)
-                for side in (split.est_mask, split.inf_mask))
-    for cell, n_est, n_inf in zip(cells, est, inf):
+    """Each cell's estimation side needs a unit per arm (the sampler checks the other)."""
+    est = arm_counts(pi_obs, cells, dataset.t, dataset.x, within=split.est_mask)
+    for cell, n_est in zip(cells, est):
         for arm in (0, 1):
             if n_est[arm] == 0:
                 raise SplitInfeasible(
                     f"estimation side of cell {cell} has no arm-{arm} units")
-            if n_inf[arm] < 2:
-                raise SplitInfeasible(
-                    f"inference side of cell {cell} has fewer than 2 arm-{arm} units")
 
 
 def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,

@@ -84,11 +84,3 @@ class NullSpec:
     def general(cls, descriptor: str) -> "NullSpec":
         return cls(GENERAL, None, descriptor=descriptor)
 
-    def tau_for(self, pi, x=None) -> float:
-        """Effect value at exposure pi (and, per cell, covariate level x)."""
-        if self.family == GENERAL:
-            raise MissingParameter("general hypotheses carry no effect values")
-        if self.family == BY_EXPOSURE_COVARIATE and x is None:
-            raise MissingParameter("family needs a covariate level for lookup")
-        cell = (pi, x) if self.family == BY_EXPOSURE_COVARIATE else (pi,)
-        return self.nuisance.get(effect_key(self.family, cell))

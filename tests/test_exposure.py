@@ -286,12 +286,6 @@ class TestComputeExposures:
         with pytest.raises(MappingFailure):
             compute_exposures(TEN_MAPPING, np.array([0, 1]), ds.graph)
 
-    def test_records_treatment_snapshot(self):
-        ds = make_ten()
-        exp = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
-        ds.t[0] = 1 - ds.t[0]
-        assert exp.treatment[0] != ds.t[0]  # copy, not a view
-
 
 class TestCellCounts:
     def test_fixture_exposure_counts(self):

@@ -88,23 +88,23 @@ class TestBuildGraph:
             assert got == g.neighbors(int(unit)).tolist()
 
     def test_neighbor_sums_match_dense_products(self):
-        # counts use the narrowest signed type holding the largest degree:
-        # int8 up to degree 127, int16 for the second graph's degree-200 hub,
-        # whose count in the all-treated row would overflow int8
+        # rows come back in unit order; counts use the narrowest signed
+        # type holding the largest degree: int8 up to degree 127, int16 for
+        # the second graph's degree-200 hub, whose count in the all-treated
+        # row would overflow int8
         rng = np.random.default_rng(4)
         for n, hub, dtype in ((50, 20, np.int8), (260, 200, np.int16)):
             g = random_irregular_graph(rng, n, hub_degree=hub, n_isolated=2)
             assert g.degrees.max() >= hub
             t_mat = np.vstack([np.ones(n, np.int64), rng.integers(0, 2, size=(6, n))])
             w = rng.integers(0, 5, size=n).astype(np.float64)
-            order = g.slots[0]
             counts = g.neighbor_sums(t_mat.T)
             assert counts.dtype == dtype and counts.shape == (n, 7)
-            assert np.array_equal(counts[np.argsort(order)].T, t_mat @ g.dense())
+            assert np.array_equal(counts.T, t_mat @ g.dense())
             assert counts.max() == g.degrees.max()
             weighted = g.neighbor_sums(t_mat.T, w)
             assert weighted.dtype == np.float64
-            assert np.array_equal(weighted[np.argsort(order)].T, (t_mat * w) @ g.dense())
+            assert np.array_equal(weighted.T, (t_mat * w) @ g.dense())
 
     def test_edgeless_graph_has_no_slots(self):
         g = build_graph(3, [])

@@ -6,9 +6,14 @@ from fixtures import (TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS, TEN_T_ALT, TEN_T_OBS,
                       TEN_Y, make_ten, oracle_focal, oracle_imputed)
 from netrand.errors import MissingParameter
 from netrand.exposure import compute_exposures
-from netrand.nullspec import NullSpec, NuisanceParams
+from netrand.nullspec import NullSpec, NuisanceParams, effect_key
 
 TAU = 0.75  # dyadic so additions below are exact in float64
+
+
+def tau_at(null, *cell):
+    """The effect value the engine looks up for a cell."""
+    return null.nuisance.get(effect_key(null.family, cell))
 
 
 class TestNullSpec:
@@ -22,28 +27,27 @@ class TestNullSpec:
 
     def test_constant_lookup(self):
         null = NullSpec.constant(TAU)
-        assert null.tau_for(0) == TAU
-        assert null.tau_for(1, "m") == TAU
+        assert tau_at(null, 0) == TAU
+        assert tau_at(null, 1, "m") == TAU
 
     def test_per_exposure_lookup_accepts_scalar_keys(self):
         null = NullSpec.per_exposure({0: 1.0, 1: 2.5})
-        assert null.tau_for(0) == 1.0
-        assert null.tau_for(1) == 2.5
+        assert tau_at(null, 0) == 1.0
+        assert tau_at(null, 1) == 2.5
         with pytest.raises(MissingParameter):
-            null.tau_for(3)
+            tau_at(null, 3)
 
     def test_per_cell_lookup_needs_covariate(self):
         null = NullSpec.per_cell({(0, "m"): 1.0, (0, "f"): 2.0,
                                   (1, "m"): 3.0, (1, "f"): 4.0})
-        assert null.tau_for(1, "f") == 4.0
+        assert tau_at(null, 1, "f") == 4.0
         with pytest.raises(MissingParameter):
-            null.tau_for(1)
+            tau_at(null, 1)
 
     def test_general_is_representable_but_carries_no_values(self):
         null = NullSpec.general("effects uncorrelated with degree")
         assert null.descriptor
-        with pytest.raises(MissingParameter):
-            null.tau_for(0)
+        assert null.nuisance is None
 
 
 def science_table(null, t_new, pi_new):
@@ -52,7 +56,7 @@ def science_table(null, t_new, pi_new):
     effect value; every other unit leaves the science table (None)."""
     table = [None] * 10
     for v in (0, 1):
-        imputed = oracle_imputed(TEN_Y, TEN_T_OBS, t_new, null.tau_for(v))
+        imputed = oracle_imputed(TEN_Y, TEN_T_OBS, t_new, tau_at(null, v))
         for i in oracle_focal(t_new, pi_new, TEN_PI_OBS, v):
             table[i] = imputed[i]
     return table
@@ -77,8 +81,8 @@ class TestImputation:
     def test_per_cell_uses_covariate_level(self):
         null = NullSpec.per_cell({(0, "m"): 1.0, (0, "f"): -1.0,
                                   (1, "m"): 2.0, (1, "f"): -2.0})
-        got_m = oracle_imputed([5.0], [0], [1], null.tau_for(1, "m"))
-        got_f = oracle_imputed([5.0], [0], [1], null.tau_for(1, "f"))
+        got_m = oracle_imputed([5.0], [0], [1], tau_at(null, 1, "m"))
+        got_f = oracle_imputed([5.0], [0], [1], tau_at(null, 1, "f"))
         assert got_m == [7.0] and got_f == [3.0]
 
     def test_exposure_change_is_not_imputable_even_under_constant(self):
@@ -95,7 +99,8 @@ class TestImputation:
                      NullSpec.per_exposure({0: 1.0, 1: 2.0}),
                      NullSpec.per_cell({(v, l): float(v + 1)
                                         for v in (0, 1) for l in ("m", "f")})):
-            x = ds.x if null.family == "by_exposure_covariate" else [None] * 10
+            cells = (list(zip(pi, ds.x)) if null.family == "by_exposure_covariate"
+                     else [(v,) for v in pi])
             got = [oracle_imputed(TEN_Y, TEN_T_OBS, TEN_T_OBS,
-                                  null.tau_for(pi[i], x[i]))[i] for i in range(10)]
+                                  tau_at(null, *cells[i]))[i] for i in range(10)]
             assert got == list(TEN_Y)
