@@ -173,7 +173,7 @@ def main() -> None:
             [sys.executable, str(script), "--collect", str(tmp / f"{s}.json")], cwd=root,
             env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'tests'}"})
             for s, root in sides.items()}
-        if any(p.wait() for p in procs.values()):
+        if any([p.wait() for p in procs.values()]):  # wait for both before cleaning up
             sys.exit("a side failed to run the matrix")
         got = {s: json.loads((tmp / f"{s}.json").read_text()) for s in sides}
     finally:
