@@ -8,9 +8,12 @@ The committed files of the parent revision and of HEAD are each exported
 (``git archive``, as scripts/bench_pairs.py does) into a new temporary
 directory. HEAD's copy of this script then runs the matrix below in each
 tree, with that tree's src/ and tests/ on the path (``--collect OUT`` is
-that step), and records one digest per output, or the error's class and
-message where the call raised. The key of every output that differs is
-printed with both sides' values, and the script exits 1 if any differ.
+that step), and records one digest per output, or, where the call raised,
+the exit code the CLI gives that error (3 for an InfeasibleConditioning, 2
+for any other) with its class and message. The key of every output that
+differs is printed with both sides' values, then a count of the differing
+outputs per move (such as ``exit 2: EmptyArm -> exit 3: TooFewUnits``;
+``output`` is a digest), and the script exits 1 if any differ.
 
 The matrix:
 - every technique x family x stat through run_technique with keep_draws, on
@@ -34,6 +37,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +145,7 @@ def outputs():
 def collect(out: Path) -> None:
     """Run the matrix in the current tree and write {key: value} to out."""
     import netrand
+    from netrand.errors import InfeasibleConditioning
     root = Path.cwd().resolve()
     if not Path(netrand.__file__).resolve().is_relative_to(root):
         sys.exit(f"netrand imported from {netrand.__file__}, not from {root}")
@@ -148,9 +153,17 @@ def collect(out: Path) -> None:
     for key, fn, args in outputs():
         try:
             results[key] = digest(fn(*args))
-        except Exception as exc:  # an error is an output too
-            results[key] = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # an error is an output too, with its CLI exit code
+            code = 3 if isinstance(exc, InfeasibleConditioning) else 2
+            results[key] = f"exit {code}: {type(exc).__name__}: {exc}"
     out.write_text(json.dumps(results, indent=1) + "\n")
+
+
+def kind(value) -> str:
+    """An output's class: 'exit N: ErrorClass' for an error, else 'output'."""
+    if value is None:
+        return "missing"
+    return ": ".join(value.split(": ")[:2]) if value.startswith("exit ") else "output"
 
 
 def main() -> None:
@@ -182,6 +195,9 @@ def main() -> None:
     differ = [k for k in dict.fromkeys([*parent, *change]) if parent.get(k) != change.get(k)]
     for k in differ:
         print(f"{k}\n  parent: {parent.get(k)}\n  change: {change.get(k)}")
+    moves = Counter(f"{kind(parent.get(k))} -> {kind(change.get(k))}" for k in differ)
+    for move, n in moves.most_common():
+        print(f"{n:4d}  {move}", file=sys.stderr)
     print(f"{len(differ)} of {len(parent.keys() | change.keys())} outputs differ",
           file=sys.stderr)
     sys.exit(1 if differ else 0)

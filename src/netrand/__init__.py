@@ -2,7 +2,7 @@
 under network interference."""
 
 from .assignment import CompleteRandomization, StratifiedComplete
-from .conditioning import (ConditioningConfig, Draws, SuperFocalSet, arm_counts,
+from .conditioning import (ConditioningConfig, Design, Draws, SuperFocalSet, arm_counts,
                            cell_mask, epsilon_feasibility, family_cells,
                            relative_frequency, sample_conditioning_set,
                            select_observed_focal, superfocal_for_cell)
@@ -12,8 +12,8 @@ from .exposure import (CustomMapping, ExposureVector, FractionThreshold,
                        exposure_cell_counts)
 from .graph import (DegreeDiagnostics, Graph, build_graph, degree_diagnostics,
                     overlap_check, read_edge_csv)
-from .inference import (CIConfig, TestReport, adjust_multiple,
-                        empirical_pvalue, estimate_tau_plugin,
+from .inference import (CIConfig, TestReport, adjust_multiple, check_feasible,
+                        empirical_pvalue, estimate_tau_plugin, prepare,
                         make_balanced_split, neyman_interval, run_ci_test,
                         run_oracle_test, run_permutation_variant,
                         run_plugin_test, run_ss_test)
@@ -26,7 +26,7 @@ from . import errors
 
 __all__ = [
     "CompleteRandomization", "StratifiedComplete",
-    "ConditioningConfig", "Draws", "SuperFocalSet", "arm_counts", "cell_mask",
+    "ConditioningConfig", "Design", "Draws", "SuperFocalSet", "arm_counts", "cell_mask",
     "epsilon_feasibility", "relative_frequency",
     "sample_conditioning_set", "select_observed_focal", "superfocal_for_cell",
     "Dataset", "ingest", "read_nodes_csv",
@@ -34,9 +34,9 @@ __all__ = [
     "compute_exposures", "exposure_cell_counts",
     "DegreeDiagnostics", "Graph", "build_graph", "degree_diagnostics",
     "overlap_check", "read_edge_csv",
-    "CIConfig", "TestReport", "adjust_multiple", "empirical_pvalue",
+    "CIConfig", "TestReport", "adjust_multiple", "check_feasible", "empirical_pvalue",
     "estimate_tau_plugin", "family_cells", "make_balanced_split",
-    "neyman_interval", "run_ci_test", "run_oracle_test",
+    "neyman_interval", "prepare", "run_ci_test", "run_oracle_test",
     "run_permutation_variant", "run_plugin_test", "run_ss_test",
     "NullSpec", "NuisanceParams",
     "generate_potential_outcomes", "generate_regular_graph", "run_scenario",

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 infeasible conditioning (the sampler could not satisfy the epsilon
-inequalities within its budget, or a cell was unusable).
+Exit codes: 0 success, 1 usage error, 2 data/validation error or a failed
+`check`, 3 infeasible conditioning (any InfeasibleConditioning: a cell too
+small to test or split, a zero-width interval, an exhausted sampler).
 """
 from __future__ import annotations
 

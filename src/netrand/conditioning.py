@@ -1,10 +1,11 @@
 """Conditioning machinery for randomization tests under interference.
 
-The test conditions on three objects: a super-focal set (units whose
-observed exposure equals the cell's value), a set of acceptable treatment
-vectors (those keeping enough super-focal units in each arm of the cell),
-and a random selection of observed focal units whose size matches the
-expected focal count across draws.
+A test conditions on three objects: each cell's super-focal units (those
+whose observed exposure, and covariate for an (exposure, covariate) cell,
+match the cell), which its Design holds; the acceptable treatment vectors
+(those keeping more than an epsilon share of each cell's super-focal units
+in each arm with exposure unchanged); and a random selection of observed
+focal units whose size matches the mean focal count across draws.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
-                     DataError, EmptySuperFocal, MissingParameter, TooFewUnits)
+                     DataError, EmptySuperFocal, MissingParameter)
 from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 
 Cell = tuple  # (pi,) or (pi, x_level)
@@ -53,12 +54,28 @@ def cell_mask(pi: np.ndarray, cell: Cell, x: np.ndarray | None = None) -> np.nda
 
 
 def arm_counts(pi: np.ndarray, cells: Sequence[Cell], t: np.ndarray,
-               x: np.ndarray | None = None, within: np.ndarray | None = None) -> np.ndarray:
-    """(len(cells), 2) counts of each cell's units in arm 0 and in arm 1,
-    only those in within when given."""
-    arms = [(np.asarray(t) == arm) & (True if within is None else within) for arm in (0, 1)]
+               x: np.ndarray | None = None) -> np.ndarray:
+    """(len(cells), 2) counts of each cell's units in arm 0 and in arm 1."""
+    arms = [np.asarray(t) == arm for arm in (0, 1)]
     return np.array([[int((cell_mask(pi, c, x) & a).sum()) for a in arms]
                      for c in cells], dtype=np.int64).reshape(-1, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class Design:
+    """A test's observed side, fixed before its first draw (inference.prepare):
+    the observed ExposureVector, the null family, its cells and each
+    cell's super-focal units (ascending indices; none is empty)."""
+
+    exposures: object
+    family: str
+    cells: tuple
+    units: dict
+
+    def scored(self, cell: Cell, mask: np.ndarray | None = None) -> np.ndarray:
+        """The cell's super-focal units that mask marks (all for None)."""
+        units = self.units[cell]
+        return units if mask is None else units[mask[units]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +85,10 @@ class ConditioningConfig:
     gives each cell its own accepted draws (multiple mode); otherwise one
     set of draws satisfies every cell jointly (combined mode). scored
     marks the units the statistics use (None for all): each record's
-    focal units and super-focal set are restricted to them, while the
-    inequalities count every super-focal unit. min_per_arm > 0 also asks
-    each accepted draw to keep that many scored focal units in each arm
-    of every cell of its group."""
+    focal units are restricted to them, while the inequalities count
+    every super-focal unit. min_per_arm > 0 also asks each accepted draw
+    to keep that many scored focal units in each arm of every cell of its
+    group."""
 
     epsilon: float
     cells: tuple
@@ -94,8 +111,9 @@ class ConditioningConfig:
 
 @dataclass
 class SuperFocalSet:
-    """Units whose observed exposure (and covariate, for an
-    (exposure, covariate) cell) matches the cell."""
+    """Units whose observed exposure (and covariate, for an (exposure,
+    covariate) cell) match the cell; benchmarks/checks.py's scalar
+    reference, on no engine path."""
 
     indicator: np.ndarray
     cell: Cell
@@ -107,6 +125,7 @@ class SuperFocalSet:
 
 def superfocal_for_cell(exposures_obs: np.ndarray, cell: Cell,
                         x: np.ndarray | None = None) -> SuperFocalSet:
+    """The cell's SuperFocalSet: benchmarks/checks.py's reference, on no engine path."""
     mask = cell_mask(exposures_obs, cell, x)
     if not mask.any():
         raise EmptySuperFocal(f"no units with observed cell {cell}")
@@ -116,7 +135,8 @@ def superfocal_for_cell(exposures_obs: np.ndarray, cell: Cell,
 def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
                        superfocal: SuperFocalSet, arm: int) -> float:
     """Share of the cell's super-focal units that the candidate vector
-    leaves in the given arm with exposure unchanged."""
+    leaves in the given arm with exposure unchanged (benchmarks/checks.py's
+    scalar reference, on no engine path)."""
     denom = superfocal.n
     if denom == 0:
         raise EmptySuperFocal("super-focal set is empty")
@@ -131,15 +151,15 @@ class Draws:
     array shared by the cells of a combined group); unit-major (n_sf, b)
     rows, over the cell's super-focal units (ascending), of its scored
     focal units and of the treated units under each draw; the focal counts
-    per draw; its scored super-focal set; and the candidates its group
-    drew up to and including its last accept."""
+    per draw; the cell; and the candidates its group drew up to and
+    including its last accept."""
 
     t: np.ndarray
     units: np.ndarray
     focal: np.ndarray
     treated: np.ndarray
     focal_counts: np.ndarray
-    superfocal: SuperFocalSet
+    cell: Cell
     n_candidates: int
 
     @property
@@ -169,25 +189,23 @@ def _batch_rows(need: int, accepted: int, attempts: int) -> int:
     return int(np.ceil((need + np.sqrt(need)) / max(accepted / attempts, 0.01)))
 
 
-def sample_conditioning_set(mechanism, dataset, exposures,
+def sample_conditioning_set(mechanism, dataset, design: Design,
                             config: ConditioningConfig, b: int,
                             rng: np.random.Generator):
     """Draw b i.i.d. vectors from each cell group's conditioning set by
     rejection on one candidate stream.
 
-    exposures is the observed ExposureVector, whose mapping also gives
-    each candidate's exposures, computed once per candidate for every
-    group. A candidate is accepted into a group when, for every cell of
-    the group and both arms, the relative frequency of retained
-    super-focal units strictly exceeds epsilon and, with
-    config.min_per_arm, at least that many of those units are scored.
-    Each group keeps its first b accepts, so its draws are i.i.d. on its
-    own conditioning set (the groups' draws are dependent, which
-    Bonferroni and Holm allow). Returns one Draws record per cell of
-    config.cells, in that order (focal and treated rows unit-major, as the
-    check gathered them), plus diagnostics. Raises TooFewUnits,
-    naming the cell, before drawing when the observed assignment itself
-    keeps fewer than min_per_arm scored units in an arm, and
+    design (checked by inference.check_feasible) gives each cell's
+    super-focal units, and its mapping each candidate's exposures,
+    computed once per candidate for every group. A candidate is accepted
+    into a group when, for every cell of the group and both arms, the
+    relative frequency of retained super-focal units strictly exceeds
+    epsilon and, with config.min_per_arm, at least that many of those
+    units are scored. Each group keeps its first b accepts, so its draws
+    are i.i.d. on its own conditioning set (the groups' draws are
+    dependent, which Bonferroni and Holm allow). Returns one Draws record
+    per cell of config.cells, in that order (focal and treated rows
+    unit-major, as the check gathered them), plus diagnostics. Raises
     AcceptanceBudgetExhausted, naming each starved group and the worst
     failure among their cells, when b * max_attempts_per_accept
     candidates leave a group short of b.
@@ -199,22 +217,8 @@ def sample_conditioning_set(mechanism, dataset, exposures,
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     groups, scored, least = config.groups, config.scored, config.min_per_arm
-    sfs = {c: superfocal_for_cell(exposures.values, c, dataset.x) for c in config.cells}
-    if least:
-        # the observed assignment keeps every super-focal unit focal
-        observed = arm_counts(exposures.values, config.cells, dataset.t, dataset.x,
-                              within=scored)
-        for c, (n0, n1) in zip(config.cells, observed):
-            if min(n0, n1) < least:
-                raise TooFewUnits(
-                    f"cell {c}: the observed assignment has {n0}/{n1} scored "
-                    f"super-focal units in arms 0/1; every draw needs >= {least} per arm")
-
     budget = b * config.max_attempts_per_accept
     max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
-    units = {c: np.flatnonzero(sfs[c].indicator) for c in config.cells}  # super-focal rows
-    recorded = {c: sfs[c] if scored is None else SuperFocalSet(sfs[c].indicator & scored, c)
-                for c in config.cells}  # each record's scored super-focal set
     count_type = np.min_scalar_type(-dataset.n - 1)  # holds -(N + 1), so every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
     # the same draws' focal and treated rows per cell, and their focal counts
@@ -244,10 +248,10 @@ def sample_conditioning_set(mechanism, dataset, exposures,
         t_batch = mechanism.draw_batch(m, rng)
         # unit-major from here on: a cell's super-focal units are whole rows
         t_units = np.ascontiguousarray(t_batch.T)
-        pi_units = exposures.mapping.compute_units(t_units, dataset.graph)
+        pi_units = design.exposures.mapping.compute_units(t_units, dataset.graph)
         passes, checked = {}, {}
         for c in live_cells:
-            rows = units[c]
+            rows = design.units[c]  # the cell's super-focal units
             in_cell, treated = pi_units[rows] == c[0], t_units[rows] == 1
             n = in_cell.sum(axis=0, dtype=count_type)
             n1 = (in_cell & treated).sum(axis=0, dtype=count_type)
@@ -259,7 +263,7 @@ def sample_conditioning_set(mechanism, dataset, exposures,
             checked[c] = in_cell, treated, k
             ok = np.ones(m, dtype=bool)
             for arm, n_arm, k_arm in ((0, n - n1, k - k1), (1, n1, k1)):
-                bad = ~(n_arm / sfs[c].n > config.epsilon)
+                bad = ~(n_arm / len(rows) > config.epsilon)
                 fail_counts[(arm, c)] += int(bad.sum())
                 if least:
                     few = ~bad & (k_arm < least)
@@ -290,47 +294,45 @@ def sample_conditioning_set(mechanism, dataset, exposures,
         t = joined(blk, axis=0)
         for c in grp:
             focal, treated, k = (joined(r) for r in record_blocks[c])
-            draws.append(Draws(t, units[c], focal, treated, k.astype(int), recorded[c], n))
+            draws.append(Draws(t, design.units[c], focal, treated, k.astype(int), c, n))
     diag = ConditioningDiagnostics(n_candidates=attempts,
                                    n_accepted=b * len(groups),
                                    failure_counts=fail_counts)
     return draws, diag
 
 
-def select_observed_focal(superfocal: SuperFocalSet, focal_counts: np.ndarray,
+def select_observed_focal(cell: Cell, units: np.ndarray, focal_counts: np.ndarray,
                           t_obs: np.ndarray, rng: np.random.Generator,
                           min_per_arm: int = 1) -> np.ndarray:
-    """Uniform subset of the super-focal units sized to the mean of the
-    focal counts per draw, a Draws record's focal_counts (round half to
-    even).
+    """Uniform subset of the cell's scored super-focal units (ascending
+    indices), as an N-wide mask, sized to the mean of the focal counts per
+    draw, a Draws record's focal_counts (round half to even).
 
     Resamples until each treatment arm holds at least min_per_arm selected
     units; raises ArmEmptyAfterRetries, naming the cell, when that is
     impossible or MAX_FOCAL_RETRIES selections all miss.
     """
     t_obs = np.asarray(t_obs)
-    counts = np.asarray(focal_counts)
-    if counts.size == 0:
+    if np.size(focal_counts) == 0:
         raise ValueError("no accepted draws to size the selection from")
-    size = round(float(np.mean(counts)))
-    idx = np.flatnonzero(superfocal.indicator)
-    arm1 = int(t_obs[idx].sum())
-    arm0 = len(idx) - arm1
+    size = round(float(np.mean(focal_counts)))
+    arm1 = int(t_obs[units].sum())
+    arm0 = len(units) - arm1
     lo = max(min_per_arm, size - arm0)
     hi = min(size - min_per_arm, arm1)
     if size < 2 * min_per_arm or lo > hi:
         raise ArmEmptyAfterRetries(
-            f"cell {superfocal.cell}: selection of size {size} from {len(idx)} "
+            f"cell {cell}: selection of size {size} from {len(units)} "
             f"super-focal units (arms {arm1}/{arm0}) cannot hold >= {min_per_arm} per arm")
     for _ in range(MAX_FOCAL_RETRIES):
-        pick = rng.choice(idx, size=size, replace=False)
+        pick = rng.choice(units, size=size, replace=False)
         n1 = int(t_obs[pick].sum())
         if n1 >= min_per_arm and size - n1 >= min_per_arm:
             mask = np.zeros(len(t_obs), dtype=bool)
             mask[pick] = True
             return mask
     raise ArmEmptyAfterRetries(
-        f"cell {superfocal.cell}: no selection with >= {min_per_arm} units per arm "
+        f"cell {cell}: no selection with >= {min_per_arm} units per arm "
         f"in {MAX_FOCAL_RETRIES} tries")
 
 

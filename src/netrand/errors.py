@@ -49,20 +49,20 @@ class MissingParameter(NetrandError):
     """A null specification lacks the effect value needed for imputation."""
 
 
-class EmptyArm(NetrandError):
-    """An estimation cell has no treated or no control units."""
-
-
-class DegenerateInterval(NetrandError):
-    """A moment-based interval has zero or non-finite width."""
-
-
 class GenerationBudgetExhausted(NetrandError):
     """Random graph generation failed within the retry budget."""
 
 
 class InfeasibleConditioning(NetrandError):
     """Base class for conditioning failures (CLI exit code 3)."""
+
+
+class EmptyArm(InfeasibleConditioning):
+    """An estimation cell has no treated or no control units."""
+
+
+class DegenerateInterval(InfeasibleConditioning):
+    """A moment-based interval has zero or non-finite width."""
 
 
 class EmptySuperFocal(InfeasibleConditioning):

@@ -7,8 +7,10 @@ means, anti-conservative and flagged as such), sample splitting
 (estimates from one half, statistics on the other) and confidence region
 (a grid over a moment-based region, each p-value raised by the region's
 miscoverage gamma; Berger & Boos 1994). A fixed effect is the one-point
-grid. p-values are the plain fraction of accepted draws whose statistic
-reaches the observed one, with no +1 smoothing.
+grid. Each first builds the test's Design (prepare) and checks it once
+(check_feasible) before any estimate or draw. p-values are the plain
+fraction of accepted draws whose statistic reaches the observed one,
+with no +1 smoothing.
 """
 from __future__ import annotations
 
@@ -20,11 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .conditioning import (Cell, ConditioningConfig, Draws, SuperFocalSet,
-                           arm_counts, cell_mask, family_cells,
-                           sample_conditioning_set, select_observed_focal)
+from .conditioning import (Cell, ConditioningConfig, Design, Draws, cell_mask,
+                           family_cells, sample_conditioning_set, select_observed_focal)
 from .data import Dataset
-from .errors import (DegenerateInterval, EmptyArm, MissingParameter,
+from .errors import (DegenerateInterval, EmptyArm, EmptySuperFocal, MissingParameter,
                      SplitInfeasible, TooFewUnits)
 from .exposure import ExposureVector, compute_exposures
 from .nullspec import (GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
@@ -129,30 +130,18 @@ class TestReport:
 
 
 def _cell_key(cell) -> str:
-    if isinstance(cell, tuple):
-        return ",".join(str(v) for v in cell)
-    return str(cell)
+    return ",".join(str(v) for v in cell) if isinstance(cell, tuple) else str(cell)
 
 
 def _json_safe(obj):
     if isinstance(obj, dict):
-        return {str(k) if not isinstance(k, str) else k: _json_safe(v)
-                for k, v in obj.items()}
+        return {k if isinstance(k, str) else str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):  # numpy arrays and scalars as Python ones
         return _json_safe(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -232,52 +221,78 @@ class TauSource:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _point_source(technique, family, cells, nuisance, scored=None, **extra):
+def _point_source(technique, design, nuisance, scored=None, **extra):
     """A fixed-effect source: each effect key's one value from nuisance."""
-    axes = {effect_key(family, c): [nuisance.get(effect_key(family, c))] for c in cells}
+    axes = {k: [nuisance.get(k)] for k in (effect_key(design.family, c) for c in design.cells)}
     return TauSource(technique, axes, scored=scored,
                      diagnostics={"nuisance": _nuisance_diag(nuisance), **extra})
 
 
-def run_test(source: TauSource, dataset: Dataset, exposures: ExposureVector,
-             mechanism, family: str, *, epsilon: float, b: int,
-             rng: np.random.Generator, stat: str = "multiple", alpha: float = 0.05,
-             max_attempts_per_accept: int = 10_000,
+def prepare(dataset: Dataset, mapping, family: str) -> Design:
+    """The test's Design, with its one evaluation of the observed exposures.
+    Raises EmptySuperFocal for a cell with no units."""
+    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
+    cells = tuple(family_cells(family, mapping.values, dataset.x_levels))
+    units = {c: np.flatnonzero(cell_mask(exposures.values, c, dataset.x)) for c in cells}
+    if empty := [c for c in cells if not len(units[c])]:
+        raise EmptySuperFocal(f"no units with observed cell {empty[0]}")
+    return Design(exposures, family, cells, units)
+
+
+def check_feasible(design: Design, t: np.ndarray, split: SplitResult | None = None) -> None:
+    """The one feasibility check, before any estimate or draw: raises
+    SplitInfeasible when a cell's estimation half lacks an arm, then
+    TooFewUnits when its scored units (all, or the inference half) hold
+    fewer than MIN_PER_ARM per arm, the least every accepted draw keeps."""
+    for c in design.cells if split is not None else ():
+        est = np.bincount(t[design.scored(c, split.est_mask)], minlength=2)
+        if not est.all():
+            raise SplitInfeasible(f"estimation side of cell {c} has no arm-{est.argmin()} units")
+    for c in design.cells:
+        n0, n1 = np.bincount(t[design.scored(c, getattr(split, "inf_mask", None))], minlength=2)
+        if min(n0, n1) < MIN_PER_ARM:
+            raise TooFewUnits(
+                f"cell {c}: the observed assignment has {n0}/{n1} scored super-focal "
+                f"units in arms 0/1; every draw needs >= {MIN_PER_ARM} per arm")
+
+
+def run_test(source: TauSource, dataset: Dataset, design: Design, mechanism, *,
+             epsilon: float, b: int, rng: np.random.Generator, stat: str = "multiple",
+             alpha: float = 0.05, max_attempts_per_accept: int = 10_000,
              keep_draws: bool = False) -> TestReport:
-    """The conditional randomization test at the source's effect values,
-    given the observed ExposureVector: the one engine of every technique.
-    One candidate stream serves every cell: multiple mode keeps each
-    cell's own accepts, combined mode the draws satisfying every cell's
+    """The conditional randomization test at the source's effect values on
+    a checked Design: the one engine of every technique. One candidate
+    stream serves every cell: multiple mode keeps each cell's own
+    accepts, combined mode the draws satisfying every cell's
     inequalities. Each accepted draw and observed focal selection keeps
     MIN_PER_ARM scored units per arm, so every draw can be scored."""
     _check_stat(stat)
-    cells = family_cells(family, exposures.mapping.values, dataset.x_levels)
-    cfg = ConditioningConfig(epsilon=epsilon, cells=tuple(cells),
+    cfg = ConditioningConfig(epsilon=epsilon, cells=design.cells,
                              max_attempts_per_accept=max_attempts_per_accept,
                              separate=stat == "multiple", scored=source.scored,
                              min_per_arm=MIN_PER_ARM)
-    records, _ = sample_conditioning_set(mechanism, dataset, exposures, cfg, b, rng)
-    runs = [(d, select_observed_focal(d.superfocal, d.focal_counts, dataset.t, rng,
+    records, _ = sample_conditioning_set(mechanism, dataset, design, cfg, b, rng)
+    runs = [(d, select_observed_focal(d.cell, design.scored(d.cell, source.scored),
+                                      d.focal_counts, dataset.t, rng,
                                       min_per_arm=MIN_PER_ARM)) for d in records]
-    return _score_grid(source, dataset, family, exposures.values, runs, b=b,
-                       epsilon=epsilon, stat=stat, alpha=alpha, keep_draws=keep_draws)
+    return _score_grid(source, dataset, design, runs, b=b, epsilon=epsilon, stat=stat,
+                       alpha=alpha, keep_draws=keep_draws)
 
 
-def _score_grid(source, dataset, family, pi_obs, runs, *, b, epsilon, stat, alpha,
-                keep_draws):
+def _score_grid(source, dataset, design, runs, *, b, epsilon, stat, alpha, keep_draws):
     """Score the draws of every test and build its report.
 
     Each run pairs a cell's Draws record with its observed focal units. A
     draw t_new imputes z = y + tau (t_new - t_obs) at each tau of its
     cell's axis, source.axes[effect_key(family, cell)], scored on the
     columns the cell's focal rows or observed focal units hold. The report
-    starts from the source's diagnostics and takes each cell's super-focal
-    count, mean focal count and acceptance rate from its record. A cell's
-    p-value is the largest over its axis plus gamma, the combined one the
-    largest over the product of the axes plus gamma.
+    starts from the source's diagnostics and counts each cell's scored
+    super-focal units in design. A cell's p-value is the largest over its
+    axis plus gamma, the combined one the largest over the product of the
+    axes plus gamma.
     """
-    axes, gamma = source.axes, source.gamma
-    cells = [d.superfocal.cell for d, _ in runs]
+    axes, gamma, family = source.axes, source.gamma, design.family
+    cells = [d.cell for d, _ in runs]
     report = TestReport(technique=source.technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon,
                         diagnostics=dict(source.diagnostics))
@@ -302,7 +317,8 @@ def _score_grid(source, dataset, family, pi_obs, runs, *, b, epsilon, stat, alph
         grid_evals[_cell_key(cell)] = [(float(tau), p) for tau, p in zip(grid, ps)]
         report.cells.append(CellResult(
             cell=cell, pvalue=pvals[cell], observed_stat=obs,
-            tau=grid[0] if len(grid) == 1 else None, n_superfocal=d.superfocal.n,
+            tau=grid[0] if len(grid) == 1 else None,
+            n_superfocal=len(design.scored(cell, source.scored)),
             fobs_size=int(fobs.sum()), mean_focal=float(np.mean(d.focal_counts)),
             acceptance_rate=d.acceptance_rate))
 
@@ -313,8 +329,7 @@ def _score_grid(source, dataset, family, pi_obs, runs, *, b, epsilon, stat, alph
         report.any_unadjusted_rejection = adj.any_rejection  # the last method's
     else:
         # each cell weighs its share of the observed units
-        weights = (arm_counts(pi_obs, cells, dataset.t, dataset.x).sum(axis=1)
-                   / dataset.n).tolist()
+        weights = [len(design.units[c]) / dataset.n for c in cells]
         obs = combined_stat(weights, [observed[c] for c in cells])
         # every point of the product grid at once: cell c's (G, b) rows lie
         # along its own axis and broadcast over the others
@@ -341,14 +356,11 @@ def _score_grid(source, dataset, family, pi_obs, runs, *, b, epsilon, stat, alph
             weights={c: float(w) for c, w in zip(cells, weights)})
     if keep_draws:
         # multiple mode has one draw set per cell, combined mode one in all
-        kept = ({c: d.t for (d, _), c in zip(runs, cells)} if stat == "multiple"
-                else {"combined": runs[0][0].t})
-        report.diagnostics["draw_stats"] = {_cell_key(k): v.tolist()
-                                            for k, v in best_stats.items()}
-        report.diagnostics["draw_treatments"] = {_cell_key(k): v.tolist()
-                                                 for k, v in kept.items()}
-        report.diagnostics["observed_focal"] = {
-            _cell_key(c): np.nonzero(fobs)[0].tolist() for (_, fobs), c in zip(runs, cells)}
+        kept = {d.cell: d.t for d, _ in runs} if stat == "multiple" else {"combined": runs[0][0].t}
+        report.diagnostics.update(
+            draw_stats={_cell_key(k): v.tolist() for k, v in best_stats.items()},
+            draw_treatments={_cell_key(k): v.tolist() for k, v in kept.items()},
+            observed_focal={_cell_key(d.cell): np.flatnonzero(f).tolist() for d, f in runs})
     if gamma:
         report.diagnostics[source.technique] = {
             **source.diagnostics[source.technique], "grid_evaluations": grid_evals}
@@ -363,10 +375,10 @@ def run_oracle_test(dataset: Dataset, mapping, mechanism, null: NullSpec, *,
     """Randomization test with caller-supplied effect values."""
     if null.family == GENERAL:
         raise MissingParameter("general hypotheses are representable but not testable")
-    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    cells = family_cells(null.family, mapping.values, dataset.x_levels)
-    source = _point_source("oracle", null.family, cells, null.nuisance)
-    return run_test(source, dataset, exposures, mechanism, null.family, epsilon=epsilon,
+    design = prepare(dataset, mapping, null.family)
+    check_feasible(design, dataset.t)
+    source = _point_source("oracle", design, null.nuisance)
+    return run_test(source, dataset, design, mechanism, epsilon=epsilon,
                     b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
                     max_attempts_per_accept=max_attempts_per_accept)
 
@@ -381,13 +393,13 @@ def run_plugin_test(dataset: Dataset, mapping, mechanism, family: str, *,
     Reusing the whole sample for estimation and testing has no finite- or
     large-sample guarantee; the report carries a warning flag.
     """
-    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    nuisance = estimate_tau_plugin(dataset, exposures, family)
-    cells = family_cells(family, mapping.values, dataset.x_levels)
-    source = _point_source("plugin", family, cells, nuisance,
+    design = prepare(dataset, mapping, family)
+    check_feasible(design, dataset.t)
+    nuisance = estimate_tau_plugin(dataset, design.exposures, family)
+    source = _point_source("plugin", design, nuisance,
                            warning="plug-in nuisance estimates reuse the full "
                                    "sample; size control is not guaranteed")
-    return run_test(source, dataset, exposures, mechanism, family, epsilon=epsilon,
+    return run_test(source, dataset, design, mechanism, epsilon=epsilon,
                     b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
                     max_attempts_per_accept=max_attempts_per_accept)
 
@@ -421,16 +433,6 @@ def make_balanced_split(dataset: Dataset, exposures: ExposureVector, family: str
     return SplitResult(est_mask=est, inf_mask=~est, strata=strata)
 
 
-def _check_split(dataset, pi_obs, cells, split):
-    """Each cell's estimation side needs a unit per arm (the sampler checks the other)."""
-    est = arm_counts(pi_obs, cells, dataset.t, dataset.x, within=split.est_mask)
-    for cell, n_est in zip(cells, est):
-        for arm in (0, 1):
-            if n_est[arm] == 0:
-                raise SplitInfeasible(
-                    f"estimation side of cell {cell} has no arm-{arm} units")
-
-
 def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
                 epsilon: float, b: int, split_rng: np.random.Generator,
                 rng: np.random.Generator, stat: str = "multiple",
@@ -442,16 +444,15 @@ def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
     super-focal sets; statistics (observed selection and per-draw focal
     units) are restricted to the inference half.
     """
-    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    cells = family_cells(family, mapping.values, dataset.x_levels)
-    split = make_balanced_split(dataset, exposures, family, split_rng)
-    _check_split(dataset, exposures.values, cells, split)
-    nuisance = estimate_tau_plugin(dataset, exposures, family,
+    design = prepare(dataset, mapping, family)
+    split = make_balanced_split(dataset, design.exposures, family, split_rng)
+    check_feasible(design, dataset.t, split)
+    nuisance = estimate_tau_plugin(dataset, design.exposures, family,
                                    mask=split.est_mask, provenance=SPLIT_ESTIMATE)
-    source = _point_source("ss", family, cells, nuisance, scored=split.inf_mask,
+    source = _point_source("ss", design, nuisance, scored=split.inf_mask,
                            split={"n_estimation": int(split.est_mask.sum()),
                                   "n_inference": int(split.inf_mask.sum())})
-    return run_test(source, dataset, exposures, mechanism, family, epsilon=epsilon,
+    return run_test(source, dataset, design, mechanism, epsilon=epsilon,
                     b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
                     max_attempts_per_accept=max_attempts_per_accept)
 
@@ -501,9 +502,9 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
     grid_size points; combined mode scans the product of the axes, with
     points per axis cut so the product stays within TOTAL_GRID_BUDGET.
     """
-    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    cells = family_cells(family, mapping.values, dataset.x_levels)
-    keys = list(dict.fromkeys(effect_key(family, c) for c in cells))
+    design = prepare(dataset, mapping, family)
+    check_feasible(design, dataset.t)
+    keys = list(dict.fromkeys(effect_key(family, c) for c in design.cells))
     level = 1.0 - ci.gamma / len(keys)  # Bonferroni joint coverage >= 1 - gamma
     m_axis = ci.grid_size
     truncated = stat == "combined" and m_axis ** len(keys) > TOTAL_GRID_BUDGET
@@ -511,16 +512,16 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
         m_axis = max(2, int(TOTAL_GRID_BUDGET ** (1.0 / len(keys))))
     intervals = {}
     for k in keys:
+        units = design.units[k] if k else slice(None)  # the constant family pools all
         try:
-            intervals[k] = neyman_interval(dataset.y, dataset.t, level,
-                                           cell_mask(exposures.values, k, dataset.x))
+            intervals[k] = neyman_interval(dataset.y[units], dataset.t[units], level)
         except DegenerateInterval as exc:
             raise DegenerateInterval(f"effect key {k}: {exc}") from None
     axes = {k: np.linspace(lo, hi, m_axis) for k, (lo, hi, _) in intervals.items()}
     diag = {"gamma": ci.gamma, "grid_points_per_axis": m_axis, "grid_truncated": truncated,
             "intervals": {_cell_key(k): list(v) for k, v in intervals.items()}}
     source = TauSource("ci", axes, gamma=ci.gamma, diagnostics={"ci": diag})
-    return run_test(source, dataset, exposures, mechanism, family, epsilon=epsilon,
+    return run_test(source, dataset, design, mechanism, epsilon=epsilon,
                     b=b, rng=rng, stat=stat, alpha=alpha, keep_draws=keep_draws,
                     max_attempts_per_accept=max_attempts_per_accept)
 
@@ -572,20 +573,16 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
     diagnostic comparing the two procedures.
     """
     _check_stat(stat)
-    exposures = compute_exposures(mapping, dataset.t, dataset.graph)
-    cells = family_cells(family, mapping.values, dataset.x_levels)
-    nuisance = estimate_tau_plugin(dataset, exposures, family,
+    design = prepare(dataset, mapping, family)
+    check_feasible(design, dataset.t, split)
+    nuisance = estimate_tau_plugin(dataset, design.exposures, family,
                                    mask=split.est_mask, provenance=SPLIT_ESTIMATE)
+    cells, t = design.cells, dataset.t
     taus = [nuisance.get(effect_key(family, c)) for c in cells]
-    t = dataset.t
-    masks = [cell_mask(exposures.values, c, dataset.x) & split.inf_mask for c in cells]
-    units = [np.flatnonzero(m) for m in masks]
-    counts = arm_counts(exposures.values, cells, t, dataset.x, within=split.inf_mask)
+    units = [design.scored(c, split.inf_mask) for c in cells]
     adjusted = dataset.y.copy()
-    for cell, m, tau, n_arms in zip(cells, masks, taus, counts):
-        if n_arms.min() < 2:
-            raise TooFewUnits(f"cell {cell}: the inference side needs >= 2 units per arm")
-        adjusted[m] -= tau * t[m]
+    for idx, tau in zip(units, taus):
+        adjusted[idx] -= tau * t[idx]
 
     if b is None:
         total = math.prod(math.factorial(len(idx)) for idx in units)
@@ -606,13 +603,14 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
     t_new = np.asarray(rows)
     # every permutation keeps the cell's inference units focal
     runs = [(Draws(t_new, idx, np.ones((len(idx), len(t_new)), dtype=bool),
-                   t_new.T[idx] == 1, np.full(len(t_new), len(idx)),
-                   SuperFocalSet(m, c), n_candidates=len(t_new)), m)
-            for c, m, idx in zip(cells, masks, units)]
+                   t_new.T[idx] == 1, np.full(len(t_new), len(idx)), c,
+                   n_candidates=len(t_new)), np.bincount(idx, minlength=dataset.n) > 0)
+            for c, idx in zip(cells, units)]
     source = TauSource("permutation", {effect_key(family, c): [0.0] for c in cells},
+                       scored=split.inf_mask,
                        diagnostics={"nuisance": _nuisance_diag(nuisance)})
-    report = _score_grid(source, replace(dataset, y=adjusted), family, exposures.values,
-                         runs, b=len(t_new), epsilon=float("nan"), stat=stat,
+    report = _score_grid(source, replace(dataset, y=adjusted), design, runs,
+                         b=len(t_new), epsilon=float("nan"), stat=stat,
                          alpha=alpha, keep_draws=keep_draws)
     for res, tau in zip(report.cells, taus):
         res.tau = tau

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from netrand.conditioning import Design, cell_mask
 from netrand.data import Dataset
 from netrand.exposure import FractionThreshold
 from netrand.graph import build_graph
@@ -135,11 +136,19 @@ def dense_threshold_reference(mapping, t_mat, graph):
     return out
 
 
+def design_of(ds, exposures, cells, family="by_exposure"):
+    """A Design over the given cells of an ExposureVector, built as
+    inference.prepare builds one but without its empty-cell check, for
+    sampler tests that condition on some cells or fix the exposures."""
+    return Design(exposures, family, tuple(cells),
+                  {c: np.flatnonzero(cell_mask(exposures.values, c, ds.x)) for c in cells})
+
+
 def expand_record(record):
     """A Draws record's unit-major (n_sf, b) focal and treated rows as the
     draw-major (b, N) matrices they stand for, False off the cell's
     super-focal units."""
-    n = len(record.superfocal.indicator)
+    n = record.t.shape[1]
     full = []
     for rows in (record.focal, record.treated):
         out = np.zeros((rows.shape[1], n), dtype=bool)

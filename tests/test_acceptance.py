@@ -32,7 +32,7 @@ from netrand.conditioning import (ConditioningConfig, relative_frequency,
                                   sample_conditioning_set, superfocal_for_cell)
 from netrand.data import Dataset
 from netrand.exposure import compute_exposures
-from netrand.inference import (make_balanced_split, run_ci_test,
+from netrand.inference import (make_balanced_split, prepare, run_ci_test,
                                run_oracle_test, run_permutation_variant,
                                run_plugin_test, run_ss_test)
 from netrand.nullspec import BY_EXPOSURE, CONSTANT_ALL, NullSpec
@@ -415,20 +415,20 @@ class TestEnumerationEquivalence:
     def test_four_unit_sampler_support(self):
         t_obs = (1, 1, 0, 0)
         ds = make_line4(t=t_obs)
-        exposures = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TEN_MAPPING, "by_exposure")
         nbrs = neighbor_lists(4, LINE4_EDGES)
-        pi_obs = tuple(int(v) for v in exposures.values)
+        pi_obs = tuple(int(v) for v in design.exposures.values)
         exact = oracle_conditioning_set(4, 2, nbrs, pi_obs, 0.3, [(1,)])
         assert set(exact) == {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)}
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         (draws,), _ = sample_conditioning_set(
-            CompleteRandomization(4, 2), ds, exposures, cfg, 300, np.random.default_rng(5))
+            CompleteRandomization(4, 2), ds, design, cfg, 300, np.random.default_rng(5))
         support = {tuple(int(v) for v in row) for row in draws.t}
         assert support == set(exact)
 
     def test_ten_unit_sampler_matches_enumeration(self):
         ds = make_ten()
-        exposures = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TEN_MAPPING, "by_exposure")
         nbrs = neighbor_lists(10, TEN_EDGES)
         mech = CompleteRandomization(10, 5)
         for cell, size in (((0,), 116), ((1,), 204)):
@@ -437,7 +437,7 @@ class TestEnumerationEquivalence:
             assert len(exact) == size
             cfg = ConditioningConfig(epsilon=0.1, cells=(cell,))
             (draws,), _ = sample_conditioning_set(
-                mech, ds, exposures, cfg, 4000,
+                mech, ds, design, cfg, 4000,
                 np.random.default_rng(11))
             sampled = [tuple(int(v) for v in row) for row in draws.t]
             assert set(sampled) == set(exact)
@@ -473,10 +473,10 @@ class TestFuzzedInvariants:
 
     def test_focal_subset_of_superfocal(self):
         ds = make_ten()
-        exposures = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TEN_MAPPING, "by_exposure")
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
         (draws,), _ = sample_conditioning_set(
-            CompleteRandomization(10, 5), ds, exposures, cfg, 50, np.random.default_rng(3))
+            CompleteRandomization(10, 5), ds, design, cfg, 50, np.random.default_rng(3))
         sf = superfocal_for_cell(np.array(TEN_PI_OBS), (0,), None)
         for focal in expand_record(draws)[0]:
             assert not np.any(focal & ~sf.indicator)

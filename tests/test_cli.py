@@ -159,6 +159,20 @@ class TestExitCodes:
         assert rc == 3
         assert "cell (1,): the observed assignment has 1/2 scored" in capsys.readouterr().err
 
+    def test_zero_width_interval_exits_three(self, tmp_path, capsys):
+        # constant outcomes over toy12's cell (1,) (units 4-9) leave its
+        # Neyman interval no width; before DegenerateInterval was an
+        # InfeasibleConditioning this exited 2
+        nodes, edges = write_toy12(tmp_path)
+        y = [1.5 if 4 <= i <= 9 else v for i, v in enumerate(TOY12_Y)]
+        (tmp_path / "flat.csv").write_text("id,y,t\n" + "".join(
+            f"{i},{y[i]},{TOY12_T_OBS[i]}\n" for i in range(12)))
+        rc = main(oracle_args(str(tmp_path / "flat.csv"), edges, **{
+            "--null": "hpi", "--technique": "ci", "--tau": None}))
+        assert rc == 3
+        assert ("netrand: infeasible conditioning: effect key (1,): interval width is "
+                "degenerate" in capsys.readouterr().err)
+
     def test_weighted_requires_weight_column(self, tmp_path):
         nodes, edges = write_toy12(tmp_path)
         argv = oracle_args(nodes, edges) + ["--weighted"]

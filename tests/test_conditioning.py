@@ -10,15 +10,16 @@ from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TOY12_PI_OBS, TOY12_T_OBS, make_line4, make_ten,
                       expand_record, make_toy12, neighbor_lists, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_r, IntegersOnly,
-                      LINE4_EDGES, TOY12_EDGES)
+                      LINE4_EDGES, TOY12_EDGES, design_of)
 from netrand import conditioning
-from netrand.conditioning import (ConditioningConfig, SuperFocalSet,
+from netrand.conditioning import (ConditioningConfig,
                                   epsilon_feasibility, relative_frequency,
                                   sample_conditioning_set,
                                   select_observed_focal, superfocal_for_cell)
 from netrand.errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
                             DataError, EmptySuperFocal, TooFewUnits)
-from netrand.inference import family_cells, run_oracle_test
+from netrand.inference import (SplitResult, check_feasible, family_cells, prepare,
+                               run_oracle_test)
 from netrand.nullspec import NullSpec
 from netrand.assignment import CompleteRandomization, StratifiedComplete
 from netrand.data import Dataset
@@ -131,7 +132,8 @@ class TestFocalIndicator:
         for v in (0, 1):
             cfg = ConditioningConfig(epsilon=0.1, cells=((v,),))
             (draws,), _ = sample_conditioning_set(
-                CompleteRandomization(10, 5), ds, ExposureVector(pi_obs, TEN_MAPPING),
+                CompleteRandomization(10, 5), ds,
+                design_of(ds, ExposureVector(pi_obs, TEN_MAPPING), cfg.cells),
                 cfg, 20, np.random.default_rng(4))
             sf = superfocal_for_cell(pi_obs, (v,))
             for t, f in zip(draws.t.tolist(), expand_record(draws)[0]):
@@ -144,18 +146,18 @@ class TestFocalIndicator:
 class TestSampler:
     def _line4(self):
         ds = make_line4(t=LINE4_T_OBS)
-        pi = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
-        assert pi.values.tolist() == list(LINE4_PI_OBS)
-        return ds, pi
+        design = prepare(ds, TEN_MAPPING, "by_exposure")
+        assert design.exposures.values.tolist() == list(LINE4_PI_OBS)
+        return ds, design
 
     def test_line4_support_matches_hand_enumeration(self):
-        ds, pi = self._line4()
+        ds, design = self._line4()
         oracle = oracle_conditioning_set(
             4, 2, neighbor_lists(4, LINE4_EDGES), LINE4_PI_OBS, 0.3, [(1,)])
         assert set(oracle) == LINE4_CELL1_SET
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         (draws,), diag = sample_conditioning_set(
-            CompleteRandomization(4, 2), ds, pi, cfg, 300,
+            CompleteRandomization(4, 2), ds, design, cfg, 300,
             np.random.default_rng(0))
         got = Counter(tuple(int(v) for v in row) for row in draws.t)
         assert set(got) == LINE4_CELL1_SET
@@ -165,10 +167,10 @@ class TestSampler:
         assert diag.n_accepted == 300
 
     def test_line4_draw_bookkeeping(self):
-        ds, pi = self._line4()
+        ds, design = self._line4()
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
         (draws,), _ = sample_conditioning_set(
-            CompleteRandomization(4, 2), ds, pi, cfg, 50,
+            CompleteRandomization(4, 2), ds, design, cfg, 50,
             np.random.default_rng(1))
         sf1 = superfocal_for_cell(np.array(LINE4_PI_OBS), (1,))
         for t_new, focal in zip(draws.t, expand_record(draws)[0]):
@@ -185,11 +187,11 @@ class TestSampler:
     def test_line4_single_unit_cell_is_infeasible(self):
         # cell 0 holds only unit 3; one unit cannot sit in both arms, so
         # the sampler must exhaust its budget and name the inequality
-        ds, pi = self._line4()
+        ds, design = self._line4()
         cfg = ConditioningConfig(epsilon=0.3, cells=((0,),),
                                  max_attempts_per_accept=50)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
-            sample_conditioning_set(CompleteRandomization(4, 2), ds, pi, cfg, 5,
+            sample_conditioning_set(CompleteRandomization(4, 2), ds, design, cfg, 5,
                                     np.random.default_rng(0))
         assert "cell=(0,)" in str(exc.value)
 
@@ -207,7 +209,7 @@ class TestSampler:
 
     def test_toy12_sampled_draws_lie_in_enumerated_set(self):
         ds = make_toy12()
-        pi = compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TOY12_MAPPING, "by_exposure")
         nbrs = neighbor_lists(12, TOY12_EDGES)
         joint = set(oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS,
                                             TOY12_EPS, [(0,), (1,)],
@@ -219,14 +221,14 @@ class TestSampler:
         # an even one, whose keys are raw words
         stratified = StratifiedComplete(np.repeat([0, 1], [5, 7]), {0: 3, 1: 3})
         for mech, b in ((CompleteRandomization(12, 6), 200), (stratified, 199)):
-            (d0, d1), diag = sample_conditioning_set(mech, ds, pi, cfg, b,
+            (d0, d1), diag = sample_conditioning_set(mech, ds, design, cfg, b,
                                                      np.random.default_rng(3))
             for row in d0.t:
                 assert tuple(int(v) for v in row) in joint
             assert all(mech.supports(row) for row in d0.t)
             # keys from raw words and from rng.integers give the same records
             (e0, e1), slow = sample_conditioning_set(
-                mech, ds, pi, cfg, b, IntegersOnly(np.random.default_rng(3)))
+                mech, ds, design, cfg, b, IntegersOnly(np.random.default_rng(3)))
             assert slow.n_candidates == diag.n_candidates
             for d, e in ((d0, e0), (d1, e1)):
                 assert np.array_equal(d.t, e.t) and np.array_equal(d.focal, e.focal)
@@ -236,17 +238,18 @@ class TestSampler:
         # one record per cell: the cells of a combined group share one t,
         # and each record's focal rows are that cell's own
         ds = make_toy12()
-        pi = compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TOY12_MAPPING, "by_exposure")
+        pi = design.exposures
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
         records, _ = sample_conditioning_set(
-            CompleteRandomization(12, 6), ds, pi, cfg, 60, np.random.default_rng(5))
+            CompleteRandomization(12, 6), ds, design, cfg, 60, np.random.default_rng(5))
         d0, d1 = records
         assert d0.t is d1.t
-        assert [d.superfocal.cell for d in records] == [(0,), (1,)]
+        assert [d.cell for d in records] == [(0,), (1,)]
         pi_new = TOY12_MAPPING.compute_batch(d0.t, ds.graph)
         for d, c in zip(records, cfg.cells):
-            assert d.superfocal.indicator.tolist() == (pi.values == c[0]).tolist()
-            assert np.array_equal(expand_record(d)[0], (pi_new == c[0]) & d.superfocal.indicator)
+            assert d.units.tolist() == np.flatnonzero(pi.values == c[0]).tolist()
+            assert np.array_equal(expand_record(d)[0], (pi_new == c[0]) & (pi.values == c[0]))
             assert d.n_candidates == d0.n_candidates
 
     def test_identity_accepted_when_epsilon_below_bound(self):
@@ -280,13 +283,13 @@ class TestSamplerBatches:
         # holds everyone and every candidate keeps half of it per arm
         ds = Dataset(y=np.zeros(n), t=np.arange(n) % 2, graph=build_graph(n, []))
         mapping = FractionThreshold()
-        return ds, compute_exposures(mapping, ds.t, ds.graph), mapping
+        return ds, design_of(ds, compute_exposures(mapping, ds.t, ds.graph), [(0,)]), mapping
 
     def test_no_rejection_draws_exactly_b(self):
-        ds, pi, mapping = self._edgeless()
+        ds, design, mapping = self._edgeless()
         mech = _CountingMechanism(ds.n, ds.n // 2)
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        (draws,), diag = sample_conditioning_set(mech, ds, pi, cfg, 37,
+        (draws,), diag = sample_conditioning_set(mech, ds, design, cfg, 37,
                                               np.random.default_rng(0))
         assert diag.n_candidates == 37 and diag.n_accepted == 37
         assert mech.batches == [37]
@@ -294,13 +297,13 @@ class TestSamplerBatches:
         assert draws.t.shape == (37, ds.n)
 
     def test_row_cap_splits_batches_without_changing_draws(self, monkeypatch):
-        ds, pi, mapping = self._edgeless()
+        ds, design, mapping = self._edgeless()
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        (whole,), _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, pi,
+        (whole,), _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, design,
                                            cfg, 50, np.random.default_rng(1))
         monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 12 * ds.n + 5)
         mech = _CountingMechanism(ds.n, ds.n // 2)
-        (capped,), diag = sample_conditioning_set(mech, ds, pi, cfg, 50,
+        (capped,), diag = sample_conditioning_set(mech, ds, design, cfg, 50,
                                                np.random.default_rng(1))
         assert mech.batches == [12, 12, 12, 12, 2]
         assert diag.n_candidates == 50
@@ -312,24 +315,24 @@ class TestSamplerBatches:
     def test_a_cell_holding_every_unit_counts_all_n(self, n):
         # every unit lands in cell (0,) in every draw, so each count is N
         # itself: at N = 128 one more than the int8 maximum
-        ds, pi, mapping = self._edgeless(n)
+        ds, design, mapping = self._edgeless(n)
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
-        (draws,), _ = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, pi,
+        (draws,), _ = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, design,
                                            cfg, 20, np.random.default_rng(0))
         assert draws.focal.all()
         assert draws.focal_counts.tolist() == [n] * 20
-        mask = select_observed_focal(draws.superfocal, draws.focal_counts, ds.t,
+        mask = select_observed_focal(draws.cell, draws.units, draws.focal_counts, ds.t,
                                      np.random.default_rng(1))
         assert mask.all()
 
     def test_rejecting_design_stays_within_budget(self):
         ds = make_toy12()
-        pi = compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TOY12_MAPPING, "by_exposure")
         for max_attempts, b in ((100, 40), (60, 25)):
             cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)),
                                      max_attempts_per_accept=max_attempts)
             mech = _CountingMechanism(12, 6)
-            _, diag = sample_conditioning_set(mech, ds, pi, cfg, b,
+            _, diag = sample_conditioning_set(mech, ds, design, cfg, b,
                                               np.random.default_rng(b))
             assert diag.n_candidates == sum(mech.batches)
             assert b < diag.n_candidates <= b * max_attempts
@@ -340,12 +343,12 @@ class TestSamplerBatches:
         # line4 cell (0,) is the single unit 3, which can never sit in
         # both arms, while cell (1,) holds three units and often passes
         ds = make_line4(t=LINE4_T_OBS)
-        pi = compute_exposures(TEN_MAPPING, ds.t, ds.graph)
+        design = prepare(ds, TEN_MAPPING, "by_exposure")
         cfg = ConditioningConfig(epsilon=0.3, cells=((1,), (0,)),
                                  max_attempts_per_accept=7)
         mech = _CountingMechanism(4, 2)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
-            sample_conditioning_set(mech, ds, pi, cfg, 6,
+            sample_conditioning_set(mech, ds, design, cfg, 6,
                                     np.random.default_rng(0))
         assert sum(mech.batches) == 6 * 7
         assert "after 42 candidates" in str(exc.value)
@@ -354,49 +357,49 @@ class TestSamplerBatches:
 
 class TestSelectObservedFocal:
     def test_full_focal_counts_force_whole_superfocal(self):
-        sf = SuperFocalSet(indicator=np.array([True] * 6 + [False] * 2), cell=(0,))
+        sf = np.array([True] * 6 + [False] * 2)
         t_obs = np.array([1, 1, 1, 0, 0, 0, 1, 0])
         counts = np.array([6, 6, 6])
-        mask = select_observed_focal(sf, counts, t_obs, np.random.default_rng(0))
-        assert mask.tolist() == sf.indicator.tolist()
+        mask = select_observed_focal((0,), np.flatnonzero(sf), counts, t_obs,
+                                     np.random.default_rng(0))
+        assert mask.tolist() == sf.tolist()
 
     def test_rounded_mean_size(self):
-        sf = SuperFocalSet(indicator=np.array([True] * 8 + [False] * 2), cell=(0,))
+        sf = np.array([True] * 8 + [False] * 2)
         t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0])
         counts = np.array([4, 6])
-        mask = select_observed_focal(sf, counts, t_obs, np.random.default_rng(0))
+        mask = select_observed_focal((0,), np.flatnonzero(sf), counts, t_obs,
+                                     np.random.default_rng(0))
         assert int(mask.sum()) == 5
-        assert not (mask & ~sf.indicator).any()
+        assert not (mask & ~sf).any()
 
     def test_round_half_to_even(self):
-        sf = SuperFocalSet(indicator=np.array([True] * 8), cell=(0,))
+        units = np.arange(8)
         t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0])
         rng = np.random.default_rng(0)
-        assert select_observed_focal(sf, np.array([4, 5]), t_obs, rng).sum() == 4
-        assert select_observed_focal(sf, np.array([5, 6]), t_obs, rng).sum() == 6
+        assert select_observed_focal((0,), units, np.array([4, 5]), t_obs, rng).sum() == 4
+        assert select_observed_focal((0,), units, np.array([5, 6]), t_obs, rng).sum() == 6
 
     def test_both_arms_present(self):
-        sf = SuperFocalSet(indicator=np.array([True] * 6), cell=(0,))
+        units = np.arange(6)
         t_obs = np.array([1, 0, 0, 0, 0, 0])
         rng = np.random.default_rng(0)
         for _ in range(20):
-            mask = select_observed_focal(sf, np.array([2, 2]), t_obs, rng)
+            mask = select_observed_focal((0,), units, np.array([2, 2]), t_obs, rng)
             picked = np.flatnonzero(mask)
             arms = {int(t_obs[i]) for i in picked}
             assert arms == {0, 1}
 
     def test_impossible_arm_requirement_raises(self):
-        sf = SuperFocalSet(indicator=np.array([True] * 6), cell=(0,))
         t_obs = np.array([1, 0, 0, 0, 0, 0])  # one treated unit only
         with pytest.raises(ArmEmptyAfterRetries):
-            select_observed_focal(sf, np.array([4, 4]), t_obs,
+            select_observed_focal((0,), np.arange(6), np.array([4, 4]), t_obs,
                                   np.random.default_rng(0), min_per_arm=2)
 
     def test_size_below_two_per_arm_raises(self):
-        sf = SuperFocalSet(indicator=np.array([True] * 6), cell=(0,))
         t_obs = np.array([1, 1, 1, 0, 0, 0])
         with pytest.raises(ArmEmptyAfterRetries):
-            select_observed_focal(sf, np.array([2, 2]), t_obs,
+            select_observed_focal((0,), np.arange(6), np.array([2, 2]), t_obs,
                                   np.random.default_rng(0), min_per_arm=2)
 
 
@@ -451,7 +454,7 @@ class TestSharedStream:
 
     def _toy12(self):
         ds = make_toy12()
-        return ds, compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        return ds, prepare(ds, TOY12_MAPPING, "by_exposure")
 
     def test_fixture_vectors(self):
         nbrs = neighbor_lists(12, TOY12_EDGES)
@@ -465,13 +468,13 @@ class TestSharedStream:
         # the stream repeats T_OBS, ONLY_CELL0, ONLY_CELL0: cell (0,)
         # accepts every candidate, cell (1,) every third, so its b-th
         # accept is candidate 3b - 2
-        ds, pi = self._toy12()
+        ds, design = self._toy12()
         b = 20
         mech = _CyclingMechanism([TOY12_T_OBS, self.ONLY_CELL0, self.ONLY_CELL0])
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True)
-        (d0, d1), diag = sample_conditioning_set(mech, ds, pi, cfg, b,
+        (d0, d1), diag = sample_conditioning_set(mech, ds, design, cfg, b,
                                                  np.random.default_rng(0))
-        assert [d0.superfocal.cell, d1.superfocal.cell] == [(0,), (1,)]
+        assert [d0.cell, d1.cell] == [(0,), (1,)]
         assert d0.t.tolist() == [list(mech.rows[i % 3]) for i in range(b)]
         assert d1.t.tolist() == [list(TOY12_T_OBS)] * b
         assert (d0.n_candidates, d1.n_candidates) == (b, 3 * b - 2)
@@ -488,11 +491,11 @@ class TestSharedStream:
 
     def test_starved_cell_and_its_worst_inequality_are_named(self):
         # cell (0,) accepts every candidate, cell (1,) none
-        ds, pi = self._toy12()
+        ds, design = self._toy12()
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True,
                                  max_attempts_per_accept=5)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
-            sample_conditioning_set(_CyclingMechanism([self.ONLY_CELL0]), ds, pi, cfg, 4,
+            sample_conditioning_set(_CyclingMechanism([self.ONLY_CELL0]), ds, design, cfg, 4,
                                     np.random.default_rng(0))
         msg = str(exc.value)
         assert "after 20 candidates, cell (1,) accepted 0/4;" in msg
@@ -502,7 +505,7 @@ class TestSharedStream:
     def test_infeasible_epsilon_names_the_infeasible_cell(self):
         # at epsilon 0.4 no vector keeps 3 of cell (1,)'s six super-focal
         # units in each arm, and one of 924 does so for cell (0,)
-        ds, pi = self._toy12()
+        ds, design = self._toy12()
         nbrs = neighbor_lists(12, TOY12_EDGES)
         assert oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS, 0.4, [(1,)],
                                        comparator=">") == []
@@ -525,21 +528,23 @@ class TestScoredMinPerArm:
 
     def _toy12(self):
         ds = make_toy12()
-        return ds, compute_exposures(TOY12_MAPPING, ds.t, ds.graph)
+        return ds, prepare(ds, TOY12_MAPPING, "by_exposure")
 
     def test_records_hold_the_scored_units_and_meet_the_rule(self):
-        ds, pi = self._toy12()
+        ds, design = self._toy12()
         scored = np.ones(12, dtype=bool)
         scored[[1, 4]] = False
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)), separate=True,
                                  scored=scored, min_per_arm=2)
-        records, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, pi, cfg,
+        records, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg,
                                                 300, np.random.default_rng(3))
         for d in records:
-            cell = d.superfocal.cell
-            sf = superfocal_for_cell(pi.values, cell)
+            cell = d.cell
+            sf = superfocal_for_cell(design.exposures.values, cell)
             pi_new = TOY12_MAPPING.compute_batch(d.t, ds.graph)
-            assert np.array_equal(d.superfocal.indicator, sf.indicator & scored)
+            assert np.array_equal(d.units, np.flatnonzero(sf.indicator))
+            assert np.array_equal(design.scored(cell, scored),
+                                  np.flatnonzero(sf.indicator & scored))
             focal = expand_record(d)[0]
             assert np.array_equal(focal, (pi_new == cell[0]) & sf.indicator & scored)
             assert np.array_equal(d.focal_counts, focal.sum(axis=1))
@@ -551,34 +556,39 @@ class TestScoredMinPerArm:
         assert sum(n for key, n in diag.failure_counts.items() if len(key) == 3) > 0
 
     def test_without_the_rule_no_rule_kind_is_counted(self):
-        ds, pi = self._toy12()
+        ds, design = self._toy12()
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)))
-        _, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, pi, cfg, 50,
+        _, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg, 50,
                                           np.random.default_rng(3))
         assert sorted(diag.failure_counts) == sorted(
             (arm, c) for c in ((0,), (1,)) for arm in (0, 1))
 
     def test_observed_assignment_breaking_the_rule_draws_nothing(self):
-        # unscoring unit 0 leaves cell (0,) one scored control unit
-        ds, pi = self._toy12()
+        # unscoring unit 0 leaves cell (0,) one scored control unit; every
+        # unit stays on the estimation side, so only the scored check fails
+        ds, design = self._toy12()
         scored = np.ones(12, dtype=bool)
         scored[0] = False
-        mech = _CountingMechanism(12, 6)
-        cfg = ConditioningConfig(epsilon=0.1, cells=((1,), (0,)), scored=scored,
-                                 min_per_arm=2)
         with pytest.raises(TooFewUnits, match=r"^cell \(0,\): the observed assignment has 1/4 "):
-            sample_conditioning_set(mech, ds, pi, cfg, 10, np.random.default_rng(0))
+            check_feasible(design, ds.t, SplitResult(np.ones(12, dtype=bool), scored, []))
+        # the engine checks before it draws: line4's cell (0,) is the one
+        # control unit 3
+        mech = _CountingMechanism(4, 2)
+        with pytest.raises(TooFewUnits, match=r"^cell \(0,\): the observed assignment has 1/0 "):
+            run_oracle_test(make_line4(t=LINE4_T_OBS), TEN_MAPPING, mech,
+                            NullSpec.constant(0.0), epsilon=0.3, b=10,
+                            rng=np.random.default_rng(0))
         assert mech.batches == []
 
     def test_exhausted_budget_names_the_rule(self):
         # with only units 0, 1, 2 and 10 of cell (0,) scored, few draws keep
         # two of them in each arm, while eps=0.1 asks for one unit per arm
-        ds, pi = self._toy12()
+        ds, design = self._toy12()
         scored = ~np.isin(np.arange(12), [3, 11])
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),), scored=scored, min_per_arm=2,
                                  max_attempts_per_accept=2)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
-            sample_conditioning_set(CompleteRandomization(12, 6), ds, pi, cfg, 20,
+            sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg, 20,
                                     np.random.default_rng(0))
         assert "cell=(0,) failed" in str(exc.value)
         assert str(exc.value).endswith("times (at least 2 scored focal units)")

@@ -1,6 +1,7 @@
 """Test engines: p-values, multiplicity control, nuisance techniques."""
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,16 +369,20 @@ class TestUnitMajorRecords:
 
     @pytest.fixture
     def scored_runs(self, monkeypatch):
-        """(dataset, grid, record, observed focal, statistics) for every
-        cell the scorer scores, in order."""
+        """(dataset, grid, record, its scored super-focal units as an
+        N-wide mask, observed focal, statistics) for every cell the scorer
+        scores, in order."""
         seen, stats = [], []
         score, imputed = inference._score_grid, inference._imputed_stats
 
-        def spy_score(source, dataset, family, pi_obs, runs, **kw):
+        def spy_score(source, dataset, design, runs, **kw):
             stats.clear()
-            report = score(source, dataset, family, pi_obs, runs, **kw)
-            seen.extend((dataset, source.axes[inference.effect_key(family, d.superfocal.cell)],
-                         d, fobs, got) for (d, fobs), got in zip(runs, stats))
+            report = score(source, dataset, design, runs, **kw)
+            for (d, fobs), got in zip(runs, stats):
+                sf = np.zeros(dataset.n, dtype=bool)
+                sf[design.scored(d.cell, source.scored)] = True
+                seen.append((dataset, source.axes[inference.effect_key(design.family, d.cell)],
+                             d, sf, fobs, got))
             return report
 
         monkeypatch.setattr(inference, "_score_grid", spy_score)
@@ -388,14 +393,14 @@ class TestUnitMajorRecords:
     @staticmethod
     def _check(seen, mapping, t_ref=None):
         assert seen
-        for ds, grid, d, fobs, got in seen:
+        for ds, grid, d, sf, fobs, got in seen:
             focal, treated = expand_record(d)
             in_units = np.zeros(ds.n, dtype=bool)
             in_units[d.units] = True
             assert np.array_equal(d.units, np.sort(d.units))
-            assert not (d.superfocal.indicator & ~in_units).any()
+            assert not (sf & ~in_units).any()
             pi_new = mapping.compute_batch(d.t, ds.graph)
-            assert np.array_equal(focal, (pi_new == d.superfocal.cell[0]) & d.superfocal.indicator)
+            assert np.array_equal(focal, (pi_new == d.cell[0]) & sf)
             assert np.array_equal(treated, (d.t == 1) & in_units)
             assert np.array_equal(d.focal_counts, focal.sum(axis=1))
             want = direct_imputed_stats(ds.y, ds.t, np.vstack([ds.t, d.t]),
@@ -410,7 +415,7 @@ class TestUnitMajorRecords:
         run_oracle_test(ds, mapping, mech, NullSpec.per_exposure({0: 0.5, 1: -0.25}),
                         epsilon=TOY12_EPS, b=30, rng=np.random.default_rng(2), stat=stat)
         assert len(mech.batches) >= 3
-        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _ in scored_runs)
+        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _, _ in scored_runs)
         self._check(scored_runs, mapping)
 
     @pytest.mark.parametrize("stat", ["multiple", "combined"])
@@ -425,10 +430,10 @@ class TestUnitMajorRecords:
         run_ss_test(ds, mapping, mech, "by_exposure", epsilon=0.2, b=40, stat=stat,
                     split_rng=np.random.default_rng(1), rng=np.random.default_rng(1))
         assert len(mech.batches) >= 3
-        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _ in scored_runs)
+        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _, _ in scored_runs)
         # the records hold only the inference half's focal units
-        assert all(not (expand_record(d)[0] & ~(d.superfocal.indicator)).any()
-                   and d.superfocal.n < len(d.units) for _, _, d, _, _ in scored_runs)
+        assert all(not (expand_record(d)[0] & ~sf).any()
+                   and sf.sum() < len(d.units) for _, _, d, sf, _, _ in scored_runs)
         self._check(scored_runs, mapping)
 
     @pytest.mark.parametrize("b", [30, None])
@@ -616,8 +621,19 @@ class TestNeymanInterval:
 
 class TestCiEngine:
     def test_degenerate_interval_names_the_effect_key(self):
-        # make_ten's (0, "f") cell holds two treated units and one control
-        with pytest.raises(DegenerateInterval, match=r"^effect key \(0, 'f'\): need >= 2 "):
+        # constant outcomes over toy12's cell (1,) (units 4-9) give its
+        # interval zero width, which check_feasible cannot see
+        ds = make_toy12()
+        y = ds.y.copy()
+        y[4:10] = 1.5
+        with pytest.raises(DegenerateInterval,
+                           match=r"^effect key \(1,\): interval width is degenerate"):
+            run_ci_test(replace(ds, y=y), TOY12_MAPPING, CompleteRandomization(12, 6),
+                        "by_exposure", epsilon=TOY12_EPS, b=20, rng=np.random.default_rng(0))
+        # make_ten's (0, "f") cell holds two treated units and one control,
+        # which check_feasible rejects before any interval
+        with pytest.raises(TooFewUnits, match=r"^cell \(0, 'f'\): the observed assignment "
+                                              r"has 1/2 "):
             run_ci_test(make_ten(with_x=True), TEN_MAPPING, CompleteRandomization(10, 5),
                         "by_exposure_covariate", epsilon=0.1, b=20,
                         rng=np.random.default_rng(0))

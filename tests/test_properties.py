@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import (TOY12_EPS, TOY12_MAPPING, direct_imputed_stats, expand_record,
-                      make_toy12, neighbor_lists, oracle_exposure, oracle_focal,
+from fixtures import (TOY12_EPS, TOY12_MAPPING, design_of, direct_imputed_stats,
+                      expand_record, make_toy12, neighbor_lists, oracle_exposure, oracle_focal,
                       oracle_r)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import (ConditioningConfig, relative_frequency,
@@ -119,8 +119,8 @@ def test_exposure_change_never_imputes(seed):
     ds = make_toy12()
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-    records, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds,
-                                         ExposureVector(pi_obs, TOY12_MAPPING), cfg,
+    design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), cfg.cells)
+    records, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg,
                                          10, np.random.default_rng(seed))
     for draws in records:
         pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
@@ -290,8 +290,8 @@ def test_relative_frequency_and_focal_match_oracles(inst):
             # the sampler accepts t_other below its frequencies; its focal
             # row is the cell's super-focal units that keep their exposure
             cfg = ConditioningConfig(epsilon=min(r) / 2, cells=((v,),))
-            (draws,), _ = sample_conditioning_set(_FixedMechanism(t_other), ds,
-                                               ExposureVector(pi_obs, mapping),
+            design = design_of(ds, ExposureVector(pi_obs, mapping), cfg.cells)
+            (draws,), _ = sample_conditioning_set(_FixedMechanism(t_other), ds, design,
                                                cfg, 1, np.random.default_rng(0))
             focal = expand_record(draws)[0][0]
             assert not (focal & ~sf.indicator).any()
@@ -333,7 +333,8 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
         assume(0.0 < below < 0.5)
         cfg = ConditioningConfig(epsilon=below, cells=((v,),),
                                  max_attempts_per_accept=8)
-        (draws,), _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, mapping),
+        design = design_of(ds, ExposureVector(pi_obs, mapping), cfg.cells)
+        (draws,), _ = sample_conditioning_set(mech, ds, design,
                                            cfg, 1, np.random.default_rng(0))
         assert (draws.t[0] == t_obs).all()
         if 0.0 < r_min < 0.5:
@@ -342,7 +343,7 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
             cfg = ConditioningConfig(epsilon=r_min, cells=((v,),),
                                      max_attempts_per_accept=8)
             try:
-                sample_conditioning_set(mech, ds, ExposureVector(pi_obs, mapping),
+                sample_conditioning_set(mech, ds, design,
                                         cfg, 1, np.random.default_rng(0))
                 raised = False
             except AcceptanceBudgetExhausted:
@@ -359,7 +360,8 @@ def test_sampler_is_seed_deterministic(seed):
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     runs = []
     for _ in range(2):
-        (draws,), _ = sample_conditioning_set(mech, ds, ExposureVector(pi_obs, TOY12_MAPPING),
+        design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), cfg.cells)
+        (draws,), _ = sample_conditioning_set(mech, ds, design,
                                            cfg, 3, np.random.default_rng(seed))
         runs.append(draws.t)
     assert (runs[0] == runs[1]).all()

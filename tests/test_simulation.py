@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from netrand.data import Dataset
-from netrand.errors import InfeasibleCounts
+from netrand import simulation
+from netrand.errors import DegenerateInterval, EmptyArm, InfeasibleCounts
 from netrand.exposure import FractionThreshold
 from netrand.nullspec import NullSpec
 from netrand.simulation import (_TABLES, ScenarioConfig, TableResult, TableRow,
@@ -153,6 +154,24 @@ class TestScenarioRunner:
         assert row.reps_done + row.failures == 4
         assert set(row.cell_rates) == {"pi0", "pi1"}
         assert row.fwer is not None and row.combined_rate is None
+
+    @pytest.mark.parametrize("error", [EmptyArm, DegenerateInterval])
+    def test_an_estimation_error_counts_as_one_failed_rep(self, monkeypatch, error):
+        # a replication whose estimate or interval fails is one failure of
+        # that technique, not the end of the table
+        real, calls = simulation.run_technique, []
+
+        def failing_once(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise error("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_technique", failing_once)
+        cfg = ScenarioConfig(**self.CFG)
+        (row,) = run_scenario(cfg, seed=11, reps=3, techniques=("plugin",))
+        assert calls == ["plugin"] * 3
+        assert (row.reps_done, row.failures) == (2, 1)
 
     def test_combined_mode_row_shape(self):
         cfg = ScenarioConfig(**self.CFG)
