@@ -161,8 +161,7 @@ class TestExitCodes:
 
     def test_zero_width_interval_exits_three(self, tmp_path, capsys):
         # constant outcomes over toy12's cell (1,) (units 4-9) leave its
-        # Neyman interval no width; before DegenerateInterval was an
-        # InfeasibleConditioning this exited 2
+        # Neyman interval no width, which makes the design infeasible
         nodes, edges = write_toy12(tmp_path)
         y = [1.5 if 4 <= i <= 9 else v for i, v in enumerate(TOY12_Y)]
         (tmp_path / "flat.csv").write_text("id,y,t\n" + "".join(
