@@ -10,7 +10,8 @@ directory. HEAD's copy of this script then runs the matrix below in each
 tree, with that tree's src/ and tests/ on the path (``--collect OUT`` is
 that step), and records one digest per output, or, where the call raised,
 the exit code the CLI gives that error (3 for an InfeasibleConditioning, 2
-for any other) with its class and message. The key of every output that
+for any other error cli.main catches, 1 for one it does not) with its class
+and message. The key of every output that
 differs is printed with both sides' values, then a count of the differing
 outputs per move (such as ``exit 2: EmptyArm -> exit 3: TooFewUnits``;
 ``output`` is a digest), and the script exits 1 if any differ.
@@ -25,7 +26,9 @@ The matrix:
 - compute_batch of each design and mapping on a drawn batch;
 - run_permutation_variant with b and with b=None on the same designs;
 - run_table(...).to_records() for tables 1-6 and fig2 (200 units) at seeds
-  1 and 11, 2 reps, workers 1 and 2.
+  1 and 11, 2 reps, workers 1 and 2;
+- ingest of small node and edge CSVs (INGEST): every column of the Dataset
+  and its graph's CSR arrays, or the error.
 """
 from __future__ import annotations
 
@@ -79,6 +82,75 @@ def designs():
         mapping = (FractionThreshold(0.5, ">") if name == "regular200"
                    else FractionThreshold(0.3, ">=", isolated_value=1))
         yield name, data, mech, 0.05, 50, mapping
+
+
+NODES = "id,y,t\n0,1.5,1\n1,-2.0,0\n2,0.25,1\n3,3.0,0\n"
+EDGES = "src,dst\n0,1\n1,2\n2,3\n"
+# name: (node CSV, edge CSV)
+INGEST = {
+    "plain": (NODES, EDGES),
+    "header-order-whitespace": (" t , id,y \n1,0,1.5\n0 , 1,-2.0\n1,2,0.25\n0,3,3.0\n", EDGES),
+    "rows-any-order": ("id,y,t\n3,3.0,0\n1,-2.0,0\n0,1.5,1\n2,0.25,1\n", EDGES),
+    "blank-lines": ("id,y,t\n\n0,1.5,1\n\n1,-2.0,0\n2,0.25,1\n3,3.0,0\n\n",
+                    "src,dst\n\n0,1\n\n1,2\n2,3\n\n"),
+    "crlf": (NODES.replace("\n", "\r\n"), EDGES.replace("\n", "\r\n")),
+    "cr": (NODES.replace("\n", "\r"), EDGES.replace("\n", "\r")),
+    "node-whitespace-line": (NODES.replace("\n1,", "\n \n1,"), EDGES),
+    "edge-whitespace-lines": (NODES, "0,1\n  \n1,2\n , \n2,3\n"),
+    "quoted": ('id,y,t,x\n"0",1.5,1,"a,b"\n1,"-2.0",0,c\n2,0.25,"1",a\n3,3.0,0,c\n',
+               'src,dst\n"0",1\n1,"2"\n2,3\n'),
+    "underscore-digits": ("id,y,t\n0,1_000.5,1\n1,-2.0,0\n2,0.25,1\n3,3_0,0\n",
+                          "src,dst\n0,1\n1,2\n0_2,3\n"),
+    "non-ascii-digits": ("id,y,t\n\u0660,1.5,1\n1,-2.0,\u0660\n2,\u0662.5,1\n3,3.0,0\n",
+                         "src,dst\n0,\u0661\n1,2\n2,3\n"),
+    "float-tokens": ("id,y,t,weight\n0,nan,1,inf\n1,-nan,0,5e-324\n2,1e400,1,-0.0\n"
+                     "3,0.1000000000000000055511151231257827,0,2.2250738585072011e-308\n",
+                     EDGES),
+    "missing-field": ("id,y,t\n0,1.5,1\n1,-2.0\n2,0.25,1\n3,3.0,0\n", EDGES),
+    "missing-label": ("id,y,t,x\n0,1.5,1,a\n1,-2.0,0\n2,0.25,1,b\n3,3.0,0,a\n", EDGES),
+    "extra-field": ("id,y,t\n0,1.0,0,9\n1,2.0,1\n", "0,1\n"),
+    "bad-id": ("id,y,t\n0,1.5,1\none,-2.0,0\n2,0.25,1\n3,3.0,0\n", EDGES),
+    "float-id": ("id,y,t\n0,1.5,1\n1.0,-2.0,0\n2,0.25,1\n3,3.0,0\n", EDGES),
+    "duplicate-id": ("id,y,t\n0,1.5,1\n1,-2.0,0\n1,0.25,1\n3,3.0,0\n", EDGES),
+    "out-of-range-id": ("id,y,t\n0,1.5,1\n1,-2.0,0\n2,0.25,1\n4,3.0,0\n", EDGES),
+    "duplicate-name": ("id,y,t, y\n0,1.5,1,2\n1,-2.0,0,3\n2,0.25,1,4\n3,3.0,0,5\n", EDGES),
+    "missing-column": ("id,y\n0,1.5\n1,-2.0\n", EDGES),
+    "header-only": ("id,y,t\n", EDGES),
+    "empty-node-file": ("", EDGES),
+    "non-binary-t": ("id,y,t\n0,1.5,2\n1,-2.0,0\n2,0.25,1\n3,3.0,0\n", EDGES),
+    "int-labels": ("id,y,t,x,stratum\n0,1.5,1, 1,0\n1,-2.0,0,2 ,1\n2,0.25,1,-3,0\n"
+                   "3,3.0,0,+4,1\n", EDGES),
+    "string-labels": ("id,y,t,x,stratum\n0,1.5,1, f,s0\n1,-2.0,0,m ,s1\n2,0.25,1,f,s0\n"
+                      "3,3.0,0,2,s1\n", EDGES),
+    "weights": ("id,y,t,weight,note\n0,1.5,1,0.5,a\n1,-2.0,0,2,b\n2,0.25,1,0,c\n"
+                "3,3.0,0,1e-3,d\n", EDGES),
+    "bad-weight": ("id,y,t,weight\n0,1.5,1,0.5\n1,-2.0,0,heavy\n2,0.25,1,0\n3,3.0,0,1\n",
+                   EDGES),
+    "edges-no-header": (NODES, "0,1\n1,2\n2,3\n"),
+    "edges-extra-columns": (NODES, "src,dst,w\n0,1,0.5\n1,2\n2,3,x,y\n"),
+    "edges-empty": (NODES, ""),
+    "edges-header-only": (NODES, "src,dst\n"),
+    "edges-one-column": (NODES, "src\n0\n"),
+    "edges-bad-endpoint": (NODES, "src,dst\n0,1\n1,two\n"),
+    "edges-out-of-range": (NODES, "src,dst\n0,1\n1,4\n"),
+    "edges-self-loop": (NODES, "src,dst\n0,1\n2,2\n"),
+    "edges-directed": (NODES, "0,1\n1,0\n1,2\n"),
+}
+
+
+def ingest_columns(nodes: str, edges: str) -> dict:
+    """The Dataset ingest reads from the two CSV texts, as digests."""
+    from netrand.data import ingest
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("nodes.csv", "edges.csv")]
+        for path, text in zip(paths, (nodes, edges)):
+            path.write_text(text, encoding="utf-8", newline="")
+        ds = ingest(*paths)
+    cols = {"y": ds.y, "t": ds.t, "x": ds.x, "strata": ds.strata, "weights": ds.weights,
+            "indptr": ds.graph.indptr, "indices": ds.graph.indices}
+    return {"symmetrized": ds.graph.symmetrized, "x_levels": list(ds.x_levels),
+            **{k: None if v is None else digest(v.tolist() if v.dtype == object else v)
+               for k, v in cols.items()}}
 
 
 def zero_weights(graph, rng):
@@ -135,6 +207,8 @@ def outputs():
                     for pb in (b, None):
                         yield (f"permutation/{at}/{family}/{stat}/b={pb}",
                                permutation, (data, mapping, family, stat, pb))
+    for name, texts in INGEST.items():
+        yield f"ingest/{name}", ingest_columns, texts
     for table in ("1", "2", "3", "4", "5", "6", "fig2"):
         for seed in (1, 11):
             for workers in (1, 2):
@@ -145,7 +219,8 @@ def outputs():
 def collect(out: Path) -> None:
     """Run the matrix in the current tree and write {key: value} to out."""
     import netrand
-    from netrand.errors import InfeasibleConditioning
+    from netrand.errors import InfeasibleConditioning, NetrandError
+    CLI_CAUGHT = (NetrandError, OSError, json.JSONDecodeError, ValueError)  # as cli.main
     root = Path.cwd().resolve()
     if not Path(netrand.__file__).resolve().is_relative_to(root):
         sys.exit(f"netrand imported from {netrand.__file__}, not from {root}")
@@ -154,7 +229,8 @@ def collect(out: Path) -> None:
         try:
             results[key] = digest(fn(*args))
         except Exception as exc:  # an error is an output too, with its CLI exit code
-            code = 3 if isinstance(exc, InfeasibleConditioning) else 2
+            code = (3 if isinstance(exc, InfeasibleConditioning)
+                    else 2 if isinstance(exc, CLI_CAUGHT) else 1)
             results[key] = f"exit {code}: {type(exc).__name__}: {exc}"
     out.write_text(json.dumps(results, indent=1) + "\n")
 

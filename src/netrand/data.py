@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, MissingColumn, NonBinaryTreatment, ParseError
-from .graph import Graph, read_edge_csv
+from .graph import Graph, _csv_lines, _load_csv, read_edge_csv
 
 
 @dataclass
@@ -56,12 +56,49 @@ class Dataset:
         return self.graph.n_units
 
 
+# numpy dtype of each named node column; any other column is read as strings
+NODE_DTYPES = {"id": np.int64, "y": np.float64, "t": np.int64, "weight": np.float64}
+
+
 def read_nodes_csv(path) -> dict[str, np.ndarray]:
     """Read the node table: columns id,y,t and optional x,stratum,weight.
 
     Ids must form 0..n-1 (any row order). Returns columns keyed by name,
     sorted by id.
     """
+    cols = _read_nodes_fast(path)
+    return cols if cols is not None else _read_node_rows(path)
+
+
+def _read_nodes_fast(path) -> dict[str, np.ndarray] | None:
+    """read_nodes_csv by numpy's C reader, one typed field per header
+    name, or None where it rejects the file or the layout is not covered
+    (duplicate names, no data row, ids that are not 0..n-1)."""
+    lines = _csv_lines(path)
+    if lines is None:
+        return None
+    names = [c.strip() for c in lines[0].split(",")]
+    if len(set(names)) < len(names) or not {"id", "y", "t"} <= set(names) or not any(lines[1:]):
+        return None
+    fields = {name: f"f{i}" for i, name in enumerate(names)}
+    rows = _load_csv(lines[1:], [(fields[n], NODE_DTYPES.get(n, object)) for n in names], ndmin=1)
+    if rows is None:
+        return None
+    ids = rows[fields["id"]]
+    order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(len(ids))):
+        return None
+    out = {"y": rows[fields["y"]][order], "t": rows[fields["t"]][order]}
+    for opt, key in (("x", "x"), ("stratum", "strata"), ("weight", "weights")):
+        if opt in fields:
+            col = rows[fields[opt]][order]
+            out[key] = col if opt == "weight" else _parse_labels([v.strip() for v in col])
+    return out
+
+
+def _read_node_rows(path) -> dict[str, np.ndarray]:
+    """read_nodes_csv row by row with csv: the reference for
+    _read_nodes_fast and the only path that raises a ParseError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -72,6 +109,9 @@ def read_nodes_csv(path) -> dict[str, np.ndarray]:
                 raise MissingColumn(f"node file lacks column {required!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # DictReader's key for the fields past the header's
+                raise ParseError(f"row has {len(names) + len(row[None])} fields, the header "
+                                 f"has {len(names)}", line=lineno)
             clean = {k.strip(): (v.strip() if v is not None else "") for k, v in row.items()}
             try:
                 rid = int(clean["id"])

@@ -151,11 +151,69 @@ def build_graph(n_units: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     return graph
 
 
+def _csv_lines(path) -> list[str] | None:
+    """The file's lines, for numpy's C reader, or None when it holds a
+    quote (csv unquotes fields, numpy does not) or does not decode; the
+    row parser then reads the file and reports the error. Universal
+    newlines end a line wherever csv ends a row: at \\n, \\r and \\r\\n."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    return None if '"' in text else text.split("\n")
+
+
+def _load_csv(lines: list[str], dtype, **kwargs) -> np.ndarray | None:
+    """Comma-separated lines parsed by numpy's C reader, which skips empty
+    lines, or None where it rejects a line. Every int or float token it
+    accepts has the value Python's int() or float() gives that token.
+    Some tokens that Python accepts, such as 1_000 or non-ASCII digits, it
+    rejects. lines must hold a non-empty one, since numpy warns on none."""
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, **kwargs)
+    except ValueError:
+        return None
+
+
 def read_edge_csv(path, n_units: int | None = None) -> Graph:
-    """Read src,dst edge pairs (optional header) and build a graph.
+    """Read src,dst edge pairs (optional header; extra columns ignored)
+    and build a graph.
 
     Node count is inferred as max index + 1 unless given explicitly.
     """
+    edges = _read_edges_fast(path)
+    if edges is None:
+        edges = _read_edge_rows(path)
+    if n_units is None:
+        n_units = 1 + int(edges.max(initial=-1))
+        if n_units <= 0:
+            raise ParseError("edge file contains no edges and no node count given")
+    return build_graph(n_units, edges)
+
+
+def _read_edges_fast(path) -> np.ndarray | None:
+    """The (m, 2) endpoints by numpy's C reader, or None where it rejects
+    the file or the layout is not covered (a first row of under two
+    fields, or no data row)."""
+    lines = _csv_lines(path)
+    if lines is None:
+        return None
+    first = lines[0].split(",")
+    if len(first) < 2:
+        return None
+    try:
+        int(first[0]), int(first[1])
+    except ValueError:
+        lines = lines[1:]  # a header row, as in _read_edge_rows
+    if not any(lines):
+        return None
+    return _load_csv(lines, np.int64, usecols=(0, 1), ndmin=2)
+
+
+def _read_edge_rows(path) -> np.ndarray:
+    """The (m, 2) endpoints, row by row with csv: the reference for
+    _read_edges_fast and the only path that raises a ParseError."""
     ends: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -170,12 +228,7 @@ def read_edge_csv(path, n_units: int | None = None) -> Graph:
                 if lineno == 1:
                     continue  # header row
                 raise ParseError(f"non-integer edge endpoint {row[:2]}", line=lineno) from None
-    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    if n_units is None:
-        n_units = 1 + int(edges.max(initial=-1))
-        if n_units <= 0:
-            raise ParseError("edge file contains no edges and no node count given")
-    return build_graph(n_units, edges)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

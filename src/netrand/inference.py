@@ -133,7 +133,22 @@ def _cell_key(cell) -> str:
     return ",".join(str(v) for v in cell) if isinstance(cell, tuple) else str(cell)
 
 
+class GridEvaluations(list):
+    """A region's (tau, p) pairs, tau a float or, for a point of a product
+    grid, a tuple of floats; _json_safe converts the list in one pass."""
+
+    def json(self) -> list:
+        taus = [tau for tau, _ in self]
+        if taus and isinstance(taus[0], tuple):
+            taus = itertools.chain.from_iterable(taus)
+        if not all(map(math.isfinite, taus)):  # p-values are finite
+            return [_json_safe(pair) for pair in self]
+        return [[list(tau) if isinstance(tau, tuple) else tau, p] for tau, p in self]
+
+
 def _json_safe(obj):
+    if isinstance(obj, GridEvaluations):
+        return obj.json()
     if isinstance(obj, dict):
         return {k if isinstance(k, str) else str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -234,6 +249,8 @@ def prepare(dataset: Dataset, mapping, family: str) -> Design:
     exposures = compute_exposures(mapping, dataset.t, dataset.graph)
     cells = tuple(family_cells(family, mapping.values, dataset.x_levels))
     units = {c: np.flatnonzero(cell_mask(exposures.values, c, dataset.x)) for c in cells}
+    for u in units.values():
+        u.flags.writeable = False  # every Draws record of the cell shares the array
     if empty := [c for c in cells if not len(units[c])]:
         raise EmptySuperFocal(f"no units with observed cell {empty[0]}")
     return Design(exposures, family, cells, units)
@@ -314,7 +331,8 @@ def _score_grid(source, dataset, design, runs, *, b, epsilon, stat, alpha, keep_
         best = int(np.argmax(ps))
         observed[cell], best_stats[cell] = obs, stats[cell][best]
         pvals[cell] = min(1.0, ps[best] + gamma)
-        grid_evals[_cell_key(cell)] = [(float(tau), p) for tau, p in zip(grid, ps)]
+        grid_evals[_cell_key(cell)] = GridEvaluations(
+            zip(np.asarray(grid, dtype=np.float64).tolist(), ps))
         report.cells.append(CellResult(
             cell=cell, pvalue=pvals[cell], observed_stat=obs,
             tau=grid[0] if len(grid) == 1 else None,
@@ -346,9 +364,9 @@ def _score_grid(source, dataset, design, runs, *, b, epsilon, stat, alpha, keep_
         ps = empirical_pvalue(obs, rows)
         best = int(np.argmax(ps))
         p = min(1.0, ps[best] + gamma)
-        grid_evals = {"combined": [
-            (tuple(float(tau) for tau in point), q)
-            for point, q in zip(itertools.product(*axes.values()), ps)]}
+        points = itertools.product(*(np.asarray(g, dtype=np.float64).tolist()
+                                     for g in axes.values()))
+        grid_evals = {"combined": GridEvaluations(zip(points, ps))}
         if keep_draws:
             best_stats["combined"] = rows[best]
         report.combined = CombinedResult(

@@ -138,6 +138,14 @@ class TestExitCodes:
         e2.write_text("src,dst\n0,1\n")
         assert main(oracle_args(str(bad), str(e2))) == 2
 
+    def test_extra_node_field_exits_two(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,y,t\n0,1.0,0,9\n1,2.0,1\n")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("0,1\n")
+        assert main(oracle_args(str(nodes), str(edges))) == 2
+        assert "line 2: row has 4 fields, the header has 3" in capsys.readouterr().err
+
     def test_infeasible_conditioning_exits_three(self, tmp_path, capsys):
         nodes, edges = write_ten(tmp_path)
         rc = main(oracle_args(nodes, edges, **{

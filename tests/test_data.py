@@ -77,6 +77,13 @@ class TestNodesCsv:
             read_nodes_csv(p)
         assert exc.value.line == 3
 
+    def test_extra_field_reports_line(self, tmp_path):
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,y,t\n0,1.0,0\n1,2.0,1,9\n")
+        with pytest.raises(ParseError, match="row has 4 fields, the header has 3") as exc:
+            read_nodes_csv(p)
+        assert exc.value.line == 3
+
     def test_integer_labels_stay_integers(self, tmp_path):
         p = tmp_path / "nodes.csv"
         p.write_text("id,y,t,x\n0,1.0,1,3\n1,2.0,0,5\n")

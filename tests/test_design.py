@@ -11,7 +11,8 @@ import pytest
 from fixtures import (TEN_MAPPING, TOY12_EPS, TOY12_MAPPING, make_ten, make_toy12)
 from netrand.assignment import CompleteRandomization
 from netrand.cli import main
-from netrand.conditioning import Design, cell_mask
+from netrand.conditioning import (ConditioningConfig, Design, cell_mask,
+                                  sample_conditioning_set)
 from netrand.data import Dataset
 from netrand.errors import (EmptySuperFocal, InfeasibleConditioning, SplitInfeasible,
                             TooFewUnits)
@@ -71,6 +72,16 @@ class TestPrepare:
         scored = np.arange(10) != 4
         assert design.scored((0, "f"), scored).tolist() == [3, 9]
         assert design.scored((0, "f")) is design.units[(0, "f")]
+
+    def test_records_share_the_read_only_units(self):
+        ds = make_toy12()
+        design = prepare(ds, TOY12_MAPPING, "by_exposure")
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=design.cells, separate=True)
+        recs, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg, 4,
+                                          np.random.default_rng(0))
+        assert recs[0].units is design.units[recs[0].cell]
+        with pytest.raises(ValueError, match="read-only"):
+            recs[0].units[0] = 7
 
     def test_an_empty_cell_raises(self):
         # no edges: every unit is isolated at exposure 0, so cell (1,) is empty
