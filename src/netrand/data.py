@@ -58,6 +58,7 @@ class Dataset:
 
 # numpy dtype of each named node column; any other column is read as strings
 NODE_DTYPES = {"id": np.int64, "y": np.float64, "t": np.int64, "weight": np.float64}
+OPTIONAL_COLUMNS = (("x", "x"), ("stratum", "strata"), ("weight", "weights"))  # name, key
 
 
 def read_nodes_csv(path) -> dict[str, np.ndarray]:
@@ -89,7 +90,7 @@ def _read_nodes_fast(path) -> dict[str, np.ndarray] | None:
     if not np.array_equal(ids[order], np.arange(len(ids))):
         return None
     out = {"y": rows[fields["y"]][order], "t": rows[fields["t"]][order]}
-    for opt, key in (("x", "x"), ("stratum", "strata"), ("weight", "weights")):
+    for opt, key in OPTIONAL_COLUMNS:
         if opt in fields:
             col = rows[fields[opt]][order]
             out[key] = col if opt == "weight" else _parse_labels([v.strip() for v in col])
@@ -130,7 +131,7 @@ def _read_node_rows(path) -> dict[str, np.ndarray]:
         "y": np.array([r[1] for r in rows], dtype=np.float64),
         "t": np.array([r[2] for r in rows], dtype=np.int64),
     }
-    for opt, key in (("x", "x"), ("stratum", "strata"), ("weight", "weights")):
+    for opt, key in OPTIONAL_COLUMNS:
         if opt in names:
             raw = [r[3][opt] for r in rows]
             if opt == "weight":
