@@ -120,7 +120,7 @@ def write(path, text):
     return path
 
 
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(node_files())
 @example("id,y,t\n")  # header only
 @example("id,y,t\n0,1.0,0,9\n1,2.0,1\n")  # a field past the header's
@@ -132,7 +132,7 @@ def test_node_readers_agree(tmp_path_factory, text):
     assert same(got, want), (got, want)
 
 
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(edge_files())
 @example(("", 3))  # empty, with a node count
 @example(("src,dst\n", None))
