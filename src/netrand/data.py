@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, MissingColumn, NonBinaryTreatment, ParseError
-from .graph import Graph, _csv_lines, _load_csv, read_edge_csv
+from .graph import INT64, Graph, _csv_lines, _load_csv, read_edge_csv
 
 
 @dataclass
@@ -94,6 +94,8 @@ def _read_nodes_fast(path) -> dict[str, np.ndarray] | None:
         if opt in fields:
             col = rows[fields[opt]][order]
             out[key] = col if opt == "weight" else _parse_labels([v.strip() for v in col])
+            if out[key] is None:
+                return None  # an integer label outside int64: the row parser names its line
     return out
 
 
@@ -109,7 +111,8 @@ def _read_node_rows(path) -> dict[str, np.ndarray]:
             if required not in names:
                 raise MissingColumn(f"node file lacks column {required!r}")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last physical line; blank lines count
             if None in row:  # DictReader's key for the fields past the header's
                 raise ParseError(f"row has {len(names) + len(row[None])} fields, the header "
                                  f"has {len(names)}", line=lineno)
@@ -120,7 +123,9 @@ def _read_node_rows(path) -> dict[str, np.ndarray]:
                 rt = int(clean["t"])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad id/y/t value: {exc}", line=lineno) from None
-            rows.append((rid, ry, rt, clean))
+            if rt not in INT64:
+                raise ParseError(f"bad id/y/t value: t {clean['t']} outside int64", line=lineno)
+            rows.append((rid, ry, rt, clean, lineno))
     if not rows:
         raise ParseError("node file has no data rows")
     rows.sort(key=lambda r: r[0])
@@ -132,23 +137,33 @@ def _read_node_rows(path) -> dict[str, np.ndarray]:
         "t": np.array([r[2] for r in rows], dtype=np.int64),
     }
     for opt, key in OPTIONAL_COLUMNS:
-        if opt in names:
-            raw = [r[3][opt] for r in rows]
-            if opt == "weight":
+        if opt not in names:
+            continue
+        raw = [r[3][opt] for r in rows]
+        if opt == "weight":
+            out[key] = np.empty(len(rows), dtype=np.float64)
+            for i, (v, r) in enumerate(zip(raw, rows)):
                 try:
-                    out[key] = np.array([float(v) for v in raw], dtype=np.float64)
+                    out[key][i] = float(v)
                 except ValueError as exc:
-                    raise ParseError(f"bad weight value: {exc}") from None
-            else:
-                out[key] = _parse_labels(raw)
+                    raise ParseError(f"bad weight value: {exc}", line=r[4]) from None
+        elif (labels := _parse_labels(raw)) is None:
+            bad = next(r for v, r in zip(raw, rows) if int(v) not in INT64)
+            raise ParseError(f"{opt} label {bad[3][opt]} outside int64", line=bad[4])
+        else:
+            out[key] = labels
     return out
 
 
-def _parse_labels(raw: list[str]) -> np.ndarray:
+def _parse_labels(raw: list[str]) -> np.ndarray | None:
+    """int64 labels where every label is an integer, else the strings;
+    None where an integer label lies outside int64."""
     try:
         return np.array([int(v) for v in raw], dtype=np.int64)
     except ValueError:
         return np.array(raw, dtype=object)
+    except OverflowError:
+        return None
 
 
 def ingest(nodes_path, edges_path) -> Dataset:

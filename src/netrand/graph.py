@@ -151,6 +151,9 @@ def build_graph(n_units: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     return graph
 
 
+INT64 = range(-(1 << 63), 1 << 63)  # the integers an int64 column holds
+
+
 def _csv_lines(path) -> list[str] | None:
     """The file's lines, for numpy's C reader, or None when it holds a
     quote (csv unquotes fields, numpy does not) or does not decode; the
@@ -223,11 +226,14 @@ def _read_edge_rows(path) -> np.ndarray:
             if len(row) < 2:
                 raise ParseError("expected two columns src,dst", line=lineno)
             try:
-                ends += int(row[0]), int(row[1])
+                pair = int(row[0]), int(row[1])
             except ValueError:
                 if lineno == 1:
                     continue  # header row
                 raise ParseError(f"non-integer edge endpoint {row[:2]}", line=lineno) from None
+            if not all(e in INT64 for e in pair):
+                raise ParseError(f"edge endpoint {row[:2]} outside int64", line=lineno)
+            ends += pair
     return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 

@@ -146,6 +146,18 @@ class TestExitCodes:
         assert main(oracle_args(str(nodes), str(edges))) == 2
         assert "line 2: row has 4 fields, the header has 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("node_text, edge_text, line", [
+        ("id,y,t\n0,1.0,99999999999999999999\n1,2,0\n", "0,1\n", 2),
+        ("id,y,t\n0,1.0,1\n1,2,0\n", "0,99999999999999999999\n", 1),
+    ])
+    def test_integer_beyond_int64_exits_two(self, tmp_path, capsys, node_text, edge_text,
+                                            line):
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        nodes.write_text(node_text)
+        edges.write_text(edge_text)
+        assert main(["inspect", "--nodes", str(nodes), "--edges", str(edges)]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+
     def test_infeasible_conditioning_exits_three(self, tmp_path, capsys):
         nodes, edges = write_ten(tmp_path)
         rc = main(oracle_args(nodes, edges, **{

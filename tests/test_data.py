@@ -84,6 +84,39 @@ class TestNodesCsv:
             read_nodes_csv(p)
         assert exc.value.line == 3
 
+    def test_blank_lines_count_toward_the_line(self, tmp_path):
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,y,t\n\n\n0,1.0,1\n1,oops,0\n")
+        with pytest.raises(ParseError) as exc:
+            read_nodes_csv(p)
+        assert exc.value.line == 5
+
+    def test_bad_weight_reports_line(self, tmp_path):
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,y,t,weight\n\n1,2.0,0,1.5\n0,1.0,1,heavy\n")
+        with pytest.raises(ParseError, match="line 4: bad weight value") as exc:
+            read_nodes_csv(p)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("text, line", [
+        ("id,y,t\n0,1.0,99999999999999999999\n1,2,0\n", 2),
+        ("id,y,t,x\n0,1.0,1,3\n\n1,2.0,0,99999999999999999999\n", 4),
+        ("id,y,t,stratum\n1,2.0,0,1\n0,1.0,1,-9223372036854775809\n", 3),
+    ])
+    def test_integer_beyond_int64_is_a_parse_error(self, tmp_path, text, line):
+        p = tmp_path / "nodes.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="outside int64") as exc:
+            read_nodes_csv(p)
+        assert exc.value.line == line
+
+    def test_int64_bounds_stay_integer_labels(self, tmp_path):
+        p = tmp_path / "nodes.csv"
+        p.write_text("id,y,t,x\n0,1.0,1,-9223372036854775808\n1,2.0,0,9223372036854775807\n")
+        cols = read_nodes_csv(p)
+        assert cols["x"].dtype == np.int64
+        assert cols["x"].tolist() == [-(1 << 63), (1 << 63) - 1]
+
     def test_integer_labels_stay_integers(self, tmp_path):
         p = tmp_path / "nodes.csv"
         p.write_text("id,y,t,x\n0,1.0,1,3\n1,2.0,0,5\n")

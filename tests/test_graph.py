@@ -139,6 +139,13 @@ class TestEdgeCsv:
             read_edge_csv(p)
         assert exc.value.line == 3
 
+    def test_endpoint_beyond_int64_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "edges.csv"
+        p.write_text("src,dst\n0,1\n\n0,99999999999999999999\n")
+        with pytest.raises(ParseError, match="outside int64") as exc:
+            read_edge_csv(p)
+        assert exc.value.line == 4
+
     def test_only_the_first_row_may_be_a_header(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("id, 2\n0, 1\n 1 ,2\n")
