@@ -16,13 +16,18 @@ gives, per workload and end-to-end metric, each side's median,
 won (ties count for neither side), and ``parent_iqr``, the distance between
 the quartiles of the parent's runs. ``digests_match`` and ``all_correct``
 record the two gates; the script exits 1 after writing the file if either
-fails.
+fails. Each run also records what the kernel counted for it (``rusage``:
+minor page faults and system and user CPU seconds, the
+``getrusage(RUSAGE_CHILDREN)`` deltas around the run), and ``rusage_summary``
+gives each side's medians of those per workload, over the same runs as the
+summary.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -60,7 +65,9 @@ def run(side: str, root: Path, workload: str, seed: int, seconds: float, trace: 
     line before it the run's info, which holds the determinism digest."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     info_line, result_line = out.stdout.strip().splitlines()[-2:]
     info, result = json.loads(info_line)["info"], json.loads(result_line)
     print(f"{side:6} {workload} seed={seed} trace={trace} correct={result['correct']} "
@@ -69,16 +76,26 @@ def run(side: str, root: Path, workload: str, seed: int, seconds: float, trace: 
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "digest": info.get("digest"),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "rusage": {"minflt": after.ru_minflt - before.ru_minflt,
+                       "stime_s": after.ru_stime - before.ru_stime,
+                       "utime_s": after.ru_utime - before.ru_utime},
             "env": info.get("env")}
+
+
+def paired_runs(runs: list, workload: str) -> dict:
+    """The workload's untraced runs at seeds other than 1, by seed and side."""
+    paired = {}
+    for r in runs:
+        if r["workload"] == workload and r["trace"] == 0 and r["seed"] != 1:
+            paired.setdefault(r["seed"], {})[r["side"]] = r
+    return paired
 
 
 def summarise(runs: list, workload: str, better: dict) -> dict:
     """Per end-to-end metric: medians, parent IQR and pairs won, over the
     untraced runs at seeds other than 1."""
-    paired = {}
-    for r in runs:
-        if r["workload"] == workload and r["trace"] == 0 and r["seed"] != 1:
-            paired.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
+    paired = {s: {side: r["metrics"] for side, r in sides.items()}
+              for s, sides in paired_runs(runs, workload).items()}
     seeds = sorted(s for s, sides in paired.items() if len(sides) == 2)
     out = {}
     for name, direction in better.items():
@@ -91,6 +108,19 @@ def summarise(runs: list, workload: str, better: dict) -> dict:
                      "change_vs_parent": cm / pm - 1 if pm else None,
                      "pairs": len(seeds), "change_better_pairs": wins,
                      "parent_iqr": q3 - q1, "parent_runs": parent, "change_runs": change}
+    return out
+
+
+def summarise_rusage(runs: list, workload: str) -> dict:
+    """Each side's medians of the kernel's counts, and of the minor faults
+    per attempted op, over the runs summarise reads."""
+    out = {}
+    for side in ("parent", "change"):
+        rs = [sides[side] for sides in paired_runs(runs, workload).values() if side in sides]
+        per_op = [r["rusage"]["minflt"] / r["attempted"] for r in rs if r["attempted"]]
+        out[side] = {k: statistics.median(r["rusage"][k] for r in rs)
+                     for k in ("minflt", "stime_s", "utime_s")}
+        out[side]["minflt_per_op"] = statistics.median(per_op) if per_op else None
     return out
 
 
@@ -140,13 +170,15 @@ def main() -> None:
             "the parent first on odd seeds and the change first on even ones; then one "
             "--trace 1 run per side (seed 1). parent_iqr is the distance between the "
             "quartiles of the parent's runs; change_vs_parent is the ratio of medians minus 1; "
-            "ties count for neither side in change_better_pairs."),
+            "ties count for neither side in change_better_pairs. rusage_summary holds each "
+            "side's medians of the runs' getrusage(RUSAGE_CHILDREN) deltas."),
         "command": "python3 benchmarks/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds} --trace <0|1>",
         "environment": env,
         "digests_match": digests_match,
         "all_correct": all_correct,
         "summary": {w: summarise(runs, w, better) for w in workloads},
+        "rusage_summary": {w: summarise_rusage(runs, w) for w in workloads},
         "trace_seed1": {"description": "per-op layer metrics of the one --trace 1 run "
                                        "per side (seed 1)", **traced},
         "runs": runs,

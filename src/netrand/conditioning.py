@@ -20,10 +20,10 @@ from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
 
 Cell = tuple  # (pi,) or (pi, x_level)
 
-# Cap on a candidate batch's rows x units. One sampler call (N=3200, b=499, two cells)
-# peaks at 5.5 bytes per batch cell with FractionThreshold (8.4 MiB, tracemalloc) and
-# 19.1 with WeightedThreshold's float64 sums (29.1 MiB): near 92 or 320 MB at this cap.
-MAX_BATCH_CELLS = 1 << 24
+# Budget for one candidate batch: rows x units x its mapping's batch_bytes_per_cell,
+# the sampler's declared peak per batch cell. It keeps FractionThreshold's 2^24-cell
+# cap with int8 counts (5.625 bytes per cell) and holds every mapping near 94 MB.
+MAX_BATCH_BYTES = 5.625 * (1 << 24)
 MAX_FOCAL_RETRIES = 100  # observed focal selections tried before giving up
 
 
@@ -180,6 +180,30 @@ class ConditioningDiagnostics:
     failure_counts: dict
 
 
+def reserve_heap(nbytes: int) -> None:
+    """Allocate nbytes as one block and free it at once, untouched.
+
+    The sampler calls this before each batch with the batch's declared
+    peak, so that the batch's arrays come from a heap that malloc keeps
+    mapped between tests. Under glibc (mallopt(3)), a block at or above
+    M_MMAP_THRESHOLD is mmapped, and freeing such a block raises
+    M_MMAP_THRESHOLD to its size (up to 32 MiB on 64-bit hosts) and
+    M_TRIM_THRESHOLD to twice that. Without it the largest blocks a test
+    frees are its batch arrays, malloc trims the heap top above about
+    twice their size after each test, and the next test faults those
+    pages back in. Another allocator pays one allocation per batch. The
+    block is never written, so it adds no resident memory.
+    """
+    np.empty(int(nbytes), dtype=np.uint8)
+
+
+def max_batch_rows(mapping, graph) -> int:
+    """The most candidates one batch may hold: MAX_BATCH_BYTES over the
+    mapping's declared bytes per batch cell times the graph's units."""
+    rows = MAX_BATCH_BYTES // (mapping.batch_bytes_per_cell(graph) * graph.n_units)
+    return max(1, int(rows))
+
+
 def _batch_rows(need: int, accepted: int, attempts: int) -> int:
     """Candidates a group wants next: exactly its need until it has
     rejected a candidate, then its need plus one binomial standard
@@ -212,13 +236,17 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
 
     Each batch is the largest that an unfinished group asks for (see
     _batch_rows), so a design that rejects nothing draws b candidates.
-    Batches hold at most MAX_BATCH_CELLS rows x units.
+    A batch's rows x units x the mapping's batch_bytes_per_cell stay
+    within MAX_BATCH_BYTES, and reserve_heap takes that many bytes
+    before each draw.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     groups, scored, least = config.groups, config.scored, config.min_per_arm
     budget = b * config.max_attempts_per_accept
-    max_rows = max(1, MAX_BATCH_CELLS // dataset.n)
+    mapping = design.exposures.mapping
+    cell_bytes = mapping.batch_bytes_per_cell(dataset.graph)
+    max_rows = max_batch_rows(mapping, dataset.graph)
     count_type = np.min_scalar_type(-dataset.n - 1)  # holds -(N + 1), so every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
     # the same draws' focal and treated rows per cell, and their focal counts
@@ -245,10 +273,11 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
                 f"times ({bound})")
         m = max(_batch_rows(b - accepted[g], accepted[g], attempts) for g in live)
         m = min(m, max_rows, budget - attempts)
+        reserve_heap(cell_bytes * m * dataset.n)
         t_batch = mechanism.draw_batch(m, rng)
         # unit-major from here on: a cell's super-focal units are whole rows
         t_units = np.ascontiguousarray(t_batch.T)
-        pi_units = design.exposures.mapping.compute_units(t_units, dataset.graph)
+        pi_units = mapping.compute_units(t_units, dataset.graph)
         passes, checked = {}, {}
         for c in live_cells:
             rows = design.units[c]  # the cell's super-focal units

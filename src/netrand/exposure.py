@@ -23,7 +23,20 @@ _COMPARATORS = (">", ">=")
 
 class _UnitMajor:
     """Draw-major entry points over a mapping's one kernel, compute_units:
-    the (N, m) exposures of the m treatment vectors in t_units' columns."""
+    the (N, m) exposures of the m treatment vectors in t_units' columns.
+
+    batch_bytes_per_cell(graph) declares the sampler's peak bytes per cell
+    (row x unit) of a candidate batch through this mapping, which sizes
+    the batches (conditioning.MAX_BATCH_BYTES). Each figure is the
+    tracemalloc peak of one sample_conditioning_set call whose one batch
+    has no rejection, divided by the batch's rows x units, and rounded up
+    to an eighth; the measurements are at N=3200, b=499, two cells, on a
+    5-regular graph unless stated."""
+
+    def batch_bytes_per_cell(self, graph: Graph) -> float:
+        """The default, for a kernel that declares none: three float64
+        arrays of the batch's shape."""
+        return 24.0
 
     def compute(self, t: np.ndarray, graph: Graph) -> np.ndarray:
         return self.compute_batch(np.asarray(t)[None, :], graph)[0]
@@ -50,6 +63,16 @@ class FractionThreshold(_UnitMajor):
             raise ValueError(f"comparator must be one of {_COMPARATORS}")
         if self.isolated_value not in self.values:
             raise ValueError("isolated_value must be a declared exposure value")
+
+    def batch_bytes_per_cell(self, graph: Graph) -> float:
+        """The drawn batch and its transpose (1 + 1) plus the larger of the
+        exposures with the check's rows (1 + 2, and temporaries) and
+        neighbor_sums' two count arrays of c bytes each (2c), c the count
+        type's width. Measured: 5.52 with int8 counts, 6.00 with int16 (a
+        hub of degree 3000), 10.00 with int32 (N=40000, b=50, a hub of
+        degree 33000)."""
+        c = np.min_scalar_type(-int(graph.degrees.max(initial=0)) - 1).itemsize
+        return max(5.625, 2.125 + 2 * c)
 
     def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
         """A unit of degree d is exposed when its treated-neighbor count
@@ -97,6 +120,12 @@ class WeightedThreshold(_UnitMajor):
         self.comparator = comparator
         self.isolated_value = int(isolated_value)
 
+    def batch_bytes_per_cell(self, graph: Graph) -> float:
+        """The batch and its transpose (1 + 1), the float64 sums and the
+        result they are scattered into (8 + 8), and one slot's gather
+        (1). Measured: 19.10, with or without a hub of degree 3000."""
+        return 19.25
+
     def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
         """The float64 quotient of the weighted sums, divided in place."""
         if self.weights.shape != (graph.n_units,):
@@ -134,6 +163,13 @@ class CustomMapping(_UnitMajor):
         if v not in self.values:
             raise MappingFailure(f"exposure rule returned undeclared value {v!r} at unit {i}")
         return v
+
+    def batch_bytes_per_cell(self, graph: Graph) -> float:
+        """Each draw's list of N values and their int64 array (8 + 8)
+        beside the batch and its transpose. Measured with an int-valued
+        rule at b=99: 18.20 at N=400 and 18.88 at N=1000 (11.20 with
+        bool values at N=400)."""
+        return 20.0
 
     def compute_units(self, t_units: np.ndarray, graph: Graph) -> np.ndarray:
         return np.array([[self.exposure(i, t, graph) for i in range(graph.n_units)]

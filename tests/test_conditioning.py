@@ -1,5 +1,6 @@
 """Conditioning sets: super-focal units, frequencies, rejection sampling,
 observed-focal selection, and the epsilon feasibility bound."""
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TOY12_PI_OBS, TOY12_T_OBS, make_line4, make_ten,
                       expand_record, make_toy12, neighbor_lists, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_r, IntegersOnly,
-                      LINE4_EDGES, TOY12_EDGES, design_of)
+                      LINE4_EDGES, TOY12_EDGES, design_of, random_irregular_graph)
 from netrand import conditioning
 from netrand.conditioning import (ConditioningConfig,
                                   epsilon_feasibility, relative_frequency,
@@ -23,7 +24,8 @@ from netrand.inference import (SplitResult, check_feasible, family_cells, prepar
 from netrand.nullspec import NullSpec
 from netrand.assignment import CompleteRandomization, StratifiedComplete
 from netrand.data import Dataset
-from netrand.exposure import ExposureVector, FractionThreshold, compute_exposures
+from netrand.exposure import (ExposureVector, FractionThreshold, WeightedThreshold,
+                              compute_exposures)
 from netrand.graph import build_graph
 
 # the three vectors of the 4-path instance below that keep at least one
@@ -301,7 +303,8 @@ class TestSamplerBatches:
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
         (whole,), _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, design,
                                            cfg, 50, np.random.default_rng(1))
-        monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 12 * ds.n + 5)
+        monkeypatch.setattr(conditioning, "MAX_BATCH_BYTES",
+                            (12 * ds.n + 5) * mapping.batch_bytes_per_cell(ds.graph))
         mech = _CountingMechanism(ds.n, ds.n // 2)
         (capped,), diag = sample_conditioning_set(mech, ds, design, cfg, 50,
                                                np.random.default_rng(1))
@@ -353,6 +356,53 @@ class TestSamplerBatches:
         assert sum(mech.batches) == 6 * 7
         assert "after 42 candidates" in str(exc.value)
         assert "cell=(0,)" in str(exc.value)
+
+
+class TestBatchBudget:
+    """Each mapping's declared bytes per batch cell bound the sampler's
+    peak, and MAX_BATCH_BYTES turns them into each batch's rows."""
+
+    @pytest.mark.parametrize("mapping, hub, width", [
+        (FractionThreshold(0.5, ">"), 0, 1),
+        (FractionThreshold(0.5, ">"), 3000, 2),  # a hub of degree >= 128: int16 counts
+        (WeightedThreshold(np.linspace(0.5, 2.0, 3200)), 0, 8),
+    ])
+    def test_declared_figure_bounds_one_call(self, monkeypatch, mapping, hub, width):
+        # the reserved block is never written, so it holds no memory, but
+        # tracemalloc would count its declared size: leave it out
+        monkeypatch.setattr(conditioning, "reserve_heap", lambda nbytes: None)
+        n, b = 3200, 499
+        rng = np.random.default_rng(5)
+        graph = random_irregular_graph(rng, n, hub_degree=hub)
+        assert graph.neighbor_sums(np.ones((n, 1)), getattr(mapping, "weights", None)
+                                   ).dtype.itemsize == width
+        t = np.zeros(n, dtype=np.int8)
+        t[rng.choice(n, n // 2, replace=False)] = 1
+        ds = Dataset(y=np.zeros(n), t=t, graph=graph)
+        design = prepare(ds, mapping, "by_exposure")
+        cfg = ConditioningConfig(epsilon=0.01, cells=design.cells)
+        tracemalloc.start()
+        try:
+            _, diag = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, design,
+                                              cfg, b, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.n_candidates == b  # one batch of b rows
+        declared = mapping.batch_bytes_per_cell(graph) * b * n
+        assert 0.85 * declared < peak <= declared
+
+    @pytest.mark.parametrize("n", [1, 12, 200, 800, 3200, 50_000, 1 << 24, (1 << 24) + 1])
+    def test_int8_fraction_batches_keep_the_cell_cap(self, n):
+        graph = build_graph(n, [])
+        assert conditioning.max_batch_rows(FractionThreshold(), graph) == max(1, (1 << 24) // n)
+
+    def test_weighted_batch_at_n50000_peaks_within_100_mb(self):
+        n = 50_000
+        mapping, graph = WeightedThreshold(np.ones(n)), build_graph(n, [])
+        rows = conditioning.max_batch_rows(mapping, graph)
+        assert rows < (1 << 24) // n  # the budget binds below the int8 cell cap
+        assert mapping.batch_bytes_per_cell(graph) * rows * n <= 100e6
 
 
 class TestSelectObservedFocal:

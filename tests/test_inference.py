@@ -411,7 +411,8 @@ class TestUnitMajorRecords:
     def test_rejecting_design_over_many_batches(self, monkeypatch, scored_runs, stat):
         ds, mapping, _ = toy12_engine_args()
         mech = _CountingMechanism(12, 6)
-        monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 7 * ds.n)
+        monkeypatch.setattr(conditioning, "MAX_BATCH_BYTES",
+                            7 * ds.n * mapping.batch_bytes_per_cell(ds.graph))
         run_oracle_test(ds, mapping, mech, NullSpec.per_exposure({0: 0.5, 1: -0.25}),
                         epsilon=TOY12_EPS, b=30, rng=np.random.default_rng(2), stat=stat)
         assert len(mech.batches) >= 3
@@ -426,7 +427,8 @@ class TestUnitMajorRecords:
         t = mech.draw(rng)
         ds = Dataset(y=rng.standard_normal(60), t=t, graph=graph)
         mapping = FractionThreshold(0.5, ">")
-        monkeypatch.setattr(conditioning, "MAX_BATCH_CELLS", 9 * ds.n)
+        monkeypatch.setattr(conditioning, "MAX_BATCH_BYTES",
+                            9 * ds.n * mapping.batch_bytes_per_cell(ds.graph))
         run_ss_test(ds, mapping, mech, "by_exposure", epsilon=0.2, b=40, stat=stat,
                     split_rng=np.random.default_rng(1), rng=np.random.default_rng(1))
         assert len(mech.batches) >= 3

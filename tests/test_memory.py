@@ -4,6 +4,7 @@ The limit is set with ``resource.setrlimit(RLIMIT_AS)`` inside a child
 process, so it acts on that process only.
 """
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -84,6 +85,33 @@ PERMUTATION_CHILD = textwrap.dedent("""
 """)
 
 
+# minor page faults per sampler call at N=3200, b=499, after two warm-up calls
+FAULTS_CHILD = textwrap.dedent("""
+    import resource
+    import numpy as np
+    import netrand as nr
+    from netrand.conditioning import ConditioningConfig, sample_conditioning_set
+    from netrand.inference import prepare
+
+    n = 3200
+    rng = np.random.default_rng(0)
+    graph = nr.generate_regular_graph(n, 5, rng)
+    t = np.zeros(n, dtype=np.int8)
+    t[rng.choice(n, n // 2, replace=False)] = 1
+    ds = nr.Dataset(y=rng.standard_normal(n), t=t, graph=graph)
+    design = prepare(ds, nr.FractionThreshold(0.5, ">"), "by_exposure")
+    cfg = ConditioningConfig(epsilon=0.01, cells=design.cells)
+    mech = nr.CompleteRandomization(n, n // 2)
+    for _ in range(2):
+        sample_conditioning_set(mech, ds, design, cfg, 499, rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        sample_conditioning_set(mech, ds, design, cfg, 499, rng)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    print((after - before) / 10)
+""")
+
+
 def _run_child(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -110,3 +138,11 @@ def test_permutation_variant_scores_without_full_width_matrices():
     proc = _run_child(PERMUTATION_CHILD)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert float(proc.stdout.split()[-1]) <= 40.0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_sampler_calls_take_no_page_faults():
+    # each batch's reserved block keeps the heap that its arrays reuse mapped
+    proc = _run_child(FAULTS_CHILD)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout.split()[-1]) < 200
