@@ -117,10 +117,10 @@ def summarise_rusage(runs: list, workload: str) -> dict:
     out = {}
     for side in ("parent", "change"):
         rs = [sides[side] for sides in paired_runs(runs, workload).values() if side in sides]
-        per_op = [r["rusage"]["minflt"] / r["attempted"] for r in rs if r["attempted"]]
         out[side] = {k: statistics.median(r["rusage"][k] for r in rs)
                      for k in ("minflt", "stime_s", "utime_s")}
-        out[side]["minflt_per_op"] = statistics.median(per_op) if per_op else None
+        out[side]["minflt_per_op"] = statistics.median(r["rusage"]["minflt"] / r["attempted"]
+                                                       for r in rs)
     return out
 
 

@@ -1,7 +1,8 @@
-"""Memory bounds: large designs run within a fixed address-space limit.
+"""Memory bounds: large designs run within a fixed address-space limit,
+and repeated sampler calls reuse a heap that stays mapped.
 
-The limit is set with ``resource.setrlimit(RLIMIT_AS)`` inside a child
-process, so it acts on that process only.
+Each check runs in a child process; the limit is set there with
+``resource.setrlimit(RLIMIT_AS)``, so it acts on that process only.
 """
 import os
 import platform
