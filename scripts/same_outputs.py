@@ -23,6 +23,9 @@ The matrix:
   >= 200 and isolated units, each design under its FractionThreshold and
   under a WeightedThreshold with zero weights, some of which leave a
   neighbourhood weightless;
+- the same engine runs on toy12 and hub260 with conditioning.MAX_BATCH_BYTES
+  set to 16 rows' worth, so rejecting and sample-splitting designs run
+  across many batches;
 - compute_batch of each design and mapping on a drawn batch;
 - run_permutation_variant with b and with b=None on the same designs;
 - run_table(...).to_records() for tables 1-6 and fig2 (200 units) at seeds
@@ -182,6 +185,16 @@ def outputs():
                              null=null, epsilon=eps, b=b, stat=stat,
                              keep_draws=True).to_dict()
 
+    def small_batches(*args):
+        from netrand import conditioning
+        data, mapping = args[1:3]
+        saved = conditioning.MAX_BATCH_BYTES
+        conditioning.MAX_BATCH_BYTES = 16 * data.n * mapping.batch_bytes_per_cell(data.graph)
+        try:
+            return engine(*args)
+        finally:
+            conditioning.MAX_BATCH_BYTES = saved
+
     def permutation(data, mapping, family, stat, b):
         exposures = compute_exposures(mapping, data.t, data.graph)
         split = make_balanced_split(data, exposures, family, np.random.default_rng(7))
@@ -202,8 +215,10 @@ def outputs():
             for family in FAMILIES:
                 for stat in STATS:
                     for tech in TECHNIQUES:
-                        yield (f"engine/{at}/{tech}/{family}/{stat}", engine,
-                               (tech, data, mapping, mech, family, stat, eps, b))
+                        args = (tech, data, mapping, mech, family, stat, eps, b)
+                        yield f"engine/{at}/{tech}/{family}/{stat}", engine, args
+                        if name in ("toy12", "hub260"):
+                            yield f"batches16/{at}/{tech}/{family}/{stat}", small_batches, args
                     for pb in (b, None):
                         yield (f"permutation/{at}/{family}/{stat}/b={pb}",
                                permutation, (data, mapping, family, stat, pb))

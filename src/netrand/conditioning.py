@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (AcceptanceBudgetExhausted, ArmEmptyAfterRetries,
                      DataError, EmptySuperFocal, MissingParameter)
 from .nullspec import BY_EXPOSURE, BY_EXPOSURE_COVARIATE, CONSTANT_ALL
+from .stats import arm_rhs, arm_sums
 
 Cell = tuple  # (pi,) or (pi, x_level)
 
@@ -85,7 +86,7 @@ class ConditioningConfig:
     gives each cell its own accepted draws (multiple mode); otherwise one
     set of draws satisfies every cell jointly (combined mode). scored
     marks the units the statistics use (None for all): each record's
-    focal units are restricted to them, while the inequalities count
+    units and sums are restricted to them, while the inequalities count
     every super-focal unit. min_per_arm > 0 also asks each accepted draw
     to keep that many scored focal units in each arm of every cell of its
     group."""
@@ -148,16 +149,17 @@ def relative_frequency(t_new: np.ndarray, exposures_new: np.ndarray,
 @dataclass
 class Draws:
     """One cell's accepted draws: its group's (b, N) treatment vectors (one
-    array shared by the cells of a combined group); unit-major (n_sf, b)
-    rows, over the cell's super-focal units (ascending), of its scored
-    focal units and of the treated units under each draw; the focal counts
-    per draw; the cell; and the candidates its group drew up to and
-    including its last accept."""
+    array shared by the cells of a combined group); the cell's scored
+    super-focal units (ascending), stats.arm_rhs of them (right, shift) and
+    each draw's (b, 2, 10) stats.arm_sums of right over the check's rows;
+    the focal counts per draw; the cell; and the candidates its group drew
+    up to and including its last accept."""
 
     t: np.ndarray
     units: np.ndarray
-    focal: np.ndarray
-    treated: np.ndarray
+    right: np.ndarray
+    shift: np.ndarray
+    sums: np.ndarray
     focal_counts: np.ndarray
     cell: Cell
     n_candidates: int
@@ -228,8 +230,7 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
     units are scored. Each group keeps its first b accepts, so its draws
     are i.i.d. on its own conditioning set (the groups' draws are
     dependent, which Bonferroni and Holm allow). Returns one Draws record
-    per cell of config.cells, in that order (focal and treated rows
-    unit-major, as the check gathered them), plus diagnostics. Raises
+    per cell of config.cells, in that order, plus diagnostics. Raises
     AcceptanceBudgetExhausted, naming each starved group and the worst
     failure among their cells, when b * max_attempts_per_accept
     candidates leave a group short of b.
@@ -249,8 +250,9 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
     max_rows = max_batch_rows(mapping, dataset.graph)
     count_type = np.min_scalar_type(-dataset.n - 1)  # holds -(N + 1), so every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
-    # the same draws' focal and treated rows per cell, and their focal counts
-    record_blocks = {c: ([], [], []) for c in config.cells}
+    record_blocks = {c: ([], []) for c in config.cells}  # their arm sums and focal counts
+    units = {c: design.scored(c, scored) for c in config.cells}
+    rhs = {}  # each cell's arm_rhs of its units, built once the first batch is freed
     accepted = [0] * len(groups)
     done_at = [0] * len(groups)  # candidates drawn up to the b-th accept
     attempts = 0
@@ -285,8 +287,8 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
             n = in_cell.sum(axis=0, dtype=count_type)
             n1 = (in_cell & treated).sum(axis=0, dtype=count_type)
             k, k1 = n, n1  # the scored focal units' counts
-            if scored is not None:
-                in_cell &= scored[rows, None]
+            if scored is not None:  # the scored units' rows, which the sums read
+                in_cell, treated = in_cell[scored[rows]], treated[scored[rows]]
                 k = in_cell.sum(axis=0, dtype=count_type)
                 k1 = (in_cell & treated).sum(axis=0, dtype=count_type)
             checked[c] = in_cell, treated, k
@@ -300,32 +302,33 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
                     bad |= few
                 ok &= ~bad
             passes[c] = ok
-        t_units = pi_units = None  # freed before the records are built
+        t_units = pi_units = None  # freed before the right-hand sides and sums are taken
+        rhs = rhs or {c: arm_rhs(dataset.y[u], dataset.t[u]) for c, u in units.items()}
         for g in live:
             need = b - accepted[g]
             rows = np.flatnonzero(np.logical_and.reduce(
                 [passes[c] for c in groups[g]]))[:need]
-            every = len(rows) == m  # then the check's own rows are the records
-            t_blocks[g].append(t_batch if every else t_batch[rows])
+            keep = None if len(rows) == m else rows
+            t_blocks[g].append(t_batch if keep is None else t_batch[rows])
             for c in groups[g]:
-                for blk, a in zip(record_blocks[c], checked[c]):
-                    blk.append(a if every else a[..., rows])
+                focal, treated, k = checked[c]
+                record_blocks[c][0].append(arm_sums(treated, focal, rhs[c][0], keep))
+                record_blocks[c][1].append(k if keep is None else k[rows])
             accepted[g] += len(rows)
             if len(rows) == need:
                 done_at[g] = attempts + int(rows[-1]) + 1
         attempts += m
 
-    def joined(blocks, axis=-1):
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
+    def joined(blocks):
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     draws = []
     for grp, blk, n in zip(groups, t_blocks, done_at):
-        t = joined(blk, axis=0)
+        t = joined(blk)
         for c in grp:
-            focal, treated, k = (joined(r) for r in record_blocks[c])
-            draws.append(Draws(t, design.units[c], focal, treated, k.astype(int), c, n))
-    diag = ConditioningDiagnostics(n_candidates=attempts,
-                                   n_accepted=b * len(groups),
+            sums, k = (joined(r) for r in record_blocks[c])
+            draws.append(Draws(t, units[c], *rhs[c], sums, k.astype(int), c, n))
+    diag = ConditioningDiagnostics(n_candidates=attempts, n_accepted=b * len(groups),
                                    failure_counts=fail_counts)
     return draws, diag
 

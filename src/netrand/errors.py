@@ -42,7 +42,7 @@ class InfeasibleCounts(DataError):
 
 
 class MappingFailure(NetrandError):
-    """A custom exposure rule raised or returned an undeclared value."""
+    """A custom exposure rule raised or returned an undeclared value, or a weight is bad."""
 
 
 class MissingParameter(NetrandError):

@@ -56,7 +56,7 @@ class FractionThreshold(_UnitMajor):
     threshold: float = 0.5
     comparator: str = ">"
     isolated_value: int = 0
-    values: tuple = (0, 1)
+    values = (0, 1)
 
     def __post_init__(self):
         if self.comparator not in _COMPARATORS:
@@ -104,7 +104,7 @@ class WeightedThreshold(_UnitMajor):
 
     Uses per-unit weights d_j: exposed when
     sum_j t_j d_j A_ij / sum_j d_j A_ij clears the threshold. A zero
-    denominator yields ``isolated_value``.
+    denominator yields ``isolated_value``. Weights are finite and >= 0.
     """
 
     values = (0, 1)
@@ -116,6 +116,9 @@ class WeightedThreshold(_UnitMajor):
         if isolated_value not in self.values:
             raise ValueError("isolated_value must be a declared exposure value")
         self.weights = np.asarray(weights, dtype=np.float64)
+        if len(bad := np.flatnonzero(~(np.isfinite(self.weights) & (self.weights >= 0)))):
+            raise MappingFailure(f"unit {bad[0]} has weight {self.weights.flat[bad[0]]}; "
+                                 f"weights must be finite and non-negative")
         self.threshold = float(threshold)
         self.comparator = comparator
         self.isolated_value = int(isolated_value)

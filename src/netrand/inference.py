@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping
 
@@ -30,7 +30,7 @@ from .errors import (DegenerateInterval, EmptyArm, EmptySuperFocal, MissingParam
 from .exposure import ExposureVector, compute_exposures
 from .nullspec import (GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec, effect_key)
-from .stats import arm_variances, combined_stat, ratio_stat_rows
+from .stats import arm_rhs, arm_sums, arm_variances, combined_stat, ratio_stat_rows
 
 ENUMERATION_LIMIT = 10_000  # most permutations run_permutation_variant enumerates
 TOTAL_GRID_BUDGET = 400  # most points of a combined-mode CI product grid
@@ -45,13 +45,6 @@ def empirical_pvalue(observed, draw_stats):
     if stats.shape[-1] < 1:
         raise ValueError("need at least one draw statistic")
     return np.mean(stats >= float(observed), axis=-1).tolist()
-
-
-def _imputed_stats(y, t_obs, t_new, focal, taus) -> np.ndarray:
-    """(G, B) variance-ratio statistics of z = y + tau (t_new - t_obs) over
-    each draw's focal units, in the arms t_new gives them, from unit-major
-    (N, B) t_new and focal (arm_variances)."""
-    return ratio_stat_rows(*arm_variances(y, t_obs, t_new, focal, taus))
 
 
 @dataclass
@@ -289,8 +282,7 @@ def run_test(source: TauSource, dataset: Dataset, design: Design, mechanism, *,
                              separate=stat == "multiple", scored=source.scored,
                              min_per_arm=MIN_PER_ARM)
     records, _ = sample_conditioning_set(mechanism, dataset, design, cfg, b, rng)
-    runs = [(d, select_observed_focal(d.cell, design.scored(d.cell, source.scored),
-                                      d.focal_counts, dataset.t, rng,
+    runs = [(d, select_observed_focal(d.cell, d.units, d.focal_counts, dataset.t, rng,
                                       min_per_arm=MIN_PER_ARM)) for d in records]
     return _score_grid(source, dataset, design, runs, b=b, epsilon=epsilon, stat=stat,
                        alpha=alpha, keep_draws=keep_draws)
@@ -301,31 +293,25 @@ def _score_grid(source, dataset, design, runs, *, b, epsilon, stat, alpha, keep_
 
     Each run pairs a cell's Draws record with its observed focal units. A
     draw t_new imputes z = y + tau (t_new - t_obs) at each tau of its
-    cell's axis, source.axes[effect_key(family, cell)], scored on the
-    columns the cell's focal rows or observed focal units hold. The report
-    starts from the source's diagnostics and counts each cell's scored
-    super-focal units in design. A cell's p-value is the largest over its
-    axis plus gamma, the combined one the largest over the product of the
-    axes plus gamma.
+    cell's axis, source.axes[effect_key(family, cell)], and is scored from
+    the record's arm sums. The report starts from the source's diagnostics
+    and counts each record's scored super-focal units. A cell's p-value
+    is the largest over its axis plus gamma, the combined one the largest
+    over the product of the axes plus gamma.
     """
     axes, gamma, family = source.axes, source.gamma, design.family
     cells = [d.cell for d, _ in runs]
     report = TestReport(technique=source.technique, family=family, stat_mode=stat,
                         alpha=alpha, b=b, epsilon=epsilon,
                         diagnostics=dict(source.diagnostics))
-    y, t_obs = dataset.y, dataset.t
     observed, stats, best_stats, pvals, grid_evals = {}, {}, {}, {}, {}
     for (d, fobs), cell in zip(runs, cells):
-        used = d.focal.any(axis=1) | fobs[d.units]  # rows of super-focal units
-        cols = d.units[used]
-        tc = t_obs[cols]
         # the observed column heads the draws and switches no unit: its statistic
         # is the same at every tau, and draws keeping or swapping its arms tie it
-        keep = slice(None) if used.all() else used  # gather rows only when some go
-        t_cols = np.column_stack([tc == 1, d.treated[keep]])
-        f_cols = np.column_stack([fobs[cols], d.focal[keep]])
+        obs_sums = arm_sums(dataset.t[d.units, None] == 1, fobs[d.units, None], d.right)
         grid = axes[effect_key(family, cell)]
-        scored = _imputed_stats(y[cols], tc, t_cols, f_cols, grid)
+        scored = ratio_stat_rows(*arm_variances(np.concatenate([obs_sums, d.sums]),
+                                                d.shift, grid))
         obs, stats[cell] = float(scored[0, 0]), scored[:, 1:]
         ps = empirical_pvalue(obs, stats[cell])
         best = int(np.argmax(ps))
@@ -336,7 +322,7 @@ def _score_grid(source, dataset, design, runs, *, b, epsilon, stat, alpha, keep_
         report.cells.append(CellResult(
             cell=cell, pvalue=pvals[cell], observed_stat=obs,
             tau=grid[0] if len(grid) == 1 else None,
-            n_superfocal=len(design.scored(cell, source.scored)),
+            n_superfocal=len(d.units),
             fobs_size=int(fobs.sum()), mean_focal=float(np.mean(d.focal_counts)),
             acceptance_rate=d.acceptance_rate))
 
@@ -487,13 +473,10 @@ class CIConfig:
             raise ValueError("grid_size must be >= 2 to include both endpoints")
 
 
-def neyman_interval(y, t, level: float, mask=None) -> tuple[float, float, float]:
+def neyman_interval(y, t, level: float) -> tuple[float, float, float]:
     """Normal-approximation interval for a difference in means."""
-    y = np.asarray(y, dtype=np.float64)
-    t = np.asarray(t)
-    sel = np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    y1 = y[sel & (t == 1)]
-    y0 = y[sel & (t == 0)]
+    y, t = np.asarray(y, dtype=np.float64), np.asarray(t)
+    y1, y0 = y[t == 1], y[t == 0]
     if len(y1) < 2 or len(y0) < 2:
         raise DegenerateInterval(
             f"need >= 2 units per arm, got {len(y1)}/{len(y0)}")
@@ -581,13 +564,13 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
 
     After the split, the effect-adjusted outcomes y - tau t of each
     inference-side super-focal cell are permuted within the cell,
-    treatments held fixed. The engine's scorer takes the permutations as
-    treatment rows over fixed focal units and scores the adjusted
-    outcomes at tau = 0, so every outcome keeps its float in whichever
-    arm it lands: a permutation that reproduces the observed arms, or
-    swaps the two, ties exactly. b=None enumerates all within-cell
-    permutations, up to ENUMERATION_LIMIT of them. The spread of this
-    null is narrower than the randomization null's, which is the
+    treatments held fixed. Each cell's record sums the adjusted outcomes
+    over the permutations as treatment rows of fixed focal units, which
+    the engine's scorer scores at tau = 0, so every outcome keeps its
+    float in whichever arm it lands: a permutation that reproduces the
+    observed arms, or swaps the two, ties exactly. b=None enumerates all
+    within-cell permutations, up to ENUMERATION_LIMIT of them. The spread
+    of this null is narrower than the randomization null's, which is the
     diagnostic comparing the two procedures.
     """
     _check_stat(stat)
@@ -598,15 +581,13 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
     cells, t = design.cells, dataset.t
     taus = [nuisance.get(effect_key(family, c)) for c in cells]
     units = [design.scored(c, split.inf_mask) for c in cells]
-    adjusted = dataset.y.copy()
-    for idx, tau in zip(units, taus):
-        adjusted[idx] -= tau * t[idx]
 
     if b is None:
-        total = math.prod(math.factorial(len(idx)) for idx in units)
-        if total > ENUMERATION_LIMIT:
-            raise ValueError(f"{total} permutations exceeds the enumeration "
-                             f"limit {ENUMERATION_LIMIT}; pass b instead")
+        total = 1
+        for k in (k for idx in units for k in range(2, len(idx) + 1)):
+            if (total := total * k) > ENUMERATION_LIMIT:  # no factorial past the limit
+                raise ValueError(f"more than {ENUMERATION_LIMIT} permutations, the "
+                                 f"enumeration limit; pass b instead")
         reps = itertools.product(*(itertools.permutations(range(len(idx))) for idx in units))
     else:
         if b < 1:
@@ -619,15 +600,18 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
             row[idx[np.asarray(perm)]] = t[idx]
         rows.append(row)
     t_new = np.asarray(rows)
-    # every permutation keeps the cell's inference units focal
-    runs = [(Draws(t_new, idx, np.ones((len(idx), len(t_new)), dtype=bool),
-                   t_new.T[idx] == 1, np.full(len(t_new), len(idx)), c,
-                   n_candidates=len(t_new)), np.bincount(idx, minlength=dataset.n) > 0)
-            for c, idx in zip(cells, units)]
+    runs = []
+    for c, idx, tau in zip(cells, units, taus):
+        # every permutation keeps the cell's inference units focal
+        treated = t_new.T[idx] == 1
+        right, shift = arm_rhs(dataset.y[idx] - tau * t[idx], t[idx])
+        sums = arm_sums(treated, np.ones_like(treated), right)
+        runs.append((Draws(t_new, idx, right, shift, sums, np.full(len(t_new), len(idx)), c,
+                           n_candidates=len(t_new)), np.bincount(idx, minlength=dataset.n) > 0))
     source = TauSource("permutation", {effect_key(family, c): [0.0] for c in cells},
                        scored=split.inf_mask,
                        diagnostics={"nuisance": _nuisance_diag(nuisance)})
-    report = _score_grid(source, replace(dataset, y=adjusted), design, runs,
+    report = _score_grid(source, dataset, design, runs,
                          b=len(t_new), epsilon=float("nan"), stat=stat,
                          alpha=alpha, keep_draws=keep_draws)
     for res, tau in zip(report.cells, taus):

@@ -4,15 +4,13 @@ The per-cell statistic is the larger of the two ratios of sample
 variances across arms, so it is at least 1 when finite. Zero-variance
 conventions: both arms degenerate -> 1.0; exactly one -> +infinity.
 
-The engine scores with ``arm_variances``: at effect value tau, an arm's
-variance combines its units observed treated and those observed control,
-a parabola in tau with vertex at the difference of their means, from
-exact float64 sums, one GEMM per block of units of the unit-major
-(units, draws) input the sampler's records hold. ``ratio_stat_rows``
-turns two arms' variances into statistics. The two-pass
-``masked_arm_variances`` and the scalar ``ts_per_exposure`` are on no
-engine path: they are the references that the tests and
-``benchmarks/checks.py`` recompute draws with.
+The engine scores in three steps: ``arm_rhs`` once per cell, ``arm_sums``
+to reduce each accepted draw to exact float64 sums over its focal units
+in each arm, and ``arm_variances`` for each arm's variance, a parabola in
+the effect value tau. ``ratio_stat_rows`` turns two arms' variances into
+statistics. The two-pass ``masked_arm_variances`` and the scalar
+``ts_per_exposure`` are on no engine path: they are the references that
+the tests and ``benchmarks/checks.py`` recompute draws with.
 """
 from __future__ import annotations
 
@@ -64,7 +62,7 @@ def ts_per_exposure(y: np.ndarray, t: np.ndarray, focal: np.ndarray,
                               n_control_used=int((focal & (t == 0)).sum()))
 
 
-SCORE_BLOCK = 1 << 14  # draw cells (units x draws) per GEMM block of arm_variances
+SCORE_BLOCK = 1 << 14  # draw cells (units x draws) per GEMM block of arm_sums
 
 
 def _grid_parts(v: np.ndarray) -> np.ndarray:
@@ -79,11 +77,38 @@ def _grid_parts(v: np.ndarray) -> np.ndarray:
     return np.vstack([hi, lo])
 
 
-def arm_variances(y, t_obs, t_new, focal, taus=(0.0,)):
+def arm_rhs(y, t_obs):
+    """arm_sums' (n, 10) right-hand side for n units, each observed arm's indicator
+    and the hi and lo parts of y less its arm's shift and of its square, and the shifts."""
+    y = np.asarray(y, dtype=np.float64)
+    groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
+    # less each group's middle value: no unit order moves it, integer y stays integer
+    shift = np.array([np.sort(y[g])[g.sum() // 2] if g.any() else 0.0 for g in groups])
+    u = np.where(groups, y - shift[:, None], 0.0)
+    return np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, u * u]))]).T), shift
+
+
+def arm_sums(t_new, focal, right, keep=None):
+    """(B, 2, 10) exact sums of right's rows over each draw's focal units in its arm 1 and
+    its arm 0, from unit-major 0/1 rows t_new and focal; keep picks B columns (None: all)."""
+    units, draws = len(right), t_new.shape[1] if keep is None else len(keep)
+    step = max(1, min(units, SCORE_BLOCK // max(draws, 1)))
+    masks, sums = np.empty((step, 2, draws)), np.zeros((2 * draws, 10))
+    for r in range(0, units, step):  # each block's sums are exact, so adding them is too
+        t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, units - r)]
+        if keep is not None:
+            t, f = t[:, keep], f[:, keep]
+        np.logical_and(f, t, out=m[:, 0])  # each draw's arm 1, then its arm 0
+        np.greater(f, t, out=m[:, 1])
+        sums += m.reshape(len(m), -1).T @ right[r:r + step]
+    return sums.reshape(2, draws, 10).transpose(1, 0, 2)
+
+
+def arm_variances(sums, shift, taus=(0.0,)):
     """Sample variances of z = y + tau (t_new - t_obs) over each draw's
     focal units in arm 1 and in arm 0 of t_new: two (G, B) arrays for G
-    taus and unit-major (N, B) 0/1 columns t_new and focal, one column per
-    draw. NaN where an arm has < 2 units.
+    taus from (B, 2, 10) arm_sums over arm_rhs(y, t_obs) and its shift.
+    NaN where an arm has < 2 units.
 
     An arm's units observed treated and those observed control each shift
     by one amount, so with their counts n1, n0, means m1, m0 and centered
@@ -94,22 +119,6 @@ def arm_variances(y, t_obs, t_new, focal, taus=(0.0,)):
     units or BLAS threads, and a draw that keeps or swaps every arm ties
     exactly.
     """
-    y = np.asarray(y, dtype=np.float64)
-    groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
-    # less each group's middle value: no unit order moves it, integer y stays integer
-    shift = np.array([np.sort(y[g])[g.sum() // 2] if g.any() else 0.0 for g in groups])
-    u = np.where(groups, y - shift[:, None], 0.0)
-    right = np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, u * u]))]).T)
-    t_new, focal = np.asarray(t_new), np.asarray(focal)
-    units, draws = t_new.shape
-    step = max(1, min(units, SCORE_BLOCK // max(draws, 1)))
-    masks, sums = np.empty((step, 2, draws)), np.zeros((2 * draws, 10))
-    for r in range(0, units, step):  # each block's sums are exact, so adding them is too
-        t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, units - r)]
-        np.logical_and(f, t, out=m[:, 0])  # each draw's arm 1, then its arm 0
-        np.greater(f, t, out=m[:, 1])
-        sums += m.reshape(len(m), -1).T @ right[r:r + step]
-    sums = sums.reshape(2, draws, 10).transpose(1, 0, 2)
     n, s = sums[..., :2], sums[..., 2:6] + sums[..., 6:]  # hi + lo
     mean = s[..., :2] / np.maximum(n, 1.0)
     w = np.maximum(s[..., 2:] - s[..., :2] * mean, 0.0).sum(axis=-1)

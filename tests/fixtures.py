@@ -6,6 +6,7 @@ explicit counting, and conditioning sets from exhaustive enumeration over
 every assignment the mechanism supports. Tests compare fast library
 output against these references.
 """
+import dataclasses
 import itertools
 import math
 
@@ -15,7 +16,8 @@ from netrand.conditioning import Design, cell_mask
 from netrand.data import Dataset
 from netrand.exposure import FractionThreshold
 from netrand.graph import build_graph
-from netrand.stats import masked_arm_variances, ratio_stat_rows
+from netrand.stats import (arm_rhs, arm_sums, arm_variances, masked_arm_variances,
+                           ratio_stat_rows)
 
 # ---------------------------------------------------------------------------
 # Ten-unit worked instance. A tree whose majority-treated-neighbor exposures
@@ -144,17 +146,31 @@ def design_of(ds, exposures, cells, family="by_exposure"):
                   {c: np.flatnonzero(cell_mask(exposures.values, c, ds.x)) for c in cells})
 
 
-def expand_record(record):
-    """A Draws record's unit-major (n_sf, b) focal and treated rows as the
-    draw-major (b, N) matrices they stand for, False off the cell's
-    super-focal units."""
-    n = record.t.shape[1]
-    full = []
-    for rows in (record.focal, record.treated):
-        out = np.zeros((rows.shape[1], n), dtype=bool)
-        out[:, record.units] = rows.T
-        full.append(out)
-    return tuple(full)
+def power_outcomes(ds):
+    """ds with y = 2 ** i at unit i. The sampler reads no outcome, so it
+    draws as it does on ds, and two focal sets then have equal arm sums
+    only if they are equal (a count and a sum of distinct powers of two
+    fix the set)."""
+    return dataclasses.replace(ds, y=2.0 ** np.arange(ds.n))
+
+
+def brute_sums(record, focal):
+    """The (b, 2, 10) arm sums a Draws record should hold: its right-hand
+    side summed over the units of each row of the draw-major (b, N) focal
+    matrix that the record's own t treats, then over those it leaves in
+    control. Every sum of the right-hand side's columns is exact, so the
+    order of the additions does not matter."""
+    f = np.asarray(focal, dtype=bool)[:, record.units]
+    treated = record.t[:, record.units] == 1
+    return np.stack([(f & treated) @ record.right, (f & ~treated) @ record.right], axis=1)
+
+
+def imputed_stats(y, t_obs, t_new, focal, taus):
+    """(G, B) statistics of z = y + tau (t_new - t_obs) over each draw's
+    focal units through the engine's three scoring steps, from unit-major
+    (N, B) t_new and focal."""
+    right, shift = arm_rhs(y, t_obs)
+    return ratio_stat_rows(*arm_variances(arm_sums(t_new, focal, right), shift, taus))
 
 
 def direct_imputed_stats(y, t_obs, t_new, focal, taus):

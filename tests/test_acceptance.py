@@ -22,10 +22,10 @@ import test_properties as props
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TEN_T_ALT, TEN_Y, TOY12_EDGES, TOY12_EPS,
                       TOY12_MAPPING, TOY12_PI_OBS, TOY12_T_OBS, TOY12_Y, LINE4_EDGES,
-                      expand_record, make_line4, make_ten, make_toy12, neighbor_lists,
+                      brute_sums, make_line4, make_ten, make_toy12, neighbor_lists,
                       oracle_cell_stat, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_imputed,
-                      oracle_r)
+                      oracle_r, power_outcomes)
 from netrand.assignment import CompleteRandomization
 from netrand.cli import main as cli_main
 from netrand.conditioning import (ConditioningConfig, relative_frequency,
@@ -427,7 +427,7 @@ class TestEnumerationEquivalence:
         assert support == set(exact)
 
     def test_ten_unit_sampler_matches_enumeration(self):
-        ds = make_ten()
+        ds = power_outcomes(make_ten())
         design = prepare(ds, TEN_MAPPING, "by_exposure")
         nbrs = neighbor_lists(10, TEN_EDGES)
         mech = CompleteRandomization(10, 5)
@@ -441,11 +441,13 @@ class TestEnumerationEquivalence:
                 np.random.default_rng(11))
             sampled = [tuple(int(v) for v in row) for row in draws.t]
             assert set(sampled) == set(exact)
-            # per-draw focal sets equal the hand computation
-            for focal, t_new in zip(expand_record(draws)[0], sampled):
+            # per-draw arm sums are those of the hand computation's focal sets
+            focal = np.zeros(draws.t.shape, dtype=bool)
+            for f, t_new in zip(focal, sampled):
                 pi_new = oracle_exposure(t_new, nbrs)
-                want = oracle_focal(t_new, pi_new, TEN_PI_OBS, cell[0])
-                assert tuple(np.flatnonzero(focal)) == want
+                f[list(oracle_focal(t_new, pi_new, TEN_PI_OBS, cell[0]))] = True
+            assert np.array_equal(draws.sums, brute_sums(draws, focal))
+            assert np.array_equal(draws.focal_counts, focal.sum(axis=1))
 
 
 class TestFuzzedInvariants:
@@ -472,14 +474,16 @@ class TestFuzzedInvariants:
         props.test_relative_frequency_and_focal_match_oracles()
 
     def test_focal_subset_of_superfocal(self):
-        ds = make_ten()
+        ds = power_outcomes(make_ten())
         design = prepare(ds, TEN_MAPPING, "by_exposure")
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
         (draws,), _ = sample_conditioning_set(
             CompleteRandomization(10, 5), ds, design, cfg, 50, np.random.default_rng(3))
         sf = superfocal_for_cell(np.array(TEN_PI_OBS), (0,), None)
-        for focal in expand_record(draws)[0]:
-            assert not np.any(focal & ~sf.indicator)
+        # the records sum over the super-focal units that keep their exposure
+        assert np.array_equal(draws.units, np.flatnonzero(sf.indicator))
+        focal = (TEN_MAPPING.compute_batch(draws.t, ds.graph) == 0) & sf.indicator
+        assert np.array_equal(draws.sums, brute_sums(draws, focal))
 
     def test_identity_acceptance_and_seed_determinism(self):
         props.test_identity_vector_accepted_exactly_below_its_own_frequencies()

@@ -197,6 +197,16 @@ class TestExitCodes:
         argv = oracle_args(nodes, edges) + ["--weighted"]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_weighted_rejects_a_bad_weight(self, tmp_path, capsys, bad):
+        _, edges = write_toy12(tmp_path)
+        weights = ["1"] * 5 + [bad] + ["1"] * 6
+        (tmp_path / "weighted.csv").write_text("id,y,t,weight\n" + "".join(
+            f"{i},{TOY12_Y[i]},{TOY12_T_OBS[i]},{weights[i]}\n" for i in range(12)))
+        argv = oracle_args(str(tmp_path / "weighted.csv"), edges) + ["--weighted"]
+        assert main(argv) == 2
+        assert "netrand: error: unit 5 has weight" in capsys.readouterr().err
+
     def test_stratified_requires_stratum_column(self, tmp_path):
         nodes, edges = write_toy12(tmp_path)
         argv = oracle_args(nodes, edges) + ["--stratified"]

@@ -9,9 +9,10 @@ import pytest
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TEN_T_ALT, TEN_T_OBS, TOY12_EPS, TOY12_MAPPING,
                       TOY12_PI_OBS, TOY12_T_OBS, make_line4, make_ten,
-                      expand_record, make_toy12, neighbor_lists, oracle_conditioning_set,
+                      brute_sums, make_toy12, neighbor_lists, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_r, IntegersOnly,
-                      LINE4_EDGES, TOY12_EDGES, design_of, random_irregular_graph)
+                      LINE4_EDGES, TOY12_EDGES, design_of, power_outcomes,
+                      random_irregular_graph)
 from netrand import conditioning
 from netrand.conditioning import (ConditioningConfig,
                                   epsilon_feasibility, relative_frequency,
@@ -127,8 +128,9 @@ class TestFocalIndicator:
         assert [relative_frequency(t_alt, pi_alt, sf0, arm) for arm in (1, 0)] == [0.0, 0.4]
 
     def test_matches_oracle_and_stays_inside_superfocal(self):
-        # the sampler's focal rows, one cell conditioned on at a time
-        ds = make_ten()
+        # the sampler's arm sums, one cell conditioned on at a time, are those
+        # of the oracle's focal units, which lie inside the super-focal set
+        ds = power_outcomes(make_ten())
         nbrs = neighbor_lists(10, TEN_EDGES)
         pi_obs = np.array(TEN_PI_OBS)
         for v in (0, 1):
@@ -138,16 +140,18 @@ class TestFocalIndicator:
                 design_of(ds, ExposureVector(pi_obs, TEN_MAPPING), cfg.cells),
                 cfg, 20, np.random.default_rng(4))
             sf = superfocal_for_cell(pi_obs, (v,))
-            for t, f in zip(draws.t.tolist(), expand_record(draws)[0]):
-                assert not (f & ~sf.indicator).any()
-                pi = oracle_exposure(t, nbrs)
-                assert tuple(np.flatnonzero(f).tolist()) == oracle_focal(
-                    t, pi, TEN_PI_OBS, v)
+            assert np.array_equal(draws.units, np.flatnonzero(sf.indicator))
+            focal = np.zeros(draws.t.shape, dtype=bool)
+            for f, t in zip(focal, draws.t.tolist()):
+                f[list(oracle_focal(t, oracle_exposure(t, nbrs), TEN_PI_OBS, v))] = True
+            assert not (focal & ~sf.indicator).any()
+            assert np.array_equal(draws.sums, brute_sums(draws, focal))
+            assert np.array_equal(draws.focal_counts, focal.sum(axis=1))
 
 
 class TestSampler:
     def _line4(self):
-        ds = make_line4(t=LINE4_T_OBS)
+        ds = power_outcomes(make_line4(t=LINE4_T_OBS))
         design = prepare(ds, TEN_MAPPING, "by_exposure")
         assert design.exposures.values.tolist() == list(LINE4_PI_OBS)
         return ds, design
@@ -175,7 +179,8 @@ class TestSampler:
             CompleteRandomization(4, 2), ds, design, cfg, 50,
             np.random.default_rng(1))
         sf1 = superfocal_for_cell(np.array(LINE4_PI_OBS), (1,))
-        for t_new, focal in zip(draws.t, expand_record(draws)[0]):
+        focal_rows = np.zeros(draws.t.shape, dtype=bool)
+        for t_new, focal in zip(draws.t, focal_rows):
             t = tuple(int(v) for v in t_new)
             pi_new = TEN_MAPPING.compute(t_new, ds.graph)
             for arm in (0, 1):
@@ -183,8 +188,10 @@ class TestSampler:
                 r = relative_frequency(t_new, pi_new, sf1, arm)
                 assert r == pytest.approx(want)
                 assert r > 0.3
-            want_focal = oracle_focal(t, pi_new.tolist(), LINE4_PI_OBS, 1)
-            assert tuple(np.flatnonzero(focal & sf1.indicator).tolist()) == want_focal
+            focal[list(oracle_focal(t, pi_new.tolist(), LINE4_PI_OBS, 1))] = True
+        assert not (focal_rows & ~sf1.indicator).any()
+        assert np.array_equal(draws.sums, brute_sums(draws, focal_rows))
+        assert np.array_equal(draws.focal_counts, focal_rows.sum(axis=1))
 
     def test_line4_single_unit_cell_is_infeasible(self):
         # cell 0 holds only unit 3; one unit cannot sit in both arms, so
@@ -210,7 +217,7 @@ class TestSampler:
         assert TOY12_T_OBS in joint
 
     def test_toy12_sampled_draws_lie_in_enumerated_set(self):
-        ds = make_toy12()
+        ds = power_outcomes(make_toy12())
         design = prepare(ds, TOY12_MAPPING, "by_exposure")
         nbrs = neighbor_lists(12, TOY12_EDGES)
         joint = set(oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS,
@@ -233,13 +240,13 @@ class TestSampler:
                 mech, ds, design, cfg, b, IntegersOnly(np.random.default_rng(3)))
             assert slow.n_candidates == diag.n_candidates
             for d, e in ((d0, e0), (d1, e1)):
-                assert np.array_equal(d.t, e.t) and np.array_equal(d.focal, e.focal)
-                assert np.array_equal(d.treated, e.treated)
+                assert np.array_equal(d.t, e.t) and np.array_equal(d.sums, e.sums)
+                assert np.array_equal(d.focal_counts, e.focal_counts)
 
     def test_combined_records_share_draws_and_keep_own_focal(self):
         # one record per cell: the cells of a combined group share one t,
-        # and each record's focal rows are that cell's own
-        ds = make_toy12()
+        # and each record's arm sums are over that cell's own focal units
+        ds = power_outcomes(make_toy12())
         design = prepare(ds, TOY12_MAPPING, "by_exposure")
         pi = design.exposures
         cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
@@ -251,7 +258,9 @@ class TestSampler:
         pi_new = TOY12_MAPPING.compute_batch(d0.t, ds.graph)
         for d, c in zip(records, cfg.cells):
             assert d.units.tolist() == np.flatnonzero(pi.values == c[0]).tolist()
-            assert np.array_equal(expand_record(d)[0], (pi_new == c[0]) & (pi.values == c[0]))
+            focal = (pi_new == c[0]) & (pi.values == c[0])
+            assert np.array_equal(d.sums, brute_sums(d, focal))
+            assert np.array_equal(d.focal_counts, focal.sum(axis=1))
             assert d.n_candidates == d0.n_candidates
 
     def test_identity_accepted_when_epsilon_below_bound(self):
@@ -283,7 +292,8 @@ class TestSamplerBatches:
     def _edgeless(self, n=40):
         # no edges: every unit is isolated with exposure 0, so cell (0,)
         # holds everyone and every candidate keeps half of it per arm
-        ds = Dataset(y=np.zeros(n), t=np.arange(n) % 2, graph=build_graph(n, []))
+        ds = power_outcomes(Dataset(y=np.zeros(n), t=np.arange(n) % 2,
+                                    graph=build_graph(n, [])))
         mapping = FractionThreshold()
         return ds, design_of(ds, compute_exposures(mapping, ds.t, ds.graph), [(0,)]), mapping
 
@@ -311,8 +321,8 @@ class TestSamplerBatches:
         assert mech.batches == [12, 12, 12, 12, 2]
         assert diag.n_candidates == 50
         assert np.array_equal(capped.t, whole.t)
-        assert np.array_equal(capped.focal, whole.focal)
-        assert np.array_equal(capped.treated, whole.treated)
+        assert np.array_equal(capped.sums, whole.sums)
+        assert np.array_equal(capped.focal_counts, whole.focal_counts)
 
     @pytest.mark.parametrize("n", [127, 128, 129])
     def test_a_cell_holding_every_unit_counts_all_n(self, n):
@@ -322,7 +332,7 @@ class TestSamplerBatches:
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
         (draws,), _ = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, design,
                                            cfg, 20, np.random.default_rng(0))
-        assert draws.focal.all()
+        assert np.array_equal(draws.sums, brute_sums(draws, np.ones(draws.t.shape, bool)))
         assert draws.focal_counts.tolist() == [n] * 20
         mask = select_observed_focal(draws.cell, draws.units, draws.focal_counts, ds.t,
                                      np.random.default_rng(1))
@@ -582,6 +592,7 @@ class TestScoredMinPerArm:
 
     def test_records_hold_the_scored_units_and_meet_the_rule(self):
         ds, design = self._toy12()
+        ds = power_outcomes(ds)
         scored = np.ones(12, dtype=bool)
         scored[[1, 4]] = False
         cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)), separate=True,
@@ -592,11 +603,10 @@ class TestScoredMinPerArm:
             cell = d.cell
             sf = superfocal_for_cell(design.exposures.values, cell)
             pi_new = TOY12_MAPPING.compute_batch(d.t, ds.graph)
-            assert np.array_equal(d.units, np.flatnonzero(sf.indicator))
-            assert np.array_equal(design.scored(cell, scored),
-                                  np.flatnonzero(sf.indicator & scored))
-            focal = expand_record(d)[0]
-            assert np.array_equal(focal, (pi_new == cell[0]) & sf.indicator & scored)
+            assert np.array_equal(d.units, np.flatnonzero(sf.indicator & scored))
+            assert np.array_equal(design.scored(cell, scored), d.units)
+            focal = (pi_new == cell[0]) & sf.indicator & scored
+            assert np.array_equal(d.sums, brute_sums(d, focal))
             assert np.array_equal(d.focal_counts, focal.sum(axis=1))
             for arm in (0, 1):
                 assert ((focal & (d.t == arm)).sum(axis=1) >= 2).all()

@@ -72,6 +72,11 @@ class TestFractionThreshold:
         with pytest.raises(ValueError):
             FractionThreshold(comparator="<")
 
+    def test_values_are_a_class_constant(self):
+        assert FractionThreshold.values == FractionThreshold().values == (0, 1)
+        with pytest.raises(TypeError):
+            FractionThreshold(0.5, ">", 0, (0, 1, 2))
+
     def test_only_neighbors_matter(self):
         # toggling a non-neighbor leaves the exposure unchanged
         g = build_graph(10, TEN_EDGES)
@@ -125,6 +130,14 @@ class TestWeightedThreshold:
         g = build_graph(3, [(0, 1), (1, 2)])
         m = WeightedThreshold(np.array([0.0, 1.0, 0.0]), isolated_value=1)
         assert m.compute(np.array([1, 1, 1]), g)[1] == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_weights_must_be_finite_and_non_negative(self, bad):
+        # on the path 0-1-2-3, a NaN weight at unit 1 would read units 0 and 2
+        # unexposed whatever their neighbours' treatments
+        with pytest.raises(MappingFailure, match=r"^unit 1 has weight "):
+            WeightedThreshold(np.array([1.0, bad, 1.0, bad]))
+        WeightedThreshold(np.array([1.0, 0.0, -0.0, 1e300]))  # zero and large weights pass
 
     def test_weight_shape_checked(self):
         g = build_graph(3, [(0, 1)])

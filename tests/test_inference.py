@@ -1,14 +1,16 @@
 """Test engines: p-values, multiplicity control, nuisance techniques."""
+import copy
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fixtures import (TEN_MAPPING, TEN_Y, TOY12_EPS, TOY12_MAPPING,
-                      direct_imputed_stats, expand_record, make_ten, make_toy12,
-                      oracle_cell_stat, oracle_imputed)
+                      brute_sums, direct_imputed_stats, make_ten, make_toy12,
+                      oracle_cell_stat, oracle_imputed, power_outcomes)
 from netrand import conditioning, inference
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import cell_mask, superfocal_for_cell
@@ -360,20 +362,31 @@ class TestEveryDrawScored:
         assert self._fewest_scored_per_arm(ds, mapping, rep, np.ones(12, dtype=bool)) >= 2
 
 
-class TestUnitMajorRecords:
-    """Records are unit-major over each cell's super-focal units, and the
-    scorer reads them there. Expanded to full width, a record holds the
-    focal units the draws' exposures give and the draws themselves, and
-    each statistic the scorer computes on its cell's columns equals
-    direct imputation over full-width draw-major rows."""
+class TestArmSumRecords:
+    """Each record holds its draws' arm sums over the cell's scored
+    super-focal units, and the scorer scores from them. Recomputed from
+    full-width brute-force focal and treated rows of the record's own
+    draws, the sums are equal, and each statistic the scorer computes
+    equals direct imputation over full-width draw-major rows."""
 
     @pytest.fixture
     def scored_runs(self, monkeypatch):
-        """(dataset, grid, record, its scored super-focal units as an
-        N-wide mask, observed focal, statistics) for every cell the scorer
-        scores, in order."""
-        seen, stats = [], []
-        score, imputed = inference._score_grid, inference._imputed_stats
+        """One namespace per cell the scorer scores, in order: the dataset,
+        the cell's grid, its record, its scored super-focal units as an
+        N-wide mask and their number before scoring, the observed focal
+        units, the scorer's statistics, and the record of the same draws
+        under y = 2 ** i (None for the permutation variant)."""
+        seen, stats, twins = [], [], {}
+        score, ratio = inference._score_grid, inference.ratio_stat_rows
+        sample = inference.sample_conditioning_set
+
+        def spy_sample(mechanism, dataset, design, config, b, rng):
+            # the sampler reads no outcome, so a copy of its inputs draws the
+            # same records, whose sums then tell every focal set apart
+            twin, _ = sample(copy.deepcopy(mechanism), power_outcomes(dataset), design,
+                             config, b, copy.deepcopy(rng))
+            twins.update((d.cell, d) for d in twin)
+            return sample(mechanism, dataset, design, config, b, rng)
 
         def spy_score(source, dataset, design, runs, **kw):
             stats.clear()
@@ -381,31 +394,35 @@ class TestUnitMajorRecords:
             for (d, fobs), got in zip(runs, stats):
                 sf = np.zeros(dataset.n, dtype=bool)
                 sf[design.scored(d.cell, source.scored)] = True
-                seen.append((dataset, source.axes[inference.effect_key(design.family, d.cell)],
-                             d, sf, fobs, got))
+                seen.append(SimpleNamespace(
+                    ds=dataset, grid=source.axes[inference.effect_key(design.family, d.cell)],
+                    d=d, sf=sf, n_sf=len(design.units[d.cell]), fobs=fobs, got=got,
+                    twin=twins.get(d.cell)))
             return report
 
+        monkeypatch.setattr(inference, "sample_conditioning_set", spy_sample)
         monkeypatch.setattr(inference, "_score_grid", spy_score)
-        monkeypatch.setattr(inference, "_imputed_stats",
-                            lambda *a: stats.append(imputed(*a)) or stats[-1])
+        monkeypatch.setattr(inference, "ratio_stat_rows",
+                            lambda *a: stats.append(ratio(*a)) or stats[-1])
         return seen
 
     @staticmethod
-    def _check(seen, mapping, t_ref=None):
+    def _check(seen, mapping, y=None):
         assert seen
-        for ds, grid, d, sf, fobs, got in seen:
-            focal, treated = expand_record(d)
-            in_units = np.zeros(ds.n, dtype=bool)
-            in_units[d.units] = True
-            assert np.array_equal(d.units, np.sort(d.units))
-            assert not (sf & ~in_units).any()
+        for run in seen:
+            d, ds = run.d, run.ds
+            assert np.array_equal(d.units, np.flatnonzero(run.sf))
             pi_new = mapping.compute_batch(d.t, ds.graph)
-            assert np.array_equal(focal, (pi_new == d.cell[0]) & sf)
-            assert np.array_equal(treated, (d.t == 1) & in_units)
+            focal = (pi_new == d.cell[0]) & run.sf
+            assert np.array_equal(d.sums, brute_sums(d, focal))
             assert np.array_equal(d.focal_counts, focal.sum(axis=1))
-            want = direct_imputed_stats(ds.y, ds.t, np.vstack([ds.t, d.t]),
-                                        np.vstack([fobs, focal]), grid)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            if run.twin is not None:
+                assert np.array_equal(run.twin.t, d.t)
+                assert np.array_equal(run.twin.sums, brute_sums(run.twin, focal))
+            want = direct_imputed_stats(ds.y if y is None else y, ds.t,
+                                        np.vstack([ds.t, d.t]),
+                                        np.vstack([run.fobs, focal]), run.grid)
+            np.testing.assert_allclose(run.got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("stat", ["multiple", "combined"])
     def test_rejecting_design_over_many_batches(self, monkeypatch, scored_runs, stat):
@@ -416,7 +433,7 @@ class TestUnitMajorRecords:
         run_oracle_test(ds, mapping, mech, NullSpec.per_exposure({0: 0.5, 1: -0.25}),
                         epsilon=TOY12_EPS, b=30, rng=np.random.default_rng(2), stat=stat)
         assert len(mech.batches) >= 3
-        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _, _ in scored_runs)
+        assert all(run.d.acceptance_rate < 1.0 for run in scored_runs)
         self._check(scored_runs, mapping)
 
     @pytest.mark.parametrize("stat", ["multiple", "combined"])
@@ -432,10 +449,9 @@ class TestUnitMajorRecords:
         run_ss_test(ds, mapping, mech, "by_exposure", epsilon=0.2, b=40, stat=stat,
                     split_rng=np.random.default_rng(1), rng=np.random.default_rng(1))
         assert len(mech.batches) >= 3
-        assert all(d.acceptance_rate < 1.0 for _, _, d, _, _, _ in scored_runs)
-        # the records hold only the inference half's focal units
-        assert all(not (expand_record(d)[0] & ~sf).any()
-                   and sf.sum() < len(d.units) for _, _, d, sf, _, _ in scored_runs)
+        assert all(run.d.acceptance_rate < 1.0 for run in scored_runs)
+        # the records hold only the inference half of each super-focal set
+        assert all(run.sf.sum() < run.n_sf for run in scored_runs)
         self._check(scored_runs, mapping)
 
     @pytest.mark.parametrize("b", [30, None])
@@ -452,7 +468,11 @@ class TestUnitMajorRecords:
         rep = run_permutation_variant(ds, mapping, "by_exposure", split, b,
                                       np.random.default_rng(0), stat=stat)
         assert rep.b == (2880 if b is None else b)
-        self._check(scored_runs, mapping)
+        # the records sum the effect-adjusted outcomes y - tau t of each cell
+        adjusted = ds.y.copy()
+        for run, res in zip(scored_runs, rep.cells):
+            adjusted[run.sf] -= res.tau * ds.t[run.sf]
+        self._check(scored_runs, mapping, y=adjusted)
 
 
 class TestPluginEngine:
@@ -605,13 +625,6 @@ class TestNeymanInterval:
         assert tau_hat == pytest.approx(2.5)
         assert lo == pytest.approx(2.5 - z * se)
         assert hi == pytest.approx(2.5 + z * se)
-
-    def test_mask_restriction(self):
-        y = np.array([3.0, 5.0, 1.0, 2.0, 100.0, -100.0])
-        t = np.array([1, 1, 0, 0, 1, 0])
-        mask = np.array([True] * 4 + [False] * 2)
-        lo, hi, tau_hat = neyman_interval(y, t, 0.95, mask)
-        assert tau_hat == pytest.approx(2.5)
 
     def test_degenerate_cases(self):
         with pytest.raises(DegenerateInterval):
@@ -842,6 +855,22 @@ class TestPermutationVariant:
         with pytest.raises(ValueError):
             run_permutation_variant(ds, mapping, "constant_all", split,
                                     b=None, rng=np.random.default_rng(0))
+
+    def test_refusal_stops_before_any_large_factorial(self, monkeypatch):
+        # 8! = 40320 alone passes the limit, so no larger factor is ever needed:
+        # two 50-unit inference cells must not cost 50! each
+        calls, factorial = [], math.factorial
+        monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+        n = 200
+        ds = Dataset(y=np.arange(n, dtype=float), t=np.arange(n) % 2,
+                     graph=build_graph(n, []))
+        mapping = CustomMapping(lambda i, t, gr: (i // 2) % 2, (0, 1))
+        inf = np.arange(n) >= n // 2
+        split = SplitResult(est_mask=~inf, inf_mask=inf, strata=[])
+        with pytest.raises(ValueError, match=r"^more than 10000 permutations"):
+            run_permutation_variant(ds, mapping, "by_exposure", split, b=None,
+                                    rng=np.random.default_rng(0))
+        assert max(calls, default=0) <= 8
 
     def test_thin_cell_rejected(self):
         ds, mapping, split = _perm_instance(PERM_HALF_Y)

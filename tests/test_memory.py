@@ -113,6 +113,37 @@ FAULTS_CHILD = textwrap.dedent("""
 """)
 
 
+# bytes the records of one multiple-mode sampler call hold at N=20000, b=99, and
+# their bound. At epsilon 0.24 the design rejects some candidates, so each cell
+# group keeps its own int8 t; a record adds 160 bytes per draw of arm sums and
+# its cell's right-hand side, 80 bytes per scored unit whatever b is.
+RECORDS_CHILD = textwrap.dedent("""
+    import tracemalloc
+    import numpy as np
+    import netrand as nr
+    from netrand.conditioning import ConditioningConfig, sample_conditioning_set
+    from netrand.inference import prepare
+
+    n, b = 20_000, 99
+    rng = np.random.default_rng(0)
+    graph = nr.generate_regular_graph(n, 5, rng)
+    t = np.zeros(n, dtype=np.int8)
+    t[rng.choice(n, n // 2, replace=False)] = 1
+    ds = nr.Dataset(y=rng.standard_normal(n), t=t, graph=graph)
+    design = prepare(ds, nr.FractionThreshold(0.5, ">"), "by_exposure")
+    cfg = ConditioningConfig(epsilon=0.24, cells=design.cells, separate=True)
+    tracemalloc.start()
+    records, diag = sample_conditioning_set(nr.CompleteRandomization(n, n // 2), ds, design,
+                                            cfg, b, rng)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert diag.n_candidates > b and records[0].t is not records[1].t
+    bound = ((len(cfg.groups) + 0.1) * n * b + 200 * b * len(records)
+             + 80 * sum(len(d.units) for d in records))
+    print(held, bound)
+""")
+
+
 def _run_child(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -125,6 +156,13 @@ def test_n50000_oracle_test_runs_in_3gb_address_space():
     assert proc.returncode == 0, proc.stderr[-2000:]
     pvalues = [float(p) for p in proc.stdout.strip().splitlines()[-1].strip("[]").split(",")]
     assert len(pvalues) == 2 and all(0.0 <= p <= 1.0 for p in pvalues)
+
+
+def test_records_hold_arm_sums_not_unit_rows():
+    proc = _run_child(RECORDS_CHILD)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    held, bound = map(float, proc.stdout.split())
+    assert held <= bound
 
 
 def test_enumeration_limit_is_checked_before_enumerating():

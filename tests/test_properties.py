@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import (TOY12_EPS, TOY12_MAPPING, design_of, direct_imputed_stats,
-                      expand_record, make_toy12, neighbor_lists, oracle_exposure, oracle_focal,
-                      oracle_r)
+from fixtures import (TOY12_EPS, TOY12_MAPPING, brute_sums, design_of,
+                      direct_imputed_stats, imputed_stats, make_toy12, neighbor_lists,
+                      oracle_exposure, oracle_focal, oracle_r, power_outcomes)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import (ConditioningConfig, relative_frequency,
                                   sample_conditioning_set, superfocal_for_cell)
@@ -17,11 +17,10 @@ from netrand.data import Dataset
 from netrand.errors import AcceptanceBudgetExhausted
 from netrand.exposure import ExposureVector, FractionThreshold
 from netrand.graph import build_graph
-from netrand.inference import (_imputed_stats, adjust_multiple, empirical_pvalue,
-                               run_oracle_test)
+from netrand.inference import adjust_multiple, empirical_pvalue, run_oracle_test
 from netrand.nullspec import NullSpec
-from netrand.stats import (arm_variances, combined_stat, ts_per_exposure,
-                           variance_ratio)
+from netrand.stats import (arm_rhs, arm_sums, arm_variances, combined_stat,
+                           ts_per_exposure, variance_ratio)
 
 # dyadic rationals are exact in binary floating point, so identities that
 # are algebraically exact can be asserted with == rather than isclose
@@ -115,8 +114,9 @@ def test_pvalue_stays_in_unit_interval(draws, obs):
 @settings(max_examples=15, deadline=None)
 def test_exposure_change_never_imputes(seed):
     # the scorer imputes only focal units; a focal unit always keeps the
-    # exposure it was observed at, in every cell conditioned on
-    ds = make_toy12()
+    # exposure it was observed at, in every cell conditioned on: each
+    # record's arm sums are those of its super-focal units that keep it
+    ds = power_outcomes(make_toy12())
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
     design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), cfg.cells)
@@ -124,7 +124,9 @@ def test_exposure_change_never_imputes(seed):
                                          10, np.random.default_rng(seed))
     for draws in records:
         pi_new = TOY12_MAPPING.compute_batch(draws.t, ds.graph)
-        assert (pi_new == pi_obs)[expand_record(draws)[0]].all()
+        keep = (pi_new == pi_obs) & (pi_obs == draws.cell[0])
+        assert np.array_equal(draws.units, np.flatnonzero(pi_obs == draws.cell[0]))
+        assert np.array_equal(draws.sums, brute_sums(draws, keep))
 
 
 @given(small_tau)
@@ -163,7 +165,7 @@ def test_closed_form_scorer_matches_direct_imputation(seed, offset_scale, ks):
     t_new, focal = t_new[enough[0] & enough[1]], focal[enough[0] & enough[1]]
     y = offset + scale * np.round(rng.standard_normal(n) * 2**20) / 2**20
     grid = [0.0] + [scale * k / 1024 for k in ks]
-    got = _imputed_stats(y, t_obs, t_new.T, focal.T, grid)
+    got = imputed_stats(y, t_obs, t_new.T, focal.T, grid)
     want = direct_imputed_stats(y, t_obs, t_new, focal, grid)
     assert got.shape == (len(grid), len(t_new))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
@@ -191,7 +193,7 @@ def test_closed_form_scorer_is_exact_to_rounding_at_a_large_offset(seed):
     focal = np.ones(t_new.shape, dtype=bool)
     y = 1e6 + rng.standard_normal(16)
     taus = [-2.0, 0.5, 3.0]
-    got = _imputed_stats(y, t_obs, t_new.T, focal.T, taus)
+    got = imputed_stats(y, t_obs, t_new.T, focal.T, taus)
     for g, tau in enumerate(taus):
         for r, row in enumerate(t_new):
             exact = _exact_stat(y, t_obs, row, tau)
@@ -216,7 +218,7 @@ def test_closed_form_scorer_is_exact_to_rounding_near_the_effect(effect, offset,
     y = offset + effect * t_obs + rng.standard_normal(n)
     y[rng.choice(n, len(outliers), replace=False)] += outliers
     taus = [0.0, 0.999 * effect, -3.0]
-    got = _imputed_stats(y, t_obs, t_new.T, focal.T, taus)
+    got = imputed_stats(y, t_obs, t_new.T, focal.T, taus)
     for g, tau in enumerate(taus):
         for r, row in enumerate(t_new):
             exact = _exact_stat(y, t_obs, row, tau)
@@ -244,7 +246,7 @@ def test_integer_outcomes_keep_the_zero_variance_conventions(y, t_new, focal, st
     y, t_obs = np.array(y, dtype=float), np.array(_KEEP)
     t_new, focal = np.array([t_new]), np.array([focal], dtype=bool)
     taus = [0.0, 2.0, -3.0]
-    got = _imputed_stats(y, t_obs, t_new.T, focal.T, taus)[:, 0]
+    got = imputed_stats(y, t_obs, t_new.T, focal.T, taus)[:, 0]
     for g, tau in enumerate(taus):
         ref = ts_per_exposure(y + tau * (t_new[0] - t_obs), t_new[0], focal[0]).value
         assert got[g] == pytest.approx(ref, rel=1e-12)
@@ -260,10 +262,11 @@ def test_closed_form_variance_is_exactly_zero_on_a_constant_arm(y6, stat):
     t_obs = np.array([1, 1, 1, 1, 0, 0, 0, 0])
     t_new = np.array([[1, 1, 0, 0, 1, 1, 0, 0]])
     focal = np.ones((1, 8), dtype=bool)
-    v1, _ = arm_variances(y, t_obs, t_new.T, focal.T, [0.0, 2.0])
+    right, shift = arm_rhs(y, t_obs)
+    v1, _ = arm_variances(arm_sums(t_new.T, focal.T, right), shift, [0.0, 2.0])
     assert v1[1, 0] == 0.0
     assert v1[0, 0] > 0.0
-    got = _imputed_stats(y, t_obs, t_new.T, focal.T, [2.0])
+    got = imputed_stats(y, t_obs, t_new.T, focal.T, [2.0])
     assert got[0, 0] == stat
     assert direct_imputed_stats(y, t_obs, t_new, focal, [2.0])[0, 0] == stat
 
@@ -277,7 +280,7 @@ def test_relative_frequency_and_focal_match_oracles(inst):
     pi_new = mapping.compute(t_other, g)
     nbrs = neighbor_lists(g.n_units, g.edges)
     assert tuple(pi_obs) == oracle_exposure(t_obs, nbrs, comparator=">")
-    ds = Dataset(y=np.zeros(g.n_units), t=t_obs, graph=g)
+    ds = power_outcomes(Dataset(y=np.zeros(g.n_units), t=t_obs, graph=g))
     for v in (0, 1):
         if not (pi_obs == v).any():
             continue
@@ -287,16 +290,17 @@ def test_relative_frequency_and_focal_match_oracles(inst):
             assert r[arm] == oracle_r(tuple(t_other), tuple(pi_new),
                                       tuple(pi_obs), arm, v)
         if min(r) > 0.0:
-            # the sampler accepts t_other below its frequencies; its focal
-            # row is the cell's super-focal units that keep their exposure
+            # the sampler accepts t_other below its frequencies; its arm sums
+            # are those of the cell's super-focal units that keep their
+            # exposure, and with y = 2 ** i no other set sums alike
             cfg = ConditioningConfig(epsilon=min(r) / 2, cells=((v,),))
             design = design_of(ds, ExposureVector(pi_obs, mapping), cfg.cells)
             (draws,), _ = sample_conditioning_set(_FixedMechanism(t_other), ds, design,
                                                cfg, 1, np.random.default_rng(0))
-            focal = expand_record(draws)[0][0]
-            assert not (focal & ~sf.indicator).any()
-            assert tuple(np.flatnonzero(focal)) == oracle_focal(
-                tuple(t_other), tuple(pi_new), tuple(pi_obs), v)
+            assert np.array_equal(draws.units, np.flatnonzero(sf.indicator))
+            focal = np.zeros((1, g.n_units), dtype=bool)
+            focal[0, list(oracle_focal(tuple(t_other), tuple(pi_new), tuple(pi_obs), v))] = True
+            assert np.array_equal(draws.sums, brute_sums(draws, focal))
 
 
 class _FixedMechanism:

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from fixtures import (TEN_PI_OBS, TEN_T_OBS, TEN_Y, TOY12_EPS, TOY12_MAPPING,
-                      make_ten, make_toy12, oracle_cell_stat, oracle_var)
+                      imputed_stats, make_ten, make_toy12, oracle_cell_stat, oracle_var)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import cell_mask
 from netrand.errors import TooFewUnits
 from netrand import stats as stats_module
-from netrand.inference import _imputed_stats, run_oracle_test
+from netrand.inference import run_oracle_test
 from netrand.nullspec import NullSpec
 from netrand.stats import (combined_stat, conditional_variance,
                            masked_arm_variances, ratio_stat_rows,
@@ -94,7 +94,7 @@ def batch_stat(y, t, focal):
     """One draw through the engine's batch kernel: (statistic, n1, n0)."""
     t = np.asarray(t)
     focal = np.asarray(focal, dtype=bool)
-    stat = _imputed_stats(np.asarray(y, dtype=np.float64), t, t[:, None],
+    stat = imputed_stats(np.asarray(y, dtype=np.float64), t, t[:, None],
                           focal[:, None], [0.0])[0, 0]
     return stat, int((focal & (t == 1)).sum()), int((focal & (t == 0)).sum())
 
@@ -235,23 +235,23 @@ class TestExactSums:
     def test_column_order(self):
         # the order of the units (the columns of a draw-major batch)
         y, t_obs, t_new, focal, taus = _scoring_case()
-        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        base = imputed_stats(y, t_obs, t_new, focal, taus)
         perm = np.random.default_rng(0).permutation(len(y))
-        got = _imputed_stats(y[perm], t_obs[perm], t_new[perm], focal[perm], taus)
+        got = imputed_stats(y[perm], t_obs[perm], t_new[perm], focal[perm], taus)
         assert np.array_equal(_bits(got), _bits(base))
 
     def test_row_position_and_duplicates(self):
         # a draw's position (a row of a draw-major batch), and repeated draws
         y, t_obs, t_new, focal, taus = _scoring_case()
-        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        base = imputed_stats(y, t_obs, t_new, focal, taus)
         idx = np.random.default_rng(1).permutation(np.r_[:t_new.shape[1], 4, 4, 4, 17])
-        got = _imputed_stats(y, t_obs, t_new[:, idx], focal[:, idx], taus)
+        got = imputed_stats(y, t_obs, t_new[:, idx], focal[:, idx], taus)
         assert np.array_equal(_bits(got), _bits(base[:, idx]))
 
     def test_split_over_calls(self):
         y, t_obs, t_new, focal, taus = _scoring_case()
-        base = _imputed_stats(y, t_obs, t_new, focal, taus)
-        parts = [_imputed_stats(y, t_obs, t_new[:, a:z], focal[:, a:z], taus)
+        base = imputed_stats(y, t_obs, t_new, focal, taus)
+        parts = [imputed_stats(y, t_obs, t_new[:, a:z], focal[:, a:z], taus)
                  for a, z in ((0, 1), (1, 12), (12, 30))]
         assert np.array_equal(_bits(np.hstack(parts)), _bits(base))
 
@@ -259,9 +259,9 @@ class TestExactSums:
     @pytest.mark.parametrize("block", [1, 3 * 40, 7 * 30])
     def test_block_size(self, monkeypatch, block):
         y, t_obs, t_new, focal, taus = _scoring_case()
-        base = _imputed_stats(y, t_obs, t_new, focal, taus)
+        base = imputed_stats(y, t_obs, t_new, focal, taus)
         monkeypatch.setattr(stats_module, "SCORE_BLOCK", block)
-        got = _imputed_stats(y, t_obs, t_new, focal, taus)
+        got = imputed_stats(y, t_obs, t_new, focal, taus)
         assert np.array_equal(_bits(got), _bits(base))
 
     def test_blas_threads(self):
@@ -269,7 +269,7 @@ class TestExactSums:
         code = ("import numpy as np, netrand.stats as s, test_stats as t\n"
                 "s.SCORE_BLOCK = 1 << 30\n"
                 "case = t._scoring_case(n=1500, b=400)\n"
-                "print(t._imputed_stats(*case).tobytes().hex())\n")
+                "print(t.imputed_stats(*case).tobytes().hex())\n")
         here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.dirname(os.path.dirname(os.path.abspath(stats_module.__file__)))
         out = []
