@@ -26,6 +26,9 @@ The matrix:
 - the same engine runs on toy12 and hub260 with conditioning.MAX_BATCH_BYTES
   set to 16 rows' worth, so rejecting and sample-splitting designs run
   across many batches;
+- the same engine runs on the 5-regular 200-unit design under its
+  FractionThreshold with unit 0's outcome set to nan, and to 1e200, whose
+  square overflows float64;
 - compute_batch of each design and mapping on a drawn batch;
 - run_permutation_variant with b and with b=None on the same designs;
 - run_table(...).to_records() for tables 1-6 and fig2 (200 units) at seeds
@@ -168,6 +171,7 @@ def zero_weights(graph, rng):
 def outputs():
     """Yield (key, function, args) for every output of the matrix."""
     from netrand.conditioning import family_cells
+    from netrand.data import Dataset
     from netrand.exposure import WeightedThreshold, compute_exposures
     from netrand.inference import (TECHNIQUES, make_balanced_split,
                                    run_permutation_variant, run_technique)
@@ -195,6 +199,11 @@ def outputs():
         finally:
             conditioning.MAX_BATCH_BYTES = saved
 
+    def bad_outcome(value, tech, data, *rest):
+        y = data.y.copy()
+        y[0] = value
+        return engine(tech, Dataset(y=y, t=data.t, graph=data.graph, x=data.x), *rest)
+
     def permutation(data, mapping, family, stat, b):
         exposures = compute_exposures(mapping, data.t, data.graph)
         split = make_balanced_split(data, exposures, family, np.random.default_rng(7))
@@ -219,6 +228,10 @@ def outputs():
                         yield f"engine/{at}/{tech}/{family}/{stat}", engine, args
                         if name in ("toy12", "hub260"):
                             yield f"batches16/{at}/{tech}/{family}/{stat}", small_batches, args
+                        if at == "regular200/fraction":
+                            for value in ("nan", "1e200"):
+                                yield (f"y0={value}/{at}/{tech}/{family}/{stat}", bad_outcome,
+                                       (float(value), *args))
                     for pb in (b, None):
                         yield (f"permutation/{at}/{family}/{stat}/b={pb}",
                                permutation, (data, mapping, family, stat, pb))

@@ -278,12 +278,12 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
         reserve_heap(cell_bytes * m * dataset.n)
         t_batch = mechanism.draw_batch(m, rng)
         # unit-major from here on: a cell's super-focal units are whole rows
-        t_units = np.ascontiguousarray(t_batch.T)
+        t_units = np.ascontiguousarray(t_batch.T, dtype=np.int8)
         pi_units = mapping.compute_units(t_units, dataset.graph)
         passes, checked = {}, {}
         for c in live_cells:
             rows = design.units[c]  # the cell's super-focal units
-            in_cell, treated = pi_units[rows] == c[0], t_units[rows] == 1
+            in_cell, treated = pi_units[rows] == c[0], t_units[rows].view(bool)
             n = in_cell.sum(axis=0, dtype=count_type)
             n1 = (in_cell & treated).sum(axis=0, dtype=count_type)
             k, k1 = n, n1  # the scored focal units' counts
@@ -308,12 +308,14 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
             need = b - accepted[g]
             rows = np.flatnonzero(np.logical_and.reduce(
                 [passes[c] for c in groups[g]]))[:need]
-            keep = None if len(rows) == m else rows
-            t_blocks[g].append(t_batch if keep is None else t_batch[rows])
+            whole = len(rows) == m
+            t_blocks[g].append(t_batch if whole else t_batch[rows])
             for c in groups[g]:
                 focal, treated, k = checked[c]
-                record_blocks[c][0].append(arm_sums(treated, focal, rhs[c][0], keep))
-                record_blocks[c][1].append(k if keep is None else k[rows])
+                if not whole:  # the kept columns, gathered once for the sums
+                    focal, treated, k = focal[:, rows], treated[:, rows], k[rows]
+                record_blocks[c][0].append(arm_sums(treated, focal, rhs[c][0]))
+                record_blocks[c][1].append(k)
             accepted[g] += len(rows)
             if len(rows) == need:
                 done_at[g] = attempts + int(rows[-1]) + 1

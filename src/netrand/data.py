@@ -35,6 +35,8 @@ class Dataset:
             raise DataError(f"y has shape {self.y.shape}, expected ({n},)")
         if self.t.shape != (n,):
             raise DataError(f"t has shape {self.t.shape}, expected ({n},)")
+        if len(bad := np.flatnonzero(~np.isfinite(self.y))):
+            raise DataError(f"unit {bad[0]} has outcome {self.y[bad[0]]}; outcomes must be finite")
         vals = set(np.unique(self.t).tolist())
         if not vals <= {0, 1}:
             raise NonBinaryTreatment(f"treatment values {sorted(vals)} not in {{0, 1}}")

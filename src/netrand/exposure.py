@@ -78,9 +78,18 @@ class FractionThreshold(_UnitMajor):
         """A unit of degree d is exposed when its treated-neighbor count
         reaches its cut-off, the least c in 0..d for which c / float(d)
         passes (d + 1 if none does): the float64 fraction test decided on
-        integers. Counts are compared with cut-off - 1, which fits them."""
+        integers. Counts are compared with cut-off - 1, which fits them;
+        the graph caches those per (threshold, comparator, count type)."""
         counts = graph.neighbor_sums(t_units)
-        degs = graph.degrees
+        below, isolated = graph.cached(
+            ("cut-offs", self.threshold, self.comparator, counts.dtype),
+            lambda: self._below_cutoffs(graph.degrees, counts.dtype))
+        exposed = (counts > below[:, None]).view(np.int8)
+        exposed[isolated] = self.isolated_value
+        return exposed
+
+    def _below_cutoffs(self, degs: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Each unit's cut-off - 1 as dtype, and the units of degree 0."""
         ds, inverse = np.unique(degs, return_inverse=True)
         d = np.repeat(ds, ds + 1)  # each distinct degree, once per c in 0..d
         starts = np.flatnonzero(np.diff(d, prepend=-1))
@@ -89,10 +98,7 @@ class FractionThreshold(_UnitMajor):
         with np.errstate(divide="ignore", invalid="ignore"):
             ok = passes(c / d.astype(np.float64), self.threshold)
         cut = np.minimum.reduceat(np.where(ok, c, d + 1), starts)
-        below = (cut - 1).astype(counts.dtype)[inverse]
-        exposed = (counts > below[:, None]).view(np.int8)
-        exposed[degs == 0] = self.isolated_value
-        return exposed
+        return (cut - 1).astype(dtype)[inverse], np.flatnonzero(degs == 0)
 
     def config(self) -> dict:
         return {"type": "fraction_threshold", "threshold": self.threshold,

@@ -31,7 +31,8 @@ class Graph:
     the units of degree > k, which are a prefix of that order. A sum over
     neighbors is then one gather-add per slot, O(E) per row, and skewed
     degrees cost no padding. ``dense()`` builds the N x N matrix on
-    request; no engine path calls it.
+    request; no engine path calls it. The CSR arrays never change after
+    construction, so ``cached`` keeps what is derived from them.
     """
 
     def __init__(self, n_units: int, edges: Iterable[tuple[int, int]]):
@@ -44,8 +45,7 @@ class Graph:
         keys = np.sort(np.concatenate((a * n + b, b * n + a)))
         rows, self.indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
-        self._dense: np.ndarray | None = None
-        self._slots: tuple | None = None
+        self._cache: dict = {}
 
     def neighbors(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n_units:
@@ -69,26 +69,38 @@ class Graph:
         """The unit whose neighbor list holds each entry of ``indices``."""
         return np.repeat(np.arange(self.n_units), self.degrees)
 
+    def cached(self, key, build):
+        """build(), called once per key for this graph."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def dense(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (cached)."""
-        if self._dense is None:
-            a = np.zeros((self.n_units, self.n_units), dtype=np.float64)
-            a[self._rows(), self.indices] = 1.0
-            self._dense = a
-        return self._dense
+        return self.cached("dense", self._dense)
+
+    def _dense(self) -> np.ndarray:
+        a = np.zeros((self.n_units, self.n_units), dtype=np.float64)
+        a[self._rows(), self.indices] = 1.0
+        return a
 
     @property
     def slots(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """(order, nbrs): units by descending degree, and per slot k the
         k-th neighbors of ``order[:len(nbrs[k])]``, the units of degree
         > k (cached)."""
-        if self._slots is None:
-            degs = self.degrees
-            order = np.argsort(-degs, kind="stable")
-            starts = self.indptr[order]
-            self._slots = (order, tuple(self.indices[starts[:np.count_nonzero(degs > k)] + k]
-                                        for k in range(degs.max(initial=0))))
-        return self._slots
+        return self.cached("slots", self._slots)[:2]
+
+    def _slots(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], bool]:
+        """slots, and whether order is the identity: the stable sort keeps
+        every unit in place exactly when no degree rises with the unit
+        index, as on every regular graph."""
+        degs = self.degrees
+        order = np.argsort(-degs, kind="stable")
+        starts = self.indptr[order]
+        nbrs = tuple(self.indices[starts[:np.count_nonzero(degs > k)] + k]
+                     for k in range(degs.max(initial=0)))
+        return order, nbrs, not np.any(degs[1:] > degs[:-1])
 
     def neighbor_sums(self, t_units: np.ndarray,
                       weights: np.ndarray | None = None) -> np.ndarray:
@@ -99,19 +111,26 @@ class Graph:
         Returns an (N, B) matrix in unit order: counts in the narrowest
         signed integer type holding the largest degree, or float64 sums
         with weights. The sums accumulate in slot order, where each slot's
-        gather reads whole contiguous rows, and are scattered back once.
+        gather reads whole contiguous rows: the first slot's gather is
+        written and the others added. They are scattered back to unit
+        order once, unless slot order is unit order.
         """
-        order, nbrs = self.slots
+        order, nbrs, in_order = self.cached("slots", self._slots)
         t_units = np.ascontiguousarray(t_units, dtype=np.int8)
         # a type that holds -(d + 1) also holds every count 0..d
         dtype = np.min_scalar_type(-len(nbrs) - 1) if weights is None else np.float64
-        sums = np.zeros(t_units.shape, dtype=dtype)
-        for nbr in nbrs:
-            rows = t_units[nbr]
-            if weights is None:
+        sums = np.empty(t_units.shape, dtype=dtype)
+        sums[len(nbrs[0]) if nbrs else 0:] = 0  # the units without neighbors
+        for k, nbr in enumerate(nbrs):
+            rows = t_units[nbr]  # frees the previous slot's rows before the weights' product
+            if weights is not None:
+                rows = rows * weights[nbr, None]
+            if k:
                 sums[:len(nbr)] += rows
             else:
-                sums[:len(nbr)] += rows * weights[nbr, None]
+                sums[:len(nbr)] = rows
+        if in_order:
+            return sums
         out = np.empty_like(sums)
         out[order] = sums
         return out

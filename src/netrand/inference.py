@@ -25,8 +25,8 @@ import numpy as np
 from .conditioning import (Cell, ConditioningConfig, Design, Draws, cell_mask,
                            family_cells, sample_conditioning_set, select_observed_focal)
 from .data import Dataset
-from .errors import (DegenerateInterval, EmptyArm, EmptySuperFocal, MissingParameter,
-                     SplitInfeasible, TooFewUnits)
+from .errors import (DataError, DegenerateInterval, EmptyArm, EmptySuperFocal,
+                     MissingParameter, SplitInfeasible, TooFewUnits)
 from .exposure import ExposureVector, compute_exposures
 from .nullspec import (GENERAL, PLUGIN, SPLIT_ESTIMATE, NuisanceParams,
                        NullSpec, effect_key)
@@ -474,15 +474,19 @@ class CIConfig:
 
 
 def neyman_interval(y, t, level: float) -> tuple[float, float, float]:
-    """Normal-approximation interval for a difference in means."""
+    """Normal-approximation interval for a difference in means. Raises
+    DataError when the arms' means or variances overflow float64."""
     y, t = np.asarray(y, dtype=np.float64), np.asarray(t)
     y1, y0 = y[t == 1], y[t == 0]
     if len(y1) < 2 or len(y0) < 2:
         raise DegenerateInterval(
             f"need >= 2 units per arm, got {len(y1)}/{len(y0)}")
-    tau_hat = float(y1.mean() - y0.mean())
-    se = math.sqrt(y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0))
-    if not (math.isfinite(se) and se > 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau_hat = float(y1.mean() - y0.mean())
+        se = math.sqrt(y1.var(ddof=1) / len(y1) + y0.var(ddof=1) / len(y0))
+    if not math.isfinite(tau_hat + se):
+        raise DataError(f"the arms' means or variances overflow float64 (se={se})")
+    if not se > 0.0:
         raise DegenerateInterval(f"interval width is degenerate (se={se})")
     z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
     return tau_hat - z * se, tau_hat + z * se, tau_hat
@@ -516,8 +520,8 @@ def run_ci_test(dataset: Dataset, mapping, mechanism, family: str, *,
         units = design.units[k] if k else slice(None)  # the constant family pools all
         try:
             intervals[k] = neyman_interval(dataset.y[units], dataset.t[units], level)
-        except DegenerateInterval as exc:
-            raise DegenerateInterval(f"effect key {k}: {exc}") from None
+        except (DegenerateInterval, DataError) as exc:
+            raise type(exc)(f"effect key {k}: {exc}") from None
     axes = {k: np.linspace(lo, hi, m_axis) for k, (lo, hi, _) in intervals.items()}
     diag = {"gamma": ci.gamma, "grid_points_per_axis": m_axis, "grid_truncated": truncated,
             "intervals": {_cell_key(k): list(v) for k, v in intervals.items()}}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewUnits
+from .errors import DataError, TooFewUnits
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def ts_per_exposure(y: np.ndarray, t: np.ndarray, focal: np.ndarray,
                               n_control_used=int((focal & (t == 0)).sum()))
 
 
-SCORE_BLOCK = 1 << 14  # draw cells (units x draws) per GEMM block of arm_sums
+SCORE_BLOCK = 1 << 15  # draw cells (units x draws) per GEMM block of arm_sums
 
 
 def _grid_parts(v: np.ndarray) -> np.ndarray:
@@ -79,25 +79,36 @@ def _grid_parts(v: np.ndarray) -> np.ndarray:
 
 def arm_rhs(y, t_obs):
     """arm_sums' (n, 10) right-hand side for n units, each observed arm's indicator
-    and the hi and lo parts of y less its arm's shift and of its square, and the shifts."""
+    and the hi and lo parts of y less its arm's shift and of its square, and the shifts.
+    Raises DataError when a squared deviation overflows float64, or their sum plus n
+    times the shifts' squared gap (which bounds what arm_variances adds to it) does."""
     y = np.asarray(y, dtype=np.float64)
     groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
     # less each group's middle value: no unit order moves it, integer y stays integer
     shift = np.array([np.sort(y[g])[g.sum() // 2] if g.any() else 0.0 for g in groups])
-    u = np.where(groups, y - shift[:, None], 0.0)
-    return np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, u * u]))]).T), shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.where(groups, y - shift[:, None], 0.0)
+        square = u * u
+        per_unit = square.sum(axis=0)  # each unit's one nonzero row
+        spread = per_unit.sum() + len(y) * (shift[0] - shift[1]) ** 2
+    if not np.isfinite(spread):
+        bad = np.flatnonzero(~np.isfinite(per_unit))
+        raise DataError(
+            f"outcome {float(y[bad[0]])}'s squared deviation from its arm's middle value "
+            f"overflows float64" if len(bad) else
+            f"the sum of {len(y)} outcomes' squared deviations from their arms' middle "
+            f"values and those values' gap overflows float64")
+    return np.ascontiguousarray(np.vstack([groups, _grid_parts(np.vstack([u, square]))]).T), shift
 
 
-def arm_sums(t_new, focal, right, keep=None):
+def arm_sums(t_new, focal, right):
     """(B, 2, 10) exact sums of right's rows over each draw's focal units in its arm 1 and
-    its arm 0, from unit-major 0/1 rows t_new and focal; keep picks B columns (None: all)."""
-    units, draws = len(right), t_new.shape[1] if keep is None else len(keep)
+    its arm 0, from unit-major (n, B) 0/1 rows t_new and focal."""
+    units, draws = len(right), t_new.shape[1]
     step = max(1, min(units, SCORE_BLOCK // max(draws, 1)))
     masks, sums = np.empty((step, 2, draws)), np.zeros((2 * draws, 10))
     for r in range(0, units, step):  # each block's sums are exact, so adding them is too
         t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, units - r)]
-        if keep is not None:
-            t, f = t[:, keep], f[:, keep]
         np.logical_and(f, t, out=m[:, 0])  # each draw's arm 1, then its arm 0
         np.greater(f, t, out=m[:, 1])
         sums += m.reshape(len(m), -1).T @ right[r:r + step]

@@ -230,12 +230,18 @@ def oracle_focal(t_new, pi_new, pi_obs, value, x=None, level=None):
 
 
 def oracle_conditioning_set(n, n_treated, nbrs, pi_obs, eps, cells, *,
-                            threshold=0.5, comparator=">=", x=None, min_per_arm=0):
+                            threshold=0.5, comparator=">=", x=None, min_per_arm=0,
+                            among=None):
     """All assignments whose per-arm keep frequencies clear eps strictly
     for every requested cell, and that keep at least min_per_arm focal
-    units in each arm of every cell. Cells are (value,) or (value, level)."""
+    units in each arm of every cell. Cells are (value,) or (value, level).
+    among (tuples) restricts the answer to those vectors, without
+    enumerating the rest: a vector outside the mechanism's support, all
+    0/1 vectors with n_treated ones, is never a member."""
+    support = all_assignments(n, n_treated) if among is None else (
+        t for t in among if len(t) == n and set(t) <= {0, 1} and sum(t) == n_treated)
     accepted = []
-    for t in all_assignments(n, n_treated):
+    for t in support:
         pi = oracle_exposure(t, nbrs, threshold, comparator)
         ok = True
         for cell in cells:

@@ -207,6 +207,19 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "netrand: error: unit 5 has weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "unit 5 has outcome nan; outcomes must be finite"),
+        ("inf", "unit 5 has outcome inf; outcomes must be finite"),
+        ("1e200", "outcome 1e+200's squared deviation from its arm's middle value overflows"),
+    ])
+    def test_an_unusable_outcome_exits_two(self, tmp_path, capsys, bad, message):
+        _, edges = write_toy12(tmp_path)
+        y = [bad if i == 5 else v for i, v in enumerate(TOY12_Y)]
+        (tmp_path / "outcomes.csv").write_text("id,y,t\n" + "".join(
+            f"{i},{y[i]},{TOY12_T_OBS[i]}\n" for i in range(12)))
+        assert main(oracle_args(str(tmp_path / "outcomes.csv"), edges)) == 2
+        assert f"netrand: error: {message}" in capsys.readouterr().err
+
     def test_stratified_requires_stratum_column(self, tmp_path):
         nodes, edges = write_toy12(tmp_path)
         argv = oracle_args(nodes, edges) + ["--stratified"]

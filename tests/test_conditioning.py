@@ -338,6 +338,26 @@ class TestSamplerBatches:
                                      np.random.default_rng(1))
         assert mask.all()
 
+    @pytest.mark.parametrize("separate", [True, False])
+    def test_rejecting_batches_sum_the_kept_draws(self, monkeypatch, separate):
+        # toy12 rejects most candidates, and 7-row batches make each group
+        # keep some columns of many batches: every record's sums must be
+        # those of its own accepted draws' focal units
+        ds = power_outcomes(make_toy12())
+        design = prepare(ds, TOY12_MAPPING, "by_exposure")
+        monkeypatch.setattr(conditioning, "MAX_BATCH_BYTES",
+                            7 * ds.n * TOY12_MAPPING.batch_bytes_per_cell(ds.graph))
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=design.cells, separate=separate)
+        mech = _CountingMechanism(12, 6)
+        records, diag = sample_conditioning_set(mech, ds, design, cfg, 30,
+                                                np.random.default_rng(9))
+        assert max(mech.batches) == 7 and diag.n_candidates > 2 * 30
+        for d in records:
+            pi = TOY12_MAPPING.compute_batch(d.t, ds.graph)
+            focal = (pi == d.cell[0]) & (np.asarray(TOY12_PI_OBS) == d.cell[0])
+            assert np.array_equal(d.sums, brute_sums(d, focal))
+            assert d.focal_counts.tolist() == focal.sum(axis=1).tolist()
+
     def test_rejecting_design_stays_within_budget(self):
         ds = make_toy12()
         design = prepare(ds, TOY12_MAPPING, "by_exposure")

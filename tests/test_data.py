@@ -44,6 +44,13 @@ class TestDataset:
             Dataset(y=np.zeros(3), t=np.array([0, 1, 0]), graph=g,
                     x=np.array(["a", "b"], dtype=object))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_outcomes_must_be_finite(self, bad):
+        y = np.arange(10.0)
+        y[[4, 7]] = bad
+        with pytest.raises(DataError, match=f"unit 4 has outcome {bad}; outcomes must be finite"):
+            Dataset(y=y, t=np.array(TEN_T_OBS), graph=build_graph(10, TEN_EDGES))
+
     def test_x_levels_sorted(self):
         ds = make_ten(with_x=True)
         assert ds.x_levels == ("f", "m")

@@ -232,6 +232,24 @@ class TestUnitMajorKernels:
                         want = oracle_exposure(t, nbrs, threshold, comparator, isolated)
                         assert tuple(got[:, row].tolist()) == want
 
+    def test_cached_cutoffs_match_fresh_graphs(self):
+        # a graph caches each config's cut-offs under (threshold, comparator,
+        # count type): two configs alternating on one graph, with int8 and
+        # with int16 counts (a degree-150 hub), give what each gives alone
+        rng = np.random.default_rng(23)
+        configs = (FractionThreshold(0.5, ">"), FractionThreshold(1 / 3, ">=", isolated_value=1))
+        for hub, width in ((0, 1), (150, 2)):
+            g = random_irregular_graph(rng, 200, hub_degree=hub, n_isolated=4)
+            assert g.neighbor_sums(np.ones((g.n_units, 1), np.int8)).itemsize == width
+            for rep in range(3):
+                t_mat = _treatment_rows(rng, g.n_units, 5)
+                for m in configs:
+                    fresh = build_graph(g.n_units, sorted(g.edges))
+                    assert np.array_equal(m.compute_units(t_mat.T, g),
+                                          m.compute_units(t_mat.T, fresh))
+                    assert np.array_equal(m.compute_batch(t_mat, g),
+                                          dense_threshold_reference(m, t_mat, fresh))
+
     def test_cutoff_ties_on_small_degrees(self):
         # a star whose center has degree d sees c treated leaves, c = 0..d
         for d in range(1, 11):

@@ -90,18 +90,28 @@ class TestBuildGraph:
     def test_neighbor_sums_match_dense_products(self):
         # rows come back in unit order; counts use the narrowest signed
         # type holding the largest degree: int8 up to degree 127, int16 for
-        # the second graph's degree-200 hub, whose count in the all-treated
-        # row would overflow int8
+        # the degree-200 hub, whose count in the all-treated row would
+        # overflow int8. The hub graphs' slot order moves units, so their
+        # sums are scattered back; where no degree rises with the unit
+        # index (the 5-regular graph, and a hub graph relabelled by
+        # descending degree, isolated units last) slot order is unit order
         rng = np.random.default_rng(4)
-        for n, hub, dtype in ((50, 20, np.int8), (260, 200, np.int16)):
-            g = random_irregular_graph(rng, n, hub_degree=hub, n_isolated=2)
-            assert g.degrees.max() >= hub
+        hub260 = random_irregular_graph(rng, 260, hub_degree=200, n_isolated=2)
+        by_degree = np.argsort(np.argsort(-hub260.degrees, kind="stable"))
+        cases = ((random_irregular_graph(rng, 50, hub_degree=20, n_isolated=2), np.int8, False),
+                 (hub260, np.int16, False),
+                 (generate_regular_graph(60, 5, rng), np.int8, True),
+                 (build_graph(260, by_degree[np.array(sorted(hub260.edges))]), np.int16, True))
+        for g, dtype, in_order in cases:
+            n = g.n_units
+            assert np.array_equal(g.slots[0], np.arange(n)) == in_order
             t_mat = np.vstack([np.ones(n, np.int64), rng.integers(0, 2, size=(6, n))])
             w = rng.integers(0, 5, size=n).astype(np.float64)
             counts = g.neighbor_sums(t_mat.T)
             assert counts.dtype == dtype and counts.shape == (n, 7)
             assert np.array_equal(counts.T, t_mat @ g.dense())
             assert counts.max() == g.degrees.max()
+            assert np.array_equal(g.neighbor_sums(t_mat.T), counts)  # a second call, cached slots
             weighted = g.neighbor_sums(t_mat.T, w)
             assert weighted.dtype == np.float64
             assert np.array_equal(weighted.T, (t_mat * w) @ g.dense())

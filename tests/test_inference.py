@@ -634,7 +634,21 @@ class TestNeymanInterval:
                             np.array([1, 1, 0, 0]), 0.95)
 
 
+    def test_an_overflowing_variance_is_a_data_error(self):
+        # every outcome is finite, but 1e200's squared deviation is not
+        y, t = np.array([1e200, 0.0, 1.0, 2.0]), np.array([1, 1, 0, 0])
+        with pytest.raises(DataError, match=r"variances overflow float64 \(se=inf\)"):
+            neyman_interval(y, t, 0.95)
+
+
 class TestCiEngine:
+    def test_huge_outcome_is_a_data_error_naming_the_effect_key(self):
+        ds = make_toy12()
+        ds.y[5] = 1e200  # a unit of cell (1,)
+        with pytest.raises(DataError, match=r"^effect key \(1,\): the arms' means or variances"):
+            run_ci_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6), "by_exposure",
+                        epsilon=TOY12_EPS, b=20, rng=np.random.default_rng(0))
+
     def test_degenerate_interval_names_the_effect_key(self):
         # constant outcomes over toy12's cell (1,) (units 4-9) give its
         # interval zero width, which check_feasible cannot see

@@ -12,11 +12,11 @@ from fixtures import (TEN_PI_OBS, TEN_T_OBS, TEN_Y, TOY12_EPS, TOY12_MAPPING,
                       imputed_stats, make_ten, make_toy12, oracle_cell_stat, oracle_var)
 from netrand.assignment import CompleteRandomization
 from netrand.conditioning import cell_mask
-from netrand.errors import TooFewUnits
+from netrand.errors import DataError, TooFewUnits
 from netrand import stats as stats_module
 from netrand.inference import run_oracle_test
 from netrand.nullspec import NullSpec
-from netrand.stats import (combined_stat, conditional_variance,
+from netrand.stats import (arm_rhs, combined_stat, conditional_variance,
                            masked_arm_variances, ratio_stat_rows,
                            ts_per_exposure, variance_ratio)
 
@@ -210,6 +210,43 @@ class TestBatchPath:
         v1, v0, _, _ = masked_arm_variances(z, (arm1, arm0))
         with pytest.raises(TooFewUnits):
             ratio_stat_rows(v1, v0)
+
+
+class TestOutcomeRange:
+    """arm_rhs refuses outcomes whose squared deviations from their arm's
+    middle value overflow float64, before any statistic reads them."""
+
+    def test_one_huge_outcome_names_itself(self):
+        y, t = np.r_[np.arange(9.0), 1e200], np.arange(10) % 2
+        with pytest.raises(DataError, match=r"outcome 1e\+200's squared deviation"):
+            arm_rhs(y, t)
+
+    def test_a_sum_past_float64_is_refused(self):
+        # each arm's middle value is 1.2e154, so every zero deviates by
+        # -1.2e154: a finite square of 1.44e308, two of which overflow
+        y = np.tile([0.0, 0.0, 1.2e154, 1.2e154, 1.2e154], 2)
+        with pytest.raises(DataError, match="the sum of 10 outcomes' squared deviations"):
+            arm_rhs(y, np.arange(10) % 2)
+
+    def test_arms_too_far_apart_are_refused(self):
+        # no outcome deviates from its arm's middle value, but a draw mixing
+        # the observed arms squares their gap of 2e160
+        y, t = np.tile([1e160, -1e160], 5), np.arange(10) % 2 == 0
+        with pytest.raises(DataError, match="and those values' gap overflows float64"):
+            arm_rhs(y, t)
+
+    def test_largest_finite_squares_pass(self):
+        y, t = np.r_[np.zeros(9), 1e153], np.zeros(10)
+        right, shift = arm_rhs(y, t)
+        assert np.isfinite(right).all() and shift.tolist() == [0.0, 0.0]
+
+    def test_engine_raises_a_data_error_not_too_few_units(self):
+        ds = make_toy12()
+        ds.y[5] = 1e200  # a unit of cell (1,)
+        with pytest.raises(DataError, match="squared deviation"):
+            run_oracle_test(ds, TOY12_MAPPING, CompleteRandomization(12, 6),
+                            NullSpec.constant(0.0), epsilon=TOY12_EPS, b=20,
+                            rng=np.random.default_rng(0))
 
 
 def _scoring_case(seed=3, n=40, b=30):
