@@ -62,7 +62,7 @@ def ts_per_exposure(y: np.ndarray, t: np.ndarray, focal: np.ndarray,
                               n_control_used=int((focal & (t == 0)).sum()))
 
 
-SCORE_BLOCK = 1 << 15  # draw cells (units x draws) per GEMM block of arm_sums
+SCORE_BLOCK = 1 << 15  # draw cells (units x draws) per block of arm_sums, one GEMM per arm
 
 
 def _grid_parts(v: np.ndarray) -> np.ndarray:
@@ -106,13 +106,15 @@ def arm_sums(t_new, focal, right):
     its arm 0, from unit-major (n, B) 0/1 rows t_new and focal."""
     units, draws = len(right), t_new.shape[1]
     step = max(1, min(units, SCORE_BLOCK // max(draws, 1)))
-    masks, sums = np.empty((step, 2, draws)), np.zeros((2 * draws, 10))
+    # one float64 mask of a block's cells, reused for both arms, stays at 256 KiB: a
+    # 512 KiB one for both arms was faulted back in on most calls with small batches
+    mask, sums = np.empty((step, draws)), np.zeros((2, draws, 10))
     for r in range(0, units, step):  # each block's sums are exact, so adding them is too
-        t, f, m = t_new[r:r + step], focal[r:r + step], masks[:min(step, units - r)]
-        np.logical_and(f, t, out=m[:, 0])  # each draw's arm 1, then its arm 0
-        np.greater(f, t, out=m[:, 1])
-        sums += m.reshape(len(m), -1).T @ right[r:r + step]
-    return sums.reshape(2, draws, 10).transpose(1, 0, 2)
+        t, f, rhs = t_new[r:r + step], focal[r:r + step], right[r:r + step]
+        m = mask[:len(rhs)]
+        sums[0] += np.logical_and(f, t, out=m).T @ rhs  # each draw's arm 1, then its arm 0
+        sums[1] += np.greater(f, t, out=m).T @ rhs
+    return sums.transpose(1, 0, 2)
 
 
 def arm_variances(sums, shift, taus=(0.0,)):
