@@ -81,7 +81,8 @@ def arm_rhs(y, t_obs):
     """arm_sums' (n, 10) right-hand side for n units, each observed arm's indicator
     and the hi and lo parts of y less its arm's shift and of its square, and the shifts.
     Raises DataError when a squared deviation overflows float64, or their sum plus n
-    times the shifts' squared gap (which bounds what arm_variances adds to it) does."""
+    times the shifts' squared gap does: arm_variances adds a term of that size for a
+    draw that mixes the observed arms."""
     y = np.asarray(y, dtype=np.float64)
     groups = np.stack([np.asarray(t_obs) == 1, np.asarray(t_obs) != 1])
     # less each group's middle value: no unit order moves it, integer y stays integer
