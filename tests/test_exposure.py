@@ -241,7 +241,7 @@ class TestUnitMajorKernels:
         for hub, width in ((0, 1), (150, 2)):
             g = random_irregular_graph(rng, 200, hub_degree=hub, n_isolated=4)
             assert g.neighbor_sums(np.ones((g.n_units, 1), np.int8)).itemsize == width
-            for rep in range(3):
+            for _ in range(3):
                 t_mat = _treatment_rows(rng, g.n_units, 5)
                 for m in configs:
                     fresh = build_graph(g.n_units, sorted(g.edges))
