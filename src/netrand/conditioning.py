@@ -65,37 +65,34 @@ def arm_counts(pi: np.ndarray, cells: Sequence[Cell], t: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class Design:
     """A test's observed side, fixed before its first draw (inference.prepare):
-    the observed ExposureVector, the null family, its cells and each
-    cell's super-focal units (ascending indices; none is empty)."""
+    the observed ExposureVector, the null family, its cells, each cell's
+    super-focal units (ascending indices; none is empty) and scored_mask,
+    the units the statistics use (None for all, or a split's inference half)."""
 
     exposures: object
     family: str
     cells: tuple
     units: dict
+    scored_mask: np.ndarray | None = None
 
-    def scored(self, cell: Cell, mask: np.ndarray | None = None) -> np.ndarray:
-        """The cell's super-focal units that mask marks (all for None)."""
-        units = self.units[cell]
+    def scored(self, cell: Cell) -> np.ndarray:
+        """The cell's super-focal units that scored_mask marks."""
+        units, mask = self.units[cell], self.scored_mask
         return units if mask is None else units[mask[units]]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConditioningConfig:
     """epsilon bounds the relative frequencies of every (arm, cell) pair
-    of the cells conditioned on, each (pi,) or (pi, x_level). separate
-    gives each cell its own accepted draws (multiple mode); otherwise one
-    set of draws satisfies every cell jointly (combined mode). scored
-    marks the units the statistics use (None for all): each record's
-    units and sums are restricted to them, while the inequalities count
-    every super-focal unit. min_per_arm > 0 also asks each accepted draw
-    to keep that many scored focal units in each arm of every cell of its
-    group."""
+    of the Design's cells. separate gives each cell its own accepted
+    draws (multiple mode); otherwise one set of draws satisfies every
+    cell jointly (combined mode). min_per_arm > 0 also asks each accepted
+    draw to keep that many scored focal units in each arm of every cell
+    of its group."""
 
     epsilon: float
-    cells: tuple
     max_attempts_per_accept: int = 10_000
     separate: bool = False
-    scored: np.ndarray | None = None
     min_per_arm: int = 0
 
     def __post_init__(self):
@@ -103,11 +100,6 @@ class ConditioningConfig:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.max_attempts_per_accept < 1:
             raise ValueError("max_attempts_per_accept must be >= 1")
-
-    @property
-    def groups(self) -> list[tuple]:
-        """The cell groups that each keep their own accepted draws."""
-        return [(c,) for c in self.cells] if self.separate else [tuple(self.cells)]
 
 
 @dataclass
@@ -221,16 +213,17 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
     """Draw b i.i.d. vectors from each cell group's conditioning set by
     rejection on one candidate stream.
 
-    design (checked by inference.check_feasible) gives each cell's
-    super-focal units, and its mapping each candidate's exposures,
-    computed once per candidate for every group. A candidate is accepted
-    into a group when, for every cell of the group and both arms, the
-    relative frequency of retained super-focal units strictly exceeds
-    epsilon and, with config.min_per_arm, at least that many of those
-    units are scored. Each group keeps its first b accepts, so its draws
-    are i.i.d. on its own conditioning set (the groups' draws are
-    dependent, which Bonferroni and Holm allow). Returns one Draws record
-    per cell of config.cells, in that order, plus diagnostics. Raises
+    design (checked by inference.check_feasible) gives the cells, each
+    with its super-focal and scored units, and its mapping each
+    candidate's exposures, computed once per candidate for every group
+    (each cell with config.separate, else all cells). A candidate is
+    accepted into a group when, for every cell of the group and both
+    arms, the relative frequency of retained super-focal units strictly
+    exceeds epsilon and, with config.min_per_arm, at least that many of
+    those units are scored. Each group keeps its first b accepts, so
+    its draws are i.i.d. on its own conditioning set (the groups' draws
+    are dependent, which Bonferroni and Holm allow). Returns one Draws record
+    per cell of design.cells, in that order, plus diagnostics. Raises
     AcceptanceBudgetExhausted, naming each starved group and the worst
     failure among their cells, when b * max_attempts_per_accept
     candidates leave a group short of b.
@@ -243,22 +236,23 @@ def sample_conditioning_set(mechanism, dataset, design: Design,
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    groups, scored, least = config.groups, config.scored, config.min_per_arm
+    cells, scored, least = design.cells, design.scored_mask, config.min_per_arm
+    groups = [(c,) for c in cells] if config.separate else [tuple(cells)]
     budget = b * config.max_attempts_per_accept
     mapping = design.exposures.mapping
     cell_bytes = mapping.batch_bytes_per_cell(dataset.graph)
     max_rows = max_batch_rows(mapping, dataset.graph)
     count_type = np.min_scalar_type(-dataset.n - 1)  # holds -(N + 1), so every count 0..N
     t_blocks = [[] for _ in groups]  # rows each group accepted from each batch
-    record_blocks = {c: ([], []) for c in config.cells}  # their arm sums and focal counts
-    units = {c: design.scored(c, scored) for c in config.cells}
+    record_blocks = {c: ([], []) for c in cells}  # their arm sums and focal counts
+    units = {c: design.scored(c) for c in cells}
     rhs = {}  # each cell's arm_rhs of its units, built once the first batch is freed
     accepted = [0] * len(groups)
     done_at = [0] * len(groups)  # candidates drawn up to the b-th accept
     attempts = 0
-    fail_counts = {(arm, c): 0 for c in config.cells for arm in (0, 1)}
+    fail_counts = {(arm, c): 0 for c in cells for arm in (0, 1)}
     if least:
-        fail_counts.update({(arm, c, "min_per_arm"): 0 for c in config.cells for arm in (0, 1)})
+        fail_counts.update({(arm, c, "min_per_arm"): 0 for c in cells for arm in (0, 1)})
 
     while live := [g for g in range(len(groups)) if accepted[g] < b]:
         live_cells = [c for g in live for c in groups[g]]

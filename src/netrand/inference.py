@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Mapping
 
@@ -216,24 +216,21 @@ def _nuisance_diag(nuisance: NuisanceParams) -> dict:
 class TauSource:
     """Where a test's effect values come from, the one thing the
     techniques vary. axes maps each effect key to the values tested (one
-    point for a fixed effect), gamma is added to every p-value, scored
-    marks the units the statistics use (None for all), and diagnostics is
-    what the technique adds to the report. A source with gamma > 0 scans
-    a region: the p-value at each of its grid points is reported under
-    diagnostics[technique]["grid_evaluations"]."""
+    point for a fixed effect), gamma is added to every p-value, and
+    diagnostics is what the technique adds to the report. A source with
+    gamma > 0 scans a region: the p-value at each of its grid points is
+    reported under diagnostics[technique]["grid_evaluations"]."""
 
     technique: str
     axes: dict
     gamma: float = 0.0
-    scored: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
-def _point_source(technique, design, nuisance, scored=None, **extra):
+def _point_source(technique, design, nuisance, **extra):
     """A fixed-effect source: each effect key's one value from nuisance."""
     axes = {k: [nuisance.get(k)] for k in (effect_key(design.family, c) for c in design.cells)}
-    return TauSource(technique, axes, scored=scored,
-                     diagnostics={"nuisance": _nuisance_diag(nuisance), **extra})
+    return TauSource(technique, axes, diagnostics={"nuisance": _nuisance_diag(nuisance), **extra})
 
 
 def prepare(dataset: Dataset, mapping, family: str) -> Design:
@@ -252,14 +249,15 @@ def prepare(dataset: Dataset, mapping, family: str) -> Design:
 def check_feasible(design: Design, t: np.ndarray, split: SplitResult | None = None) -> None:
     """The one feasibility check, before any estimate or draw: raises
     SplitInfeasible when a cell's estimation half lacks an arm, then
-    TooFewUnits when its scored units (all, or the inference half) hold
-    fewer than MIN_PER_ARM per arm, the least every accepted draw keeps."""
+    TooFewUnits when design.scored(cell) holds fewer than MIN_PER_ARM
+    per arm, the least every accepted draw keeps."""
     for c in design.cells if split is not None else ():
-        est = np.bincount(t[design.scored(c, split.est_mask)], minlength=2)
+        units = design.units[c]
+        est = np.bincount(t[units[split.est_mask[units]]], minlength=2)
         if not est.all():
             raise SplitInfeasible(f"estimation side of cell {c} has no arm-{est.argmin()} units")
     for c in design.cells:
-        n0, n1 = np.bincount(t[design.scored(c, getattr(split, "inf_mask", None))], minlength=2)
+        n0, n1 = np.bincount(t[design.scored(c)], minlength=2)
         if min(n0, n1) < MIN_PER_ARM:
             raise TooFewUnits(
                 f"cell {c}: the observed assignment has {n0}/{n1} scored super-focal "
@@ -277,10 +275,8 @@ def run_test(source: TauSource, dataset: Dataset, design: Design, mechanism, *,
     inequalities. Each accepted draw and observed focal selection keeps
     MIN_PER_ARM scored units per arm, so every draw can be scored."""
     _check_stat(stat)
-    cfg = ConditioningConfig(epsilon=epsilon, cells=design.cells,
-                             max_attempts_per_accept=max_attempts_per_accept,
-                             separate=stat == "multiple", scored=source.scored,
-                             min_per_arm=MIN_PER_ARM)
+    cfg = ConditioningConfig(epsilon=epsilon, max_attempts_per_accept=max_attempts_per_accept,
+                             separate=stat == "multiple", min_per_arm=MIN_PER_ARM)
     records, _ = sample_conditioning_set(mechanism, dataset, design, cfg, b, rng)
     runs = [(d, select_observed_focal(d.cell, d.units, d.focal_counts, dataset.t, rng,
                                       min_per_arm=MIN_PER_ARM)) for d in records]
@@ -450,10 +446,11 @@ def run_ss_test(dataset: Dataset, mapping, mechanism, family: str, *,
     """
     design = prepare(dataset, mapping, family)
     split = make_balanced_split(dataset, design.exposures, family, split_rng)
+    design = replace(design, scored_mask=split.inf_mask)
     check_feasible(design, dataset.t, split)
     nuisance = estimate_tau_plugin(dataset, design.exposures, family,
                                    mask=split.est_mask, provenance=SPLIT_ESTIMATE)
-    source = _point_source("ss", design, nuisance, scored=split.inf_mask,
+    source = _point_source("ss", design, nuisance,
                            split={"n_estimation": int(split.est_mask.sum()),
                                   "n_inference": int(split.inf_mask.sum())})
     return run_test(source, dataset, design, mechanism, epsilon=epsilon,
@@ -578,13 +575,13 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
     diagnostic comparing the two procedures.
     """
     _check_stat(stat)
-    design = prepare(dataset, mapping, family)
+    design = replace(prepare(dataset, mapping, family), scored_mask=split.inf_mask)
     check_feasible(design, dataset.t, split)
     nuisance = estimate_tau_plugin(dataset, design.exposures, family,
                                    mask=split.est_mask, provenance=SPLIT_ESTIMATE)
     cells, t = design.cells, dataset.t
     taus = [nuisance.get(effect_key(family, c)) for c in cells]
-    units = [design.scored(c, split.inf_mask) for c in cells]
+    units = [design.scored(c) for c in cells]
 
     if b is None:
         total = 1
@@ -613,7 +610,6 @@ def run_permutation_variant(dataset: Dataset, mapping, family: str,
         runs.append((Draws(t_new, idx, right, shift, sums, np.full(len(t_new), len(idx)), c,
                            n_candidates=len(t_new)), np.bincount(idx, minlength=dataset.n) > 0))
     source = TauSource("permutation", {effect_key(family, c): [0.0] for c in cells},
-                       scored=split.inf_mask,
                        diagnostics={"nuisance": _nuisance_diag(nuisance)})
     report = _score_grid(source, dataset, design, runs,
                          b=len(t_new), epsilon=float("nan"), stat=stat,

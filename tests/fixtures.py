@@ -138,12 +138,14 @@ def dense_threshold_reference(mapping, t_mat, graph):
     return out
 
 
-def design_of(ds, exposures, cells, family="by_exposure"):
-    """A Design over the given cells of an ExposureVector, built as
-    inference.prepare builds one but without its empty-cell check, for
-    sampler tests that condition on some cells or fix the exposures."""
+def design_of(ds, exposures, cells, family="by_exposure", scored=None):
+    """A Design over the given cells of an ExposureVector, scoring the
+    units that scored marks (None for all), built as inference.prepare
+    builds one but without its empty-cell check, for sampler tests that
+    condition on some cells or fix the exposures."""
     return Design(exposures, family, tuple(cells),
-                  {c: np.flatnonzero(cell_mask(exposures.values, c, ds.x)) for c in cells})
+                  {c: np.flatnonzero(cell_mask(exposures.values, c, ds.x)) for c in cells},
+                  scored)
 
 
 def power_outcomes(ds):

@@ -22,7 +22,7 @@ import test_properties as props
 from fixtures import (TEN_EDGES, TEN_MAPPING, TEN_PI_ALT, TEN_PI_OBS,
                       TEN_T_ALT, TEN_Y, TOY12_EDGES, TOY12_EPS,
                       TOY12_MAPPING, TOY12_PI_OBS, TOY12_T_OBS, TOY12_Y, LINE4_EDGES,
-                      brute_sums, make_line4, make_ten, make_toy12, neighbor_lists,
+                      brute_sums, design_of, make_line4, make_ten, make_toy12, neighbor_lists,
                       oracle_cell_stat, oracle_conditioning_set,
                       oracle_exposure, oracle_focal, oracle_imputed,
                       oracle_r, power_outcomes)
@@ -420,9 +420,10 @@ class TestEnumerationEquivalence:
         pi_obs = tuple(int(v) for v in design.exposures.values)
         exact = oracle_conditioning_set(4, 2, nbrs, pi_obs, 0.3, [(1,)])
         assert set(exact) == {(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)}
-        cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
+        cfg = ConditioningConfig(epsilon=0.3)
         (draws,), _ = sample_conditioning_set(
-            CompleteRandomization(4, 2), ds, design, cfg, 300, np.random.default_rng(5))
+            CompleteRandomization(4, 2), ds, design_of(ds, design.exposures, [(1,)]), cfg, 300,
+            np.random.default_rng(5))
         support = {tuple(int(v) for v in row) for row in draws.t}
         assert support == set(exact)
 
@@ -435,9 +436,9 @@ class TestEnumerationEquivalence:
             exact = oracle_conditioning_set(10, 5, nbrs, TEN_PI_OBS, 0.1,
                                             [cell])
             assert len(exact) == size
-            cfg = ConditioningConfig(epsilon=0.1, cells=(cell,))
+            cfg = ConditioningConfig(epsilon=0.1)
             (draws,), _ = sample_conditioning_set(
-                mech, ds, design, cfg, 4000,
+                mech, ds, design_of(ds, design.exposures, [cell]), cfg, 4000,
                 np.random.default_rng(11))
             sampled = [tuple(int(v) for v in row) for row in draws.t]
             assert set(sampled) == set(exact)
@@ -476,9 +477,10 @@ class TestFuzzedInvariants:
     def test_focal_subset_of_superfocal(self):
         ds = power_outcomes(make_ten())
         design = prepare(ds, TEN_MAPPING, "by_exposure")
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        cfg = ConditioningConfig(epsilon=0.1)
         (draws,), _ = sample_conditioning_set(
-            CompleteRandomization(10, 5), ds, design, cfg, 50, np.random.default_rng(3))
+            CompleteRandomization(10, 5), ds, design_of(ds, design.exposures, [(0,)]), cfg, 50,
+            np.random.default_rng(3))
         sf = superfocal_for_cell(np.array(TEN_PI_OBS), (0,), None)
         # the records sum over the super-focal units that keep their exposure
         assert np.array_equal(draws.units, np.flatnonzero(sf.indicator))

@@ -2,6 +2,7 @@
 observed-focal selection, and the epsilon feasibility bound."""
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,17 +50,19 @@ class TestTargets:
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            ConditioningConfig(epsilon=0.5, cells=((0,), (1,)))
+            ConditioningConfig(epsilon=0.5)
         with pytest.raises(ValueError):
-            ConditioningConfig(epsilon=0.0, cells=((0,), (1,)))
+            ConditioningConfig(epsilon=0.0)
 
 
-class TestConditioningConfig:
+class TestDesign:
     def test_a_scored_mask_compares_and_hashes_by_identity(self):
-        cfg = ConditioningConfig(0.1, ((0,),), scored=np.ones(3, bool))
-        twin = ConditioningConfig(0.1, ((0,),), scored=np.ones(3, bool))
-        assert cfg == cfg and cfg != twin
-        assert hash(cfg) == hash(cfg) and len({cfg, twin}) == 2
+        ds = make_ten()
+        exposures = ExposureVector(np.array(TEN_PI_OBS), TEN_MAPPING)
+        design = design_of(ds, exposures, [(0,)], scored=np.ones(10, bool))
+        twin = design_of(ds, exposures, [(0,)], scored=np.ones(10, bool))
+        assert design == design and design != twin
+        assert hash(design) == hash(design) and len({design, twin}) == 2
 
 
 class TestSuperFocal:
@@ -134,10 +137,10 @@ class TestFocalIndicator:
         nbrs = neighbor_lists(10, TEN_EDGES)
         pi_obs = np.array(TEN_PI_OBS)
         for v in (0, 1):
-            cfg = ConditioningConfig(epsilon=0.1, cells=((v,),))
+            cfg = ConditioningConfig(epsilon=0.1)
             (draws,), _ = sample_conditioning_set(
                 CompleteRandomization(10, 5), ds,
-                design_of(ds, ExposureVector(pi_obs, TEN_MAPPING), cfg.cells),
+                design_of(ds, ExposureVector(pi_obs, TEN_MAPPING), [(v,)]),
                 cfg, 20, np.random.default_rng(4))
             sf = superfocal_for_cell(pi_obs, (v,))
             assert np.array_equal(draws.units, np.flatnonzero(sf.indicator))
@@ -150,18 +153,19 @@ class TestFocalIndicator:
 
 
 class TestSampler:
-    def _line4(self):
+    def _line4(self, cells):
+        """line4 and a Design conditioning on the given cells."""
         ds = power_outcomes(make_line4(t=LINE4_T_OBS))
         design = prepare(ds, TEN_MAPPING, "by_exposure")
         assert design.exposures.values.tolist() == list(LINE4_PI_OBS)
-        return ds, design
+        return ds, design_of(ds, design.exposures, cells)
 
     def test_line4_support_matches_hand_enumeration(self):
-        ds, design = self._line4()
+        ds, design = self._line4([(1,)])
         oracle = oracle_conditioning_set(
             4, 2, neighbor_lists(4, LINE4_EDGES), LINE4_PI_OBS, 0.3, [(1,)])
         assert set(oracle) == LINE4_CELL1_SET
-        cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
+        cfg = ConditioningConfig(epsilon=0.3)
         (draws,), diag = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, design, cfg, 300,
             np.random.default_rng(0))
@@ -173,8 +177,8 @@ class TestSampler:
         assert diag.n_accepted == 300
 
     def test_line4_draw_bookkeeping(self):
-        ds, design = self._line4()
-        cfg = ConditioningConfig(epsilon=0.3, cells=((1,),))
+        ds, design = self._line4([(1,)])
+        cfg = ConditioningConfig(epsilon=0.3)
         (draws,), _ = sample_conditioning_set(
             CompleteRandomization(4, 2), ds, design, cfg, 50,
             np.random.default_rng(1))
@@ -196,9 +200,8 @@ class TestSampler:
     def test_line4_single_unit_cell_is_infeasible(self):
         # cell 0 holds only unit 3; one unit cannot sit in both arms, so
         # the sampler must exhaust its budget and name the inequality
-        ds, design = self._line4()
-        cfg = ConditioningConfig(epsilon=0.3, cells=((0,),),
-                                 max_attempts_per_accept=50)
+        ds, design = self._line4([(0,)])
+        cfg = ConditioningConfig(epsilon=0.3, max_attempts_per_accept=50)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
             sample_conditioning_set(CompleteRandomization(4, 2), ds, design, cfg, 5,
                                     np.random.default_rng(0))
@@ -223,7 +226,8 @@ class TestSampler:
         joint = set(oracle_conditioning_set(12, 6, nbrs, TOY12_PI_OBS,
                                             TOY12_EPS, [(0,), (1,)],
                                             comparator=">"))
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
+        assert design.cells == ((0,), (1,))
+        cfg = ConditioningConfig(epsilon=TOY12_EPS)
         # odd strata of 5 and 7 units with 3 treated in each: every draw
         # still treats 6 of 12; at b = 199 the first two batches have odd
         # row counts, whose keys draw through rng.integers, and the third
@@ -249,14 +253,14 @@ class TestSampler:
         ds = power_outcomes(make_toy12())
         design = prepare(ds, TOY12_MAPPING, "by_exposure")
         pi = design.exposures
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
+        cfg = ConditioningConfig(epsilon=TOY12_EPS)
         records, _ = sample_conditioning_set(
             CompleteRandomization(12, 6), ds, design, cfg, 60, np.random.default_rng(5))
         d0, d1 = records
         assert d0.t is d1.t
         assert [d.cell for d in records] == [(0,), (1,)]
         pi_new = TOY12_MAPPING.compute_batch(d0.t, ds.graph)
-        for d, c in zip(records, cfg.cells):
+        for d, c in zip(records, design.cells):
             assert d.units.tolist() == np.flatnonzero(pi.values == c[0]).tolist()
             focal = (pi_new == c[0]) & (pi.values == c[0])
             assert np.array_equal(d.sums, brute_sums(d, focal))
@@ -300,7 +304,7 @@ class TestSamplerBatches:
     def test_no_rejection_draws_exactly_b(self):
         ds, design, mapping = self._edgeless()
         mech = _CountingMechanism(ds.n, ds.n // 2)
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        cfg = ConditioningConfig(epsilon=0.1)
         (draws,), diag = sample_conditioning_set(mech, ds, design, cfg, 37,
                                               np.random.default_rng(0))
         assert diag.n_candidates == 37 and diag.n_accepted == 37
@@ -310,7 +314,7 @@ class TestSamplerBatches:
 
     def test_row_cap_splits_batches_without_changing_draws(self, monkeypatch):
         ds, design, mapping = self._edgeless()
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        cfg = ConditioningConfig(epsilon=0.1)
         (whole,), _ = sample_conditioning_set(CompleteRandomization(ds.n, ds.n // 2), ds, design,
                                            cfg, 50, np.random.default_rng(1))
         monkeypatch.setattr(conditioning, "MAX_BATCH_BYTES",
@@ -329,7 +333,7 @@ class TestSamplerBatches:
         # every unit lands in cell (0,) in every draw, so each count is N
         # itself: at N = 128 one more than the int8 maximum
         ds, design, mapping = self._edgeless(n)
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),))
+        cfg = ConditioningConfig(epsilon=0.1)
         (draws,), _ = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, design,
                                            cfg, 20, np.random.default_rng(0))
         assert np.array_equal(draws.sums, brute_sums(draws, np.ones(draws.t.shape, bool)))
@@ -347,7 +351,7 @@ class TestSamplerBatches:
         design = prepare(ds, TOY12_MAPPING, "by_exposure")
         monkeypatch.setattr(conditioning, "MAX_BATCH_BYTES",
                             7 * ds.n * TOY12_MAPPING.batch_bytes_per_cell(ds.graph))
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=design.cells, separate=separate)
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, separate=separate)
         mech = _CountingMechanism(12, 6)
         records, diag = sample_conditioning_set(mech, ds, design, cfg, 30,
                                                 np.random.default_rng(9))
@@ -362,8 +366,7 @@ class TestSamplerBatches:
         ds = make_toy12()
         design = prepare(ds, TOY12_MAPPING, "by_exposure")
         for max_attempts, b in ((100, 40), (60, 25)):
-            cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)),
-                                     max_attempts_per_accept=max_attempts)
+            cfg = ConditioningConfig(epsilon=TOY12_EPS, max_attempts_per_accept=max_attempts)
             mech = _CountingMechanism(12, 6)
             _, diag = sample_conditioning_set(mech, ds, design, cfg, b,
                                               np.random.default_rng(b))
@@ -376,9 +379,9 @@ class TestSamplerBatches:
         # line4 cell (0,) is the single unit 3, which can never sit in
         # both arms, while cell (1,) holds three units and often passes
         ds = make_line4(t=LINE4_T_OBS)
-        design = prepare(ds, TEN_MAPPING, "by_exposure")
-        cfg = ConditioningConfig(epsilon=0.3, cells=((1,), (0,)),
-                                 max_attempts_per_accept=7)
+        design = design_of(ds, prepare(ds, TEN_MAPPING, "by_exposure").exposures,
+                           [(1,), (0,)])
+        cfg = ConditioningConfig(epsilon=0.3, max_attempts_per_accept=7)
         mech = _CountingMechanism(4, 2)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
             sample_conditioning_set(mech, ds, design, cfg, 6,
@@ -410,7 +413,7 @@ class TestBatchBudget:
         t[rng.choice(n, n // 2, replace=False)] = 1
         ds = Dataset(y=np.zeros(n), t=t, graph=graph)
         design = prepare(ds, mapping, "by_exposure")
-        cfg = ConditioningConfig(epsilon=0.01, cells=design.cells)
+        cfg = ConditioningConfig(epsilon=0.01)
         tracemalloc.start()
         try:
             _, diag = sample_conditioning_set(CompleteRandomization(n, n // 2), ds, design,
@@ -551,7 +554,7 @@ class TestSharedStream:
         ds, design = self._toy12()
         b = 20
         mech = _CyclingMechanism([TOY12_T_OBS, self.ONLY_CELL0, self.ONLY_CELL0])
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True)
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, separate=True)
         (d0, d1), diag = sample_conditioning_set(mech, ds, design, cfg, b,
                                                  np.random.default_rng(0))
         assert [d0.cell, d1.cell] == [(0,), (1,)]
@@ -572,8 +575,7 @@ class TestSharedStream:
     def test_starved_cell_and_its_worst_inequality_are_named(self):
         # cell (0,) accepts every candidate, cell (1,) none
         ds, design = self._toy12()
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)), separate=True,
-                                 max_attempts_per_accept=5)
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, separate=True, max_attempts_per_accept=5)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
             sample_conditioning_set(_CyclingMechanism([self.ONLY_CELL0]), ds, design, cfg, 4,
                                     np.random.default_rng(0))
@@ -600,8 +602,8 @@ class TestSharedStream:
 
 
 class TestScoredMinPerArm:
-    """ConditioningConfig(scored=..., min_per_arm=...): records keep only
-    the scored units, every accept keeps min_per_arm scored focal units in
+    """A Design's scored_mask with ConditioningConfig(min_per_arm=...):
+    records keep only the scored units, every accept keeps min_per_arm scored focal units in
     each arm of its cells, and the rule's rejections are counted apart.
     On toy12, cell (0,)'s super-focal units are 0-3, 10 and 11, observed
     treated 1, 2, 3 and 11."""
@@ -615,8 +617,8 @@ class TestScoredMinPerArm:
         ds = power_outcomes(ds)
         scored = np.ones(12, dtype=bool)
         scored[[1, 4]] = False
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)), separate=True,
-                                 scored=scored, min_per_arm=2)
+        design = replace(design, scored_mask=scored)
+        cfg = ConditioningConfig(epsilon=0.1, separate=True, min_per_arm=2)
         records, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg,
                                                 300, np.random.default_rng(3))
         for d in records:
@@ -624,7 +626,7 @@ class TestScoredMinPerArm:
             sf = superfocal_for_cell(design.exposures.values, cell)
             pi_new = TOY12_MAPPING.compute_batch(d.t, ds.graph)
             assert np.array_equal(d.units, np.flatnonzero(sf.indicator & scored))
-            assert np.array_equal(design.scored(cell, scored), d.units)
+            assert np.array_equal(design.scored(cell), d.units)
             focal = (pi_new == cell[0]) & sf.indicator & scored
             assert np.array_equal(d.sums, brute_sums(d, focal))
             assert np.array_equal(d.focal_counts, focal.sum(axis=1))
@@ -637,7 +639,7 @@ class TestScoredMinPerArm:
 
     def test_without_the_rule_no_rule_kind_is_counted(self):
         ds, design = self._toy12()
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,), (1,)))
+        cfg = ConditioningConfig(epsilon=0.1)
         _, diag = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg, 50,
                                           np.random.default_rng(3))
         assert sorted(diag.failure_counts) == sorted(
@@ -650,7 +652,8 @@ class TestScoredMinPerArm:
         scored = np.ones(12, dtype=bool)
         scored[0] = False
         with pytest.raises(TooFewUnits, match=r"^cell \(0,\): the observed assignment has 1/4 "):
-            check_feasible(design, ds.t, SplitResult(np.ones(12, dtype=bool), scored, []))
+            check_feasible(replace(design, scored_mask=scored), ds.t,
+                           SplitResult(np.ones(12, dtype=bool), scored, []))
         # the engine checks before it draws: line4's cell (0,) is the one
         # control unit 3
         mech = _CountingMechanism(4, 2)
@@ -665,8 +668,8 @@ class TestScoredMinPerArm:
         # two of them in each arm, while eps=0.1 asks for one unit per arm
         ds, design = self._toy12()
         scored = ~np.isin(np.arange(12), [3, 11])
-        cfg = ConditioningConfig(epsilon=0.1, cells=((0,),), scored=scored, min_per_arm=2,
-                                 max_attempts_per_accept=2)
+        design = design_of(ds, design.exposures, [(0,)], scored=scored)
+        cfg = ConditioningConfig(epsilon=0.1, min_per_arm=2, max_attempts_per_accept=2)
         with pytest.raises(AcceptanceBudgetExhausted) as exc:
             sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg, 20,
                                     np.random.default_rng(0))

@@ -4,6 +4,7 @@ cannot test raises an InfeasibleConditioning that names a cell or effect
 key, the same one under every technique that scores all units, and the
 CLI exits 3 for it."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,13 +71,14 @@ class TestPrepare:
             assert design.units[c].tolist() == want.tolist()
         assert design.units[(0, "f")].tolist() == [3, 4, 9]
         scored = np.arange(10) != 4
-        assert design.scored((0, "f"), scored).tolist() == [3, 9]
+        assert replace(design, scored_mask=scored).scored((0, "f")).tolist() == [3, 9]
+        assert design.scored_mask is None
         assert design.scored((0, "f")) is design.units[(0, "f")]
 
     def test_records_share_the_read_only_units(self):
         ds = make_toy12()
         design = prepare(ds, TOY12_MAPPING, "by_exposure")
-        cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=design.cells, separate=True)
+        cfg = ConditioningConfig(epsilon=TOY12_EPS, separate=True)
         recs, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg, 4,
                                           np.random.default_rng(0))
         assert recs[0].units is design.units[recs[0].cell]
@@ -102,9 +104,11 @@ class TestCheckFeasible:
         with pytest.raises(SplitInfeasible,
                            match=r"^estimation side of cell \(0,\) has no arm-1 units$"):
             check_feasible(design, ds.t, SplitResult(controls, every, []))
+        scored = np.arange(12) != 0
         with pytest.raises(TooFewUnits, match=r"^cell \(0,\): the observed assignment "
                                               r"has 1/4 scored"):
-            check_feasible(design, ds.t, SplitResult(every, np.arange(12) != 0, []))
+            check_feasible(replace(design, scored_mask=scored), ds.t,
+                           SplitResult(every, scored, []))
         check_feasible(design, ds.t)  # every unit scored: 2/4 and 4/2
 
 

@@ -393,7 +393,7 @@ class TestArmSumRecords:
             report = score(source, dataset, design, runs, **kw)
             for (d, fobs), got in zip(runs, stats):
                 sf = np.zeros(dataset.n, dtype=bool)
-                sf[design.scored(d.cell, source.scored)] = True
+                sf[design.scored(d.cell)] = True
                 seen.append(SimpleNamespace(
                     ds=dataset, grid=source.axes[inference.effect_key(design.family, d.cell)],
                     d=d, sf=sf, n_sf=len(design.units[d.cell]), fobs=fobs, got=got,

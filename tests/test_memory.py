@@ -101,7 +101,7 @@ FAULTS_CHILD = textwrap.dedent("""
     t[rng.choice(n, n // 2, replace=False)] = 1
     ds = nr.Dataset(y=rng.standard_normal(n), t=t, graph=graph)
     design = prepare(ds, nr.FractionThreshold(0.5, ">"), "by_exposure")
-    cfg = ConditioningConfig(epsilon=0.01, cells=design.cells)
+    cfg = ConditioningConfig(epsilon=0.01)
     mech = nr.CompleteRandomization(n, n // 2)
     for _ in range(2):
         sample_conditioning_set(mech, ds, design, cfg, 499, rng)
@@ -131,14 +131,14 @@ RECORDS_CHILD = textwrap.dedent("""
     t[rng.choice(n, n // 2, replace=False)] = 1
     ds = nr.Dataset(y=rng.standard_normal(n), t=t, graph=graph)
     design = prepare(ds, nr.FractionThreshold(0.5, ">"), "by_exposure")
-    cfg = ConditioningConfig(epsilon=0.24, cells=design.cells, separate=True)
+    cfg = ConditioningConfig(epsilon=0.24, separate=True)
     tracemalloc.start()
     records, diag = sample_conditioning_set(nr.CompleteRandomization(n, n // 2), ds, design,
                                             cfg, b, rng)
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     assert diag.n_candidates > b and records[0].t is not records[1].t
-    bound = ((len(cfg.groups) + 0.1) * n * b + 200 * b * len(records)
+    bound = ((len(design.cells) + 0.1) * n * b + 200 * b * len(records)
              + 80 * sum(len(d.units) for d in records))
     print(held, bound)
 """)

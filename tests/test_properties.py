@@ -118,8 +118,8 @@ def test_exposure_change_never_imputes(seed):
     # record's arm sums are those of its super-focal units that keep it
     ds = power_outcomes(make_toy12())
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
-    cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,), (1,)))
-    design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), cfg.cells)
+    cfg = ConditioningConfig(epsilon=TOY12_EPS)
+    design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), [(0,), (1,)])
     records, _ = sample_conditioning_set(CompleteRandomization(12, 6), ds, design, cfg,
                                          10, np.random.default_rng(seed))
     for draws in records:
@@ -293,8 +293,8 @@ def test_relative_frequency_and_focal_match_oracles(inst):
             # the sampler accepts t_other below its frequencies; its arm sums
             # are those of the cell's super-focal units that keep their
             # exposure, and with y = 2 ** i no other set sums alike
-            cfg = ConditioningConfig(epsilon=min(r) / 2, cells=((v,),))
-            design = design_of(ds, ExposureVector(pi_obs, mapping), cfg.cells)
+            cfg = ConditioningConfig(epsilon=min(r) / 2)
+            design = design_of(ds, ExposureVector(pi_obs, mapping), [(v,)])
             (draws,), _ = sample_conditioning_set(_FixedMechanism(t_other), ds, design,
                                                cfg, 1, np.random.default_rng(0))
             assert np.array_equal(draws.units, np.flatnonzero(sf.indicator))
@@ -335,17 +335,15 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
         mech = _FixedMechanism(t_obs)
         below = r_min * k / 16.0
         assume(0.0 < below < 0.5)
-        cfg = ConditioningConfig(epsilon=below, cells=((v,),),
-                                 max_attempts_per_accept=8)
-        design = design_of(ds, ExposureVector(pi_obs, mapping), cfg.cells)
+        cfg = ConditioningConfig(epsilon=below, max_attempts_per_accept=8)
+        design = design_of(ds, ExposureVector(pi_obs, mapping), [(v,)])
         (draws,), _ = sample_conditioning_set(mech, ds, design,
                                            cfg, 1, np.random.default_rng(0))
         assert (draws.t[0] == t_obs).all()
         if 0.0 < r_min < 0.5:
             # at epsilon equal to the minimum frequency the strict
             # inequality fails and the identity vector is rejected
-            cfg = ConditioningConfig(epsilon=r_min, cells=((v,),),
-                                     max_attempts_per_accept=8)
+            cfg = ConditioningConfig(epsilon=r_min, max_attempts_per_accept=8)
             try:
                 sample_conditioning_set(mech, ds, design,
                                         cfg, 1, np.random.default_rng(0))
@@ -360,11 +358,11 @@ def test_identity_vector_accepted_exactly_below_its_own_frequencies(inst, k):
 def test_sampler_is_seed_deterministic(seed):
     ds = make_toy12()
     mech = CompleteRandomization(12, 6)
-    cfg = ConditioningConfig(epsilon=TOY12_EPS, cells=((0,),))
+    cfg = ConditioningConfig(epsilon=TOY12_EPS)
     pi_obs = TOY12_MAPPING.compute(ds.t, ds.graph)
     runs = []
     for _ in range(2):
-        design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), cfg.cells)
+        design = design_of(ds, ExposureVector(pi_obs, TOY12_MAPPING), [(0,)])
         (draws,), _ = sample_conditioning_set(mech, ds, design,
                                            cfg, 3, np.random.default_rng(seed))
         runs.append(draws.t)
