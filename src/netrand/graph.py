@@ -33,14 +33,26 @@ class Graph:
     degrees cost no padding. ``dense()`` builds the N x N matrix on
     request; no engine path calls it. The CSR arrays never change after
     construction, so ``cached`` keeps what is derived from them.
+
+    Raises IndexOutOfRange (n_units <= 0, or an endpoint outside
+    0..n_units-1) or SelfLoop for the first offending edge in input order.
     """
 
     def __init__(self, n_units: int, edges: Iterable[tuple[int, int]]):
         self.n_units = n = int(n_units)
+        if n <= 0:
+            raise IndexOutOfRange(f"n_units must be positive, got {n_units}")
         self.symmetrized = False  # build_graph sets it from its edge list
         if not isinstance(edges, np.ndarray):
             edges = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
-        a, b = edges.astype(np.int64, copy=False).reshape(-1, 2).T
+        pairs = edges.astype(np.int64, copy=False).reshape(-1, 2)
+        a, b = pairs.T
+        if len(pairs) and not (pairs.min() >= 0 and pairs.max() < n and (a != b).all()):
+            outside = ((pairs < 0) | (pairs >= n)).any(axis=1)  # per edge only on failure
+            i = int(np.argmax(outside | (a == b)))
+            if outside[i]:
+                raise IndexOutOfRange(f"edge ({a[i]}, {b[i]}) outside 0..{n - 1}")
+            raise SelfLoop(f"self loop at unit {a[i]}")
         # each edge in both directions as key row * n + column, sorted and deduped
         keys = np.sort(np.concatenate((a * n + b, b * n + a)))
         rows, self.indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
@@ -144,28 +156,14 @@ class Graph:
 
 
 def build_graph(n_units: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
-    """Validate, dedupe, and symmetrize an edge list.
-
-    Raises IndexOutOfRange (endpoint outside 0..n_units-1) or SelfLoop
-    for the first offending edge in input order. The symmetrized flag on
-    the result records whether the input, read as directed pairs, was
-    missing any mirror pair.
-    """
-    if n_units <= 0:
-        raise IndexOutOfRange(f"n_units must be positive, got {n_units}")
+    """The Graph of an edge list (validated, deduped and symmetrized as
+    Graph does), whose symmetrized flag records whether the input, read
+    as directed pairs, was missing any mirror pair."""
     pairs = np.asarray(edge_list, dtype=np.int64).reshape(len(edge_list), 2)
-    a, b = pairs.T
-    outside = ((pairs < 0) | (pairs >= n_units)).any(axis=1)
-    bad = np.flatnonzero(outside | (a == b))
-    if len(bad):
-        i, j = pairs[bad[0]].tolist()
-        if outside[bad[0]]:
-            raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{n_units - 1}")
-        raise SelfLoop(f"self loop at unit {i}")
     graph = Graph(n_units, pairs)
     # each pair is one direction of an edge: a mirror pair is missing when
     # fewer than the graph's 2E directed pairs occur
-    keys = np.sort(a * n_units + b)
+    keys = np.sort(pairs[:, 0] * n_units + pairs[:, 1])
     graph.symmetrized = bool(np.count_nonzero(np.diff(keys, prepend=-1)) < len(graph.indices))
     return graph
 

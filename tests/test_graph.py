@@ -51,6 +51,24 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRange, match=r"edge \(5, 5\)"):
             build_graph(3, [(5, 5)])
 
+    # Graph itself validates, so a graph built without build_graph (as
+    # generate_regular_graph builds one) cannot hold a corrupt edge
+    def test_graph_rejects_an_out_of_range_endpoint(self):
+        with pytest.raises(IndexOutOfRange, match=r"^edge \(0, 5\) outside 0..2$"):
+            Graph(3, [(0, 5)])
+
+    def test_graph_rejects_a_self_loop(self):
+        with pytest.raises(SelfLoop, match="^self loop at unit 1$"):
+            Graph(3, [(1, 1)])
+
+    def test_graph_rejects_a_negative_endpoint(self):
+        with pytest.raises(IndexOutOfRange, match=r"^edge \(-1, 2\) outside 0..2$"):
+            Graph(3, np.array([(0, 1), (-1, 2)]))
+
+    def test_graph_rejects_no_units(self):
+        with pytest.raises(IndexOutOfRange, match="^n_units must be positive, got 0$"):
+            Graph(0, [])
+
     def test_graph_dedupes_both_orientations(self):
         g = Graph(3, [(1, 0), (0, 1), (0, 1)])
         assert g.n_edges == 1 and g.edges == frozenset({(0, 1)})
