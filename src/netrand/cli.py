@@ -149,6 +149,11 @@ def _null_from_args(args, family: str) -> NullSpec:
         raise DataError("oracle tests of per-cell nulls need --tau-map")
     with open(args.tau_map) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise DataError(f"--tau-map must hold a JSON object of numbers, not {type(raw).__name__}")
+    for k, v in raw.items():
+        if not isinstance(v, (int, float, str)):  # the JSON values float() takes
+            raise DataError(f"tau-map key {k!r} has a non-numeric value {v!r}")
     values = {_parse_cell_key(k, family): float(v) for k, v in raw.items()}
     if family == BY_EXPOSURE:
         return NullSpec.per_exposure(values)

@@ -93,6 +93,28 @@ class TestTestCommand:
             "--null": "hpi", "--tau": None, "--tau-map": str(tau_map)}))
         assert rc == 2
 
+    @pytest.mark.parametrize("raw, named", [
+        ([1, 2], "not list"),
+        ({"0": 1.0, "1": [2]}, "key '1' has a non-numeric value [2]"),
+    ], ids=["top-level-list", "list-value"])
+    def test_malformed_tau_map_is_a_data_error(self, tmp_path, capsys, raw, named):
+        nodes, edges = write_toy12(tmp_path)
+        tau_map = tmp_path / "tau.json"
+        tau_map.write_text(json.dumps(raw))
+        rc = main(oracle_args(nodes, edges, **{
+            "--null": "hpi", "--tau": None, "--tau-map": str(tau_map)}))
+        assert rc == 2 and named in capsys.readouterr().err
+
+    def test_tau_map_values_may_be_numeric_strings(self, tmp_path, capsys):
+        nodes, edges = write_toy12(tmp_path)
+        tau_map = tmp_path / "tau.json"
+        tau_map.write_text(json.dumps({"0": "0.25", "1": -1}))
+        rc = main(oracle_args(nodes, edges, **{
+            "--null": "hpi", "--tau": None, "--tau-map": str(tau_map)}))
+        assert rc == 0
+        assert {c["pi"]: c["tau"] for c in json.loads(capsys.readouterr().out)["cells"]} == {
+            0: 0.25, 1: -1.0}
+
     def test_h0_requires_tau(self, tmp_path):
         nodes, edges = write_toy12(tmp_path)
         assert main(oracle_args(nodes, edges, **{"--tau": None})) == 2
