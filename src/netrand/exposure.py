@@ -110,7 +110,9 @@ class WeightedThreshold(_UnitMajor):
 
     Uses per-unit weights d_j: exposed when
     sum_j t_j d_j A_ij / sum_j d_j A_ij clears the threshold. A zero
-    denominator yields ``isolated_value``. Weights are finite and >= 0.
+    denominator yields ``isolated_value``. Weights are finite and >= 0,
+    and held as a read-only copy, so each graph caches the weighted
+    degrees under the mapping itself.
     """
 
     values = (0, 1)
@@ -121,7 +123,8 @@ class WeightedThreshold(_UnitMajor):
             raise ValueError(f"comparator must be one of {_COMPARATORS}")
         if isolated_value not in self.values:
             raise ValueError("isolated_value must be a declared exposure value")
-        self.weights = np.asarray(weights, dtype=np.float64)
+        self.weights = np.array(weights, dtype=np.float64)
+        self.weights.flags.writeable = False
         if len(bad := np.flatnonzero(~(np.isfinite(self.weights) & (self.weights >= 0)))):
             raise MappingFailure(f"unit {bad[0]} has weight {self.weights.flat[bad[0]]}; "
                                  f"weights must be finite and non-negative")
@@ -141,7 +144,8 @@ class WeightedThreshold(_UnitMajor):
             raise MappingFailure(
                 f"weights have shape {self.weights.shape}, expected ({graph.n_units},)")
         num = graph.neighbor_sums(t_units, self.weights)
-        denom = graph.neighbor_sums(np.ones((graph.n_units, 1), np.int8), self.weights)[:, 0]
+        denom = graph.cached(("weighted degrees", self), lambda: graph.neighbor_sums(
+            np.ones((graph.n_units, 1), np.int8), self.weights)[:, 0])
         passes = np.greater if self.comparator == ">" else np.greater_equal
         with np.errstate(divide="ignore", invalid="ignore"):
             exposed = passes(np.divide(num, denom[:, None], out=num),

@@ -139,6 +139,22 @@ class TestWeightedThreshold:
             WeightedThreshold(np.array([1.0, bad, 1.0, bad]))
         WeightedThreshold(np.array([1.0, 0.0, -0.0, 1e300]))  # zero and large weights pass
 
+    def test_cached_weighted_degrees_follow_each_mapping(self):
+        # two mappings alternating on one hub graph, which caches each one's
+        # weighted degrees, give what each gives on a graph of its own
+        rng = np.random.default_rng(8)
+        graph = random_irregular_graph(rng, 200, hub_degree=150, n_isolated=3)
+        weights = rng.integers(0, 4, size=(2, 200)).astype(np.float64)
+        maps = [WeightedThreshold(w, 0.4, ">=") for w in weights]
+        weights[:] = 1.0  # the mappings keep their own copies
+        t_mat = _treatment_rows(rng, 200, 30)
+        for m in maps * 2:
+            fresh = build_graph(200, sorted(graph.edges))
+            assert np.array_equal(m.compute_batch(t_mat, graph), m.compute_batch(t_mat, fresh))
+        assert not np.array_equal(*(m.compute_batch(t_mat, graph) for m in maps))
+        with pytest.raises(ValueError, match="read-only"):
+            maps[0].weights[0] = 2.0
+
     def test_weight_shape_checked(self):
         g = build_graph(3, [(0, 1)])
         m = WeightedThreshold(np.ones(5))
