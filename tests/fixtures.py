@@ -233,10 +233,12 @@ def oracle_focal(t_new, pi_new, pi_obs, value, x=None, level=None):
 
 def oracle_conditioning_set(n, n_treated, nbrs, pi_obs, eps, cells, *,
                             threshold=0.5, comparator=">=", x=None, min_per_arm=0,
-                            among=None):
+                            among=None, scored=None):
     """All assignments whose per-arm keep frequencies clear eps strictly
     for every requested cell, and that keep at least min_per_arm focal
-    units in each arm of every cell. Cells are (value,) or (value, level).
+    units in each arm of every cell. The frequencies count every
+    super-focal unit, min_per_arm only the focal units that scored marks
+    (all for None). Cells are (value,) or (value, level).
     among (tuples) restricts the answer to those vectors, without
     enumerating the rest: a vector outside the mechanism's support, all
     0/1 vectors with n_treated ones, is never a member."""
@@ -251,7 +253,7 @@ def oracle_conditioning_set(n, n_treated, nbrs, pi_obs, eps, cells, *,
             level = cell[1] if len(cell) == 2 else None
             focal = oracle_focal(t, pi, pi_obs, value, x, level)
             for arm in (1, 0):
-                kept = sum(1 for i in focal if t[i] == arm)
+                kept = sum(1 for i in focal if t[i] == arm and (scored is None or scored[i]))
                 if oracle_r(t, pi, pi_obs, arm, value, x, level) <= eps or kept < min_per_arm:
                     ok = False
                     break
