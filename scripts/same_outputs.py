@@ -34,12 +34,18 @@ The matrix:
 - run_table(...).to_records() for tables 1-6 and fig2 (200 units) at seeds
   1 and 11, 2 reps, workers 1 and 2;
 - ingest of small node and edge CSVs (INGEST): every column of the Dataset
-  and its graph's CSR arrays, or the error.
+  and its graph's CSR arrays, or the error;
+- Graph built directly from bad edges (GRAPHS): its CSR arrays, or the error;
+- cli.main's test command with malformed --tau-map files (TAU_MAPS): the
+  report, or the exit code main returns with what it printed to stderr
+  (class CliExit).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -144,6 +150,44 @@ INGEST = {
 }
 
 
+# name: (n_units, edges) for Graph itself, which build_graph's checks once skipped
+GRAPHS = {"graph-out-of-range": (3, [(0, 5)]), "graph-self-loop": (3, [(1, 1)])}
+# name: the --tau-map file's text, valid JSON that is not an object of numbers
+TAU_MAPS = {"tau-map-list": "[1, 2]", "tau-map-list-value": '{"0": 1.0, "1": [2]}'}
+
+
+class CliExit(Exception):
+    """A non-zero exit code that cli.main returned, with its stderr."""
+
+    def __init__(self, code: int, stderr: str):
+        super().__init__(stderr.strip())
+        self.code = code
+
+
+def graph_arrays(n_units: int, edges: list) -> dict:
+    from netrand.graph import Graph
+    graph = Graph(n_units, edges)
+    return {"indptr": digest(graph.indptr), "indices": digest(graph.indices)}
+
+
+def cli_tau_map(text: str) -> str:
+    """cli.main's oracle test of the per-exposure null on the plain INGEST
+    design with text as its --tau-map file: the report it prints."""
+    from netrand.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("nodes.csv", "edges.csv", "tau.json")]
+        for path, content in zip(paths, (*INGEST["plain"], text)):
+            path.write_text(content, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["test", "--nodes", str(paths[0]), "--edges", str(paths[1]),
+                         "--null", "hpi", "--technique", "oracle", "--epsilon", "0.1",
+                         "--b", "20", "--seed", "1", "--tau-map", str(paths[2])])
+    if code:
+        raise CliExit(code, err.getvalue())
+    return out.getvalue()
+
+
 def ingest_columns(nodes: str, edges: str) -> dict:
     """The Dataset ingest reads from the two CSV texts, as digests."""
     from netrand.data import ingest
@@ -237,6 +281,10 @@ def outputs():
                                permutation, (data, mapping, family, stat, pb))
     for name, texts in INGEST.items():
         yield f"ingest/{name}", ingest_columns, texts
+    for name, args in GRAPHS.items():
+        yield f"graph/{name}", graph_arrays, args
+    for name, text in TAU_MAPS.items():
+        yield f"cli/{name}", cli_tau_map, (text,)
     for table in ("1", "2", "3", "4", "5", "6", "fig2"):
         for seed in (1, 11):
             for workers in (1, 2):
@@ -257,7 +305,8 @@ def collect(out: Path) -> None:
         try:
             results[key] = digest(fn(*args))
         except Exception as exc:  # an error is an output too, with its CLI exit code
-            code = (3 if isinstance(exc, InfeasibleConditioning)
+            code = (exc.code if isinstance(exc, CliExit)
+                    else 3 if isinstance(exc, InfeasibleConditioning)
                     else 2 if isinstance(exc, CLI_CAUGHT) else 1)
             results[key] = f"exit {code}: {type(exc).__name__}: {exc}"
     out.write_text(json.dumps(results, indent=1) + "\n")
