@@ -165,6 +165,7 @@ class CliExit(Exception):
 
 
 def graph_arrays(n_units: int, edges: list) -> dict:
+    """The CSR arrays of Graph(n_units, edges), as digests."""
     from netrand.graph import Graph
     graph = Graph(n_units, edges)
     return {"indptr": digest(graph.indptr), "indices": digest(graph.indices)}
